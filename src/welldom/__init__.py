@@ -43,7 +43,6 @@ from .weightspace import (
     ConstraintConsistencyError,
     dimension_checks,
     recognize_well_covered,
-    recognize_well_dominated,
     well_covered_weight_basis,
     well_dominated_weight_basis,
 )
@@ -79,7 +78,6 @@ __all__ = [
     "is_well_dominated",
     "parse_graph",
     "recognize_well_covered",
-    "recognize_well_dominated",
     "recognized_status",
     "run_builtin_checks",
     "run_property_sweep",

@@ -1,22 +1,24 @@
 """Whole-graph reports tying structure, characterization and oracle together.
 
-analyze() is the entry point behind the CLI.  It collects cycle flags and
-structural tables, applies the closed-form engines per connected component
-(combining weight spaces as direct sums), runs the enumeration oracle when
-the graph fits the budget, and cross-checks everything that was computed
-two ways.  Characterization preconditions that fail make a section
-inapplicable with a reason; they never raise.
+analyze() is the entry point behind the CLI.  It builds each connected
+component's facts once (cycle profile, structural tables, special form),
+reads the cycle flags and tables off them, applies the closed-form engines
+per component (combining weight spaces as direct sums), runs the enumeration
+oracle when the graph fits the budget, and cross-checks everything that was
+computed two ways.  Preconditions that fail make a section inapplicable
+with a reason; they never raise.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from typing import Sequence
 
 from .generators import GeneratorConfig, generate_family
-from .graphs import Graph, components, contains_cycle_of_length, induced_subgraph
-from .linalg import SubspaceBasis, row_space, subspace_contains, subspace_equal, sum_spaces
+from .graphs import Graph, serialize_graph
+from .linalg import SubspaceBasis, row_space, subspace_contains, subspace_equal
 from .oracle import (
     DEFAULT_BUDGET,
     BudgetExceededError,
@@ -27,16 +29,24 @@ from .oracle import (
     set_weight,
     weight_space_from_family,
 )
-from .structure import SimplicialPartition, StructureSummary, simplicial_partition, structure_summary
-from .weightspace import (
-    SpecialForm,
-    dimension_checks,
-    recognize_well_covered,
-    well_covered_weight_basis,
-    well_dominated_weight_basis,
+from .structure import (
+    CYCLE_LENGTHS,
+    ComponentFacts,
+    SimplicialPartition,
+    StructureSummary,
+    component_facts,
+    family_facts,
+    outside_family,
+    summarize,
 )
-
-CYCLE_FLAG_LENGTHS = (3, 4, 5, 6, 7)
+from .weightspace import (
+    CharacterizationOutcome,
+    SpecialForm,
+    dimension_report,
+    recognition_from_facts,
+    wcw_basis_from_facts,
+    wwd_basis_from_facts,
+)
 
 
 # -- component-wise wrappers -----------------------------------------------------
@@ -51,50 +61,38 @@ class GlobalCharacterization:
     notes: tuple[str, ...]
 
 
-def _embed_vector(vec, comp_sorted: list[int], n: int) -> list[Fraction]:
-    wide = [Fraction(0)] * n
-    for local, value in enumerate(vec):
-        wide[comp_sorted[local]] = Fraction(value)
-    return wide
-
-
-def _combine_components(g: Graph, engine, budget: EnumerationBudget) -> GlobalCharacterization:
-    spaces: list[SubspaceBasis] = []
-    forms: list[SpecialForm] = []
+def _direct_sum(
+    facts: Sequence[ComponentFacts], outcomes: Sequence[CharacterizationOutcome], n: int
+) -> GlobalCharacterization:
+    rows: list[list[Fraction]] = []
     notes: list[str] = []
-    for comp in components(g):
-        comp_sorted = sorted(comp)
-        sub, _ = induced_subgraph(g, comp)
-        outcome = engine(sub, budget)
-        embedded = [_embed_vector(row, comp_sorted, g.n) for row in outcome.basis.rows]
-        spaces.append(row_space(embedded, g.n))
-        forms.append(outcome.special_form)
-        notes.extend(f"component at {comp_sorted[0]}: {note}" for note in outcome.notes)
-    return GlobalCharacterization(sum_spaces(spaces, g.n), tuple(forms), tuple(notes))
+    for f, outcome in zip(facts, outcomes):
+        for row in outcome.basis.rows:
+            wide = [Fraction(0)] * n
+            for local, value in enumerate(row):
+                wide[f.labels[local]] = value
+            rows.append(wide)
+        notes.extend(f"component at {f.labels[0]}: {note}" for note in outcome.notes)
+    forms = tuple(outcome.special_form for outcome in outcomes)
+    return GlobalCharacterization(row_space(rows, n), forms, tuple(notes))
 
 
-def _require_family(g: Graph, lengths: tuple[int, ...]) -> None:
-    if g.n == 0:
-        raise ValueError("the empty graph has no components to characterize")
-    for k in lengths:
-        if contains_cycle_of_length(g, k):
-            raise ValueError(f"characterization requires no {k}-cycle, but one is present")
+def _characterized(facts: Sequence[ComponentFacts], engine, n: int) -> GlobalCharacterization:
+    return _direct_sum(facts, [engine(f) for f in facts], n)
 
 
 def characterized_wcw_basis(
     g: Graph, budget: EnumerationBudget = DEFAULT_BUDGET
 ) -> GlobalCharacterization:
     """Equal-weight space of maximal independent sets, any number of components."""
-    _require_family(g, (4, 5, 6))
-    return _combine_components(g, well_covered_weight_basis, budget)
+    return _characterized(family_facts(g, (4, 5, 6), budget), wcw_basis_from_facts, g.n)
 
 
 def characterized_wwd_basis(
     g: Graph, budget: EnumerationBudget = DEFAULT_BUDGET
 ) -> GlobalCharacterization:
     """Equal-weight space of minimal dominating sets, any number of components."""
-    _require_family(g, (4, 5, 6))
-    return _combine_components(g, well_dominated_weight_basis, budget)
+    return _characterized(family_facts(g, (4, 5, 6), budget), wwd_basis_from_facts, g.n)
 
 
 @dataclass(frozen=True)
@@ -104,24 +102,37 @@ class GlobalRecognition:
     component_clauses: tuple[str, ...]
 
 
+def _recognized(facts: Sequence[ComponentFacts]) -> GlobalRecognition:
+    outcomes = [recognition_from_facts(f) for f in facts]
+    holds = all(outcome.holds for outcome in outcomes)
+    clauses = tuple(outcome.clause if outcome.holds else "unrecognized" for outcome in outcomes)
+    return GlobalRecognition(holds, holds, clauses)
+
+
 def recognized_status(g: Graph) -> GlobalRecognition:
     """Recognition for graphs without 4- and 5-cycles, component by component."""
-    _require_family(g, (4, 5))
-    clauses: list[str] = []
-    holds_all = True
-    for comp in components(g):
-        sub, _ = induced_subgraph(g, comp)
-        outcome = recognize_well_covered(sub)
-        clauses.append(outcome.clause if outcome.holds else "unrecognized")
-        holds_all = holds_all and outcome.holds
-    return GlobalRecognition(holds_all, holds_all, tuple(clauses))
+    return _recognized(family_facts(g, (4, 5)))
 
 
 # -- report sections --------------------------------------------------------------
 
 
+class _JsonSection:
+    def to_json_dict(self) -> dict:
+        """The fields in order; tuples become lists, bases their JSON form."""
+        out = {}
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if isinstance(value, SubspaceBasis):
+                value = value.to_json_dict()
+            elif isinstance(value, tuple):
+                value = list(value)
+            out[field.name] = value
+        return out
+
+
 @dataclass(frozen=True)
-class RecognitionSection:
+class RecognitionSection(_JsonSection):
     applicable: bool
     reason: str | None
     well_covered: bool | None
@@ -130,7 +141,7 @@ class RecognitionSection:
 
 
 @dataclass(frozen=True)
-class CharacterizationSection:
+class CharacterizationSection(_JsonSection):
     applicable: bool
     reason: str | None
     special_forms: tuple[str, ...]
@@ -140,7 +151,7 @@ class CharacterizationSection:
 
 
 @dataclass(frozen=True)
-class OracleSection:
+class OracleSection(_JsonSection):
     independent_available: bool
     dominating_available: bool
     skip_reasons: tuple[str, ...]
@@ -155,9 +166,32 @@ class OracleSection:
     wcw: SubspaceBasis | None
     wwd: SubspaceBasis | None
 
+    @classmethod
+    def from_families(
+        cls, ind: SetFamily | None, dom: SetFamily | None, skip_reasons: tuple[str, ...] = ()
+    ) -> OracleSection:
+        """Everything the oracle reads off the two families; None where one is missing."""
+        ind_sizes = ind.sizes() if ind is not None else ()
+        dom_sizes = dom.sizes() if dom is not None else ()
+        return cls(
+            independent_available=ind is not None,
+            dominating_available=dom is not None,
+            skip_reasons=skip_reasons,
+            maximal_independent_count=None if ind is None else len(ind),
+            minimal_dominating_count=None if dom is None else len(dom),
+            domination=min(dom_sizes) if dom_sizes else None,
+            independent_domination=min(ind_sizes) if ind_sizes else None,
+            independence=max(ind_sizes) if ind_sizes else None,
+            upper_domination=max(dom_sizes) if dom_sizes else None,
+            well_covered=None if ind is None else len(set(ind_sizes)) <= 1,
+            well_dominated=None if dom is None else len(set(dom_sizes)) <= 1,
+            wcw=None if ind is None else weight_space_from_family(ind),
+            wwd=None if dom is None else weight_space_from_family(dom),
+        )
+
 
 @dataclass(frozen=True)
-class CheckResult:
+class CheckResult(_JsonSection):
     name: str
     status: str  # "pass" | "fail" | "skip"
     detail: str = ""
@@ -192,7 +226,7 @@ class AnalysisReport:
                 "connected": self.connected,
                 "components": [list(c) for c in self.component_members],
             },
-            "cycles_present": {str(k): self.cycles_present[k] for k in CYCLE_FLAG_LENGTHS},
+            "cycles_present": {str(k): self.cycles_present[k] for k in CYCLE_LENGTHS},
             "structure": {
                 "fringe": sorted(s.fringe),
                 "anchored_fringe": sorted(s.anchored_fringe),
@@ -207,52 +241,14 @@ class AnalysisReport:
                     "cells": [sorted(cell) for _, cell in sorted(zip(part.centers, part.cells))],
                 },
             },
-            "recognition": {
-                "applicable": self.recognition.applicable,
-                "reason": self.recognition.reason,
-                "well_covered": self.recognition.well_covered,
-                "well_dominated": self.recognition.well_dominated,
-                "component_clauses": list(self.recognition.component_clauses),
-            },
-            "characterization": {
-                "applicable": self.characterization.applicable,
-                "reason": self.characterization.reason,
-                "special_forms": list(self.characterization.special_forms),
-                "wcw": None if self.characterization.wcw is None else self.characterization.wcw.to_json_dict(),
-                "wwd": None if self.characterization.wwd is None else self.characterization.wwd.to_json_dict(),
-                "notes": list(self.characterization.notes),
-            },
-            "oracle": {
-                "independent_available": self.oracle.independent_available,
-                "dominating_available": self.oracle.dominating_available,
-                "skip_reasons": list(self.oracle.skip_reasons),
-                "maximal_independent_count": self.oracle.maximal_independent_count,
-                "minimal_dominating_count": self.oracle.minimal_dominating_count,
-                "domination": self.oracle.domination,
-                "independent_domination": self.oracle.independent_domination,
-                "independence": self.oracle.independence,
-                "upper_domination": self.oracle.upper_domination,
-                "well_covered": self.oracle.well_covered,
-                "well_dominated": self.oracle.well_dominated,
-                "wcw": None if self.oracle.wcw is None else self.oracle.wcw.to_json_dict(),
-                "wwd": None if self.oracle.wwd is None else self.oracle.wwd.to_json_dict(),
-            },
-            "checks": [
-                {"name": c.name, "status": c.status, "detail": c.detail} for c in self.checks
-            ],
+            "recognition": self.recognition.to_json_dict(),
+            "characterization": self.characterization.to_json_dict(),
+            "oracle": self.oracle.to_json_dict(),
+            "checks": [c.to_json_dict() for c in self.checks],
         }
 
 
 # -- report assembly ---------------------------------------------------------------
-
-
-def _inapplicability_reason(g: Graph, lengths: tuple[int, ...]) -> str | None:
-    if g.n == 0:
-        return "empty graph"
-    present = [k for k in lengths if contains_cycle_of_length(g, k)]
-    if present:
-        return "contains " + ", ".join(f"a {k}-cycle" for k in present)
-    return None
 
 
 def _oracle_section(g: Graph, budget: EnumerationBudget) -> OracleSection:
@@ -267,104 +263,90 @@ def _oracle_section(g: Graph, budget: EnumerationBudget) -> OracleSection:
         dom = enumerate_minimal_dominating_sets(g, budget)
     except BudgetExceededError as exc:
         skip_reasons.append(f"minimal dominating sets: {exc}")
-    ind_sizes = ind.sizes() if ind is not None else ()
-    dom_sizes = dom.sizes() if dom is not None else ()
-    return OracleSection(
-        independent_available=ind is not None,
-        dominating_available=dom is not None,
-        skip_reasons=tuple(skip_reasons),
-        maximal_independent_count=None if ind is None else len(ind),
-        minimal_dominating_count=None if dom is None else len(dom),
-        domination=min(dom_sizes) if dom_sizes else None,
-        independent_domination=min(ind_sizes) if ind_sizes else None,
-        independence=max(ind_sizes) if ind_sizes else None,
-        upper_domination=max(dom_sizes) if dom_sizes else None,
-        well_covered=None if ind is None else len(set(ind_sizes)) <= 1,
-        well_dominated=None if dom is None else len(set(dom_sizes)) <= 1,
-        wcw=None if ind is None else weight_space_from_family(ind),
-        wwd=None if dom is None else weight_space_from_family(dom),
+    return OracleSection.from_families(ind, dom, tuple(skip_reasons))
+
+
+def _whole_partition(facts: Sequence[ComponentFacts]) -> SimplicialPartition | None:
+    """The components' simplicial partitions in whole-graph labels, if all have one."""
+    if any(f.partition is None for f in facts):
+        return None
+    return SimplicialPartition(
+        tuple(f.labels[c] for f in facts for c in f.partition.centers),
+        tuple(frozenset(f.labels[v] for v in cell) for f in facts for cell in f.partition.cells),
     )
 
 
-def _dimension_check_results(g: Graph, budget: EnumerationBudget) -> list[CheckResult]:
-    wwd_failures: list[str] = []
-    wcw_failures: list[str] = []
+DIMENSION_CHECKS = ("wwd_dimension_equals_anchored_fringe", "wcw_dimension_equals_fringe_independence")
+
+
+def _dimension_check_results(
+    facts: Sequence[ComponentFacts],
+    wcw_parts: Sequence[CharacterizationOutcome],
+    wwd_parts: Sequence[CharacterizationOutcome],
+) -> list[CheckResult]:
+    failures: dict[str, list[str]] = {name: [] for name in DIMENSION_CHECKS}
     flagged: list[str] = []
-    for comp in components(g):
-        sub, _ = induced_subgraph(g, comp)
-        report = dimension_checks(sub, budget)
-        anchor = min(comp)
-        if report.special_form is not SpecialForm.GENERAL:
-            flagged.append(f"component at {anchor} is {report.special_form.value}")
+    for f, wcw, wwd in zip(facts, wcw_parts, wwd_parts):
+        if f.special_form is not SpecialForm.GENERAL:
+            flagged.append(f"component at {f.labels[0]} is {f.special_form.value}")
             continue
-        if not report.anchored_count_matches:
-            wwd_failures.append(
-                f"component at {anchor}: dimension {report.wwd_dimension} vs "
-                f"{report.anchored_fringe_size} anchored fringe vertices "
-                f"({'; '.join(report.diagnostics)})"
-            )
-        if not report.fringe_independence_matches:
-            wcw_failures.append(
-                f"component at {anchor}: dimension {report.wcw_dimension} vs "
-                f"fringe independence {report.fringe_independence}"
-            )
+        r = dimension_report(f, wcw.basis, wwd.basis)
+        for name, holds, dimension, closed_form in (
+            (DIMENSION_CHECKS[0], r.anchored_independence_matches, r.wwd_dimension,
+             f"anchored fringe independence {r.anchored_independence}"),
+            (DIMENSION_CHECKS[1], r.fringe_independence_matches, r.wcw_dimension,
+             f"fringe independence {r.fringe_independence}"),
+        ):
+            if not holds:
+                failures[name].append(f"component at {f.labels[0]}: dimension {dimension} vs {closed_form}")
     flag_note = "; ".join(flagged)
     return [
-        CheckResult(
-            "wwd_dimension_equals_anchored_fringe",
-            "fail" if wwd_failures else "pass",
-            "; ".join(wwd_failures) if wwd_failures else flag_note,
-        ),
-        CheckResult(
-            "wcw_dimension_equals_fringe_independence",
-            "fail" if wcw_failures else "pass",
-            "; ".join(wcw_failures) if wcw_failures else flag_note,
-        ),
+        CheckResult(name, "fail" if lines else "pass", "; ".join(lines) if lines else flag_note)
+        for name, lines in failures.items()
     ]
 
 
 def analyze(g: Graph, budget: EnumerationBudget = DEFAULT_BUDGET) -> AnalysisReport:
     """Full report: structure, recognition, weight spaces, oracle, cross-checks."""
-    cycles = {k: contains_cycle_of_length(g, k) if g.n else False for k in CYCLE_FLAG_LENGTHS}
-    structure = structure_summary(g, budget)
-    partition = simplicial_partition(g)
+    facts = component_facts(g, budget)
+    structure = summarize(facts)
 
-    recognition_reason = _inapplicability_reason(g, (4, 5))
+    recognition_reason = outside_family(facts, (4, 5))
     if recognition_reason is None:
-        status = recognized_status(g)
+        status = _recognized(facts)
         recognition = RecognitionSection(
             True, None, status.well_covered, status.well_dominated, status.component_clauses
         )
     else:
         recognition = RecognitionSection(False, recognition_reason, None, None, ())
 
-    characterization_reason = _inapplicability_reason(g, (4, 5, 6))
+    characterization_reason = outside_family(facts, (4, 5, 6))
     if characterization_reason is None:
-        wcw = characterized_wcw_basis(g, budget)
-        wwd = characterized_wwd_basis(g, budget)
+        wcw_parts = [wcw_basis_from_facts(f) for f in facts]
+        wwd_parts = [wwd_basis_from_facts(f) for f in facts]
+        wcw = _direct_sum(facts, wcw_parts, g.n)
+        wwd = _direct_sum(facts, wwd_parts, g.n)
+        forms = tuple(form.value for form in wcw.component_forms)
         characterization = CharacterizationSection(
-            True,
-            None,
-            tuple(form.value for form in wcw.component_forms),
-            wcw.basis,
-            wwd.basis,
-            wcw.notes + wwd.notes,
+            True, None, forms, wcw.basis, wwd.basis, wcw.notes + wwd.notes
         )
+        dimension_results = _dimension_check_results(facts, wcw_parts, wwd_parts)
     else:
         characterization = CharacterizationSection(
             False, characterization_reason, (), None, None, ()
         )
+        dimension_results = [CheckResult(name, "skip", characterization_reason) for name in DIMENSION_CHECKS]
 
     oracle = _oracle_section(g, budget)
-    checks = _build_checks(g, characterization, recognition, oracle, budget)
+    checks = _build_checks(characterization, recognition, oracle) + dimension_results
     return AnalysisReport(
         vertex_count=g.n,
         edge_count=g.edge_count,
-        connected=g.is_connected,
-        component_members=tuple(tuple(sorted(c)) for c in components(g)),
-        cycles_present=cycles,
+        connected=len(facts) <= 1,
+        component_members=tuple(f.labels for f in facts),
+        cycles_present={k: any(k in f.cycles for f in facts) for k in CYCLE_LENGTHS},
         structure=structure,
-        partition=partition,
+        partition=_whole_partition(facts),
         recognition=recognition,
         characterization=characterization,
         oracle=oracle,
@@ -373,11 +355,9 @@ def analyze(g: Graph, budget: EnumerationBudget = DEFAULT_BUDGET) -> AnalysisRep
 
 
 def _build_checks(
-    g: Graph,
     characterization: CharacterizationSection,
     recognition: RecognitionSection,
     oracle: OracleSection,
-    budget: EnumerationBudget,
 ) -> list[CheckResult]:
     checks: list[CheckResult] = []
 
@@ -443,13 +423,6 @@ def _build_checks(
                 f"dimensions {wwd_basis.dimension} <= {wcw_basis.dimension}",
             )
         )
-
-    if characterization.applicable:
-        checks.extend(_dimension_check_results(g, budget))
-    else:
-        skip_detail = characterization.reason or ""
-        checks.append(CheckResult("wwd_dimension_equals_anchored_fringe", "skip", skip_detail))
-        checks.append(CheckResult("wcw_dimension_equals_fringe_independence", "skip", skip_detail))
     return checks
 
 
@@ -473,59 +446,76 @@ def run_property_sweep(
 ) -> SweepReport:
     """Generate a seeded family and assert the invariants each graph supports.
 
-    Every graph: forbidden cycles really absent, cardinality and weighted
-    domination chains hold.  Connected graphs without 4- and 5-cycles:
-    recognition agrees with the oracle on both properties.  Additionally
-    6-cycle-free: characterized weight spaces equal the oracle spaces and
-    nest correctly.
+    Every graph: cardinality and weighted domination chains hold (the
+    generator itself refuses to emit a forbidden cycle).  Graphs without 4-
+    and 5-cycles: recognition agrees with the oracle on both properties.
+    Additionally 6-cycle-free: characterized weight spaces equal the oracle
+    spaces and nest correctly.  Every failure and skip names its graph with
+    the seed, the index and the graph6 text that replay it.
     """
     weight_rng = random.Random(cfg.seed ^ 0x5DEECE66D)
     failures: list[str] = []
     skips: list[str] = []
     checked = 0
     family_instances = 0
-    forbidden = set(cfg.forbidden_cycles)
+    recognizable = {4, 5} <= cfg.forbidden_cycles
     for index, g in enumerate(generate_family(cfg)):
         checked += 1
-        label = f"graph {index} (n={g.n}, m={g.edge_count})"
-        for k in sorted(forbidden):
-            if g.n and contains_cycle_of_length(g, k):
-                failures.append(f"{label}: generator emitted a {k}-cycle")
         weights = [Fraction(weight_rng.randint(0, 12), weight_rng.randint(1, 4)) for _ in range(g.n)]
         try:
             ind = enumerate_maximal_independent_sets(g, budget)
             dom = enumerate_minimal_dominating_sets(g, budget)
         except BudgetExceededError as exc:
-            skips.append(f"{label}: {exc}")
+            skips.append(f"{_replay_label(cfg, index, g)}: {exc}")
             continue
-        if not (min(dom.sizes()) <= min(ind.sizes()) <= max(ind.sizes()) <= max(dom.sizes())):
-            failures.append(f"{label}: domination chain violated")
-        ind_weights = [set_weight(weights, s) for s in ind.sets]
-        dom_weights = [set_weight(weights, s) for s in dom.sets]
-        if not (min(dom_weights) <= min(ind_weights) <= max(ind_weights) <= max(dom_weights)):
-            failures.append(f"{label}: weighted domination chain violated")
-        if g.n == 0 or not {4, 5} <= forbidden:
-            continue
-        if g.is_connected:
+        facts = component_facts(g, budget) if g.n and recognizable else None
+        if facts is not None and len(facts) == 1:
             family_instances += 1
-        recognized = recognized_status(g).well_covered
-        wc = len(set(ind.sizes())) == 1
-        wd = len(set(dom.sizes())) == 1
-        if recognized != wc:
-            failures.append(f"{label}: recognition says {recognized}, oracle says {wc}")
-        if wc != wd:
-            failures.append(f"{label}: well-covered {wc} but well-dominated {wd}")
-        if not {4, 5, 6} <= forbidden:
-            continue
-        wcw = characterized_wcw_basis(g, budget).basis
-        wwd = characterized_wwd_basis(g, budget).basis
-        if not subspace_equal(wcw, weight_space_from_family(ind)):
-            failures.append(f"{label}: characterized equal-weight space (independent) is wrong")
-        if not subspace_equal(wwd, weight_space_from_family(dom)):
-            failures.append(f"{label}: characterized equal-weight space (dominating) is wrong")
-        if not subspace_contains(wcw, wwd):
-            failures.append(f"{label}: dominating weight space not inside independent one")
+        problems = _sweep_problems(ind, dom, weights, facts, 6 in cfg.forbidden_cycles)
+        if problems:
+            label = _replay_label(cfg, index, g)
+            failures.extend(f"{label}: {problem}" for problem in problems)
     return SweepReport(checked, family_instances, tuple(failures), tuple(skips))
+
+
+def _replay_label(cfg: GeneratorConfig, index: int, g: Graph) -> str:
+    # graph6 covers at most 62 vertices; larger graphs list their edges
+    text = f"graph6 {serialize_graph(g, 'graph6').strip()}" if g.n <= 62 else f"edges {g.edges()}"
+    return f"graph {index} (seed {cfg.seed}, n={g.n}, m={g.edge_count}, {text})"
+
+
+def _sweep_problems(
+    ind: SetFamily, dom: SetFamily, weights: list[Fraction],
+    facts: Sequence[ComponentFacts] | None, characterized: bool,
+) -> list[str]:
+    """The invariants one sweep graph breaks; ``facts`` only without 4- and 5-cycles."""
+    problems: list[str] = []
+    if not (min(dom.sizes()) <= min(ind.sizes()) <= max(ind.sizes()) <= max(dom.sizes())):
+        problems.append("domination chain violated")
+    ind_weights = [set_weight(weights, s) for s in ind.sets]
+    dom_weights = [set_weight(weights, s) for s in dom.sets]
+    if not (min(dom_weights) <= min(ind_weights) <= max(ind_weights) <= max(dom_weights)):
+        problems.append("weighted domination chain violated")
+    if facts is None:
+        return problems
+    recognized = _recognized(facts).well_covered
+    wc = len(set(ind.sizes())) == 1
+    wd = len(set(dom.sizes())) == 1
+    if recognized != wc:
+        problems.append(f"recognition says {recognized}, oracle says {wc}")
+    if wc != wd:
+        problems.append(f"well-covered {wc} but well-dominated {wd}")
+    if not characterized:
+        return problems
+    wcw = _characterized(facts, wcw_basis_from_facts, ind.n).basis
+    wwd = _characterized(facts, wwd_basis_from_facts, ind.n).basis
+    if not subspace_equal(wcw, weight_space_from_family(ind)):
+        problems.append("characterized equal-weight space (independent) is wrong")
+    if not subspace_equal(wwd, weight_space_from_family(dom)):
+        problems.append("characterized equal-weight space (dominating) is wrong")
+    if not subspace_contains(wcw, wwd):
+        problems.append("dominating weight space not inside independent one")
+    return problems
 
 
 __all__ = [

@@ -12,7 +12,13 @@ import json
 import os
 import sys
 
-from .analysis import analyze, characterized_wcw_basis, characterized_wwd_basis, run_property_sweep
+from .analysis import (
+    OracleSection,
+    analyze,
+    characterized_wcw_basis,
+    characterized_wwd_basis,
+    run_property_sweep,
+)
 from .fixtures import builtin_fixtures, run_builtin_checks
 from .generators import GeneratorConfig
 from .graphs import Graph, ParseError, parse_graph
@@ -23,7 +29,6 @@ from .oracle import (
     EnumerationBudget,
     enumerate_maximal_independent_sets,
     enumerate_minimal_dominating_sets,
-    weight_space_from_family,
 )
 from .weightspace import ConstraintConsistencyError
 
@@ -145,35 +150,24 @@ def _cmd_wwd(args: argparse.Namespace) -> int:
 def _cmd_oracle(args: argparse.Namespace) -> int:
     g = _read_graph(args.file, args.format)
     budget = resolve_budget(args.budget)
-    ind = enumerate_maximal_independent_sets(g, budget)
-    dom = enumerate_minimal_dominating_sets(g, budget)
-    wcw = weight_space_from_family(ind)
-    wwd = weight_space_from_family(dom)
-    ind_sizes, dom_sizes = ind.sizes(), dom.sizes()
-    payload = {
-        "schema_version": 1,
-        "maximal_independent_count": len(ind),
-        "minimal_dominating_count": len(dom),
-        "domination": min(dom_sizes),
-        "independent_domination": min(ind_sizes),
-        "independence": max(ind_sizes),
-        "upper_domination": max(dom_sizes),
-        "well_covered": len(set(ind_sizes)) == 1,
-        "well_dominated": len(set(dom_sizes)) == 1,
-        "wcw": wcw.to_json_dict(),
-        "wwd": wwd.to_json_dict(),
-    }
+    section = OracleSection.from_families(
+        enumerate_maximal_independent_sets(g, budget),
+        enumerate_minimal_dominating_sets(g, budget),
+    )
+    # both families are complete here, so availability and skips say nothing
+    payload = {"schema_version": 1, **section.to_json_dict()}
+    for key in ("independent_available", "dominating_available", "skip_reasons"):
+        del payload[key]
     if args.json:
         print(json.dumps(payload, indent=2))
     else:
-        for key in ("maximal_independent_count", "minimal_dominating_count", "domination",
-                    "independent_domination", "independence", "upper_domination",
-                    "well_covered", "well_dominated"):
-            print(f"{key}: {payload[key]}")
+        for key, value in payload.items():
+            if key not in ("schema_version", "wcw", "wwd"):
+                print(f"{key}: {value}")
         print("equal-weight space of maximal independent sets:")
-        _print_basis(wcw)
+        _print_basis(section.wcw)
         print("equal-weight space of minimal dominating sets:")
-        _print_basis(wwd)
+        _print_basis(section.wwd)
     return EXIT_OK
 
 
@@ -293,6 +287,10 @@ def cli_main(argv: list[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(cli_main())
+
+
+if __name__ == "__main__":
+    main()
 
 
 __all__ = ["build_parser", "cli_main", "main", "resolve_budget"]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .analysis import characterized_wcw_basis, characterized_wwd_basis
+from .analysis import OracleSection, characterized_wcw_basis, characterized_wwd_basis
 from .graphs import Graph, contains_cycle_of_length
 from .linalg import row_space, subspace_equal
 from .named_graphs import (
@@ -32,11 +32,13 @@ from .oracle import (
     EnumerationBudget,
     enumerate_maximal_independent_sets,
     enumerate_minimal_dominating_sets,
-    weight_space_from_family,
 )
 from .structure import anchored_fringe_vertices, fringe_vertices
 
 SOURCE_TAGS = ("definition", "hand", "oracle")
+# expectation keys read straight off the oracle section
+ORACLE_KEYS = ("well_covered", "well_dominated", "domination", "upper_domination",
+               "independent_domination", "independence")
 
 
 @dataclass(frozen=True)
@@ -71,14 +73,13 @@ def check_fixture(fixture: Fixture, budget: EnumerationBudget = DEFAULT_BUDGET) 
     failures: list[str] = []
     ind = enumerate_maximal_independent_sets(g, budget)
     dom = enumerate_minimal_dominating_sets(g, budget)
-    oracle_wcw = weight_space_from_family(ind)
-    oracle_wwd = weight_space_from_family(dom)
+    oracle = OracleSection.from_families(ind, dom)
     in_family = g.n > 0 and all(not contains_cycle_of_length(g, k) for k in (4, 5, 6))
 
-    def expect(key: str, actual, shown=None) -> None:
+    def expect(key: str, actual) -> None:
         wanted = fixture.expected[key]
         if actual != wanted:
-            failures.append(f"{key}: expected {wanted!r}, got {shown if shown is not None else actual!r}")
+            failures.append(f"{key}: expected {wanted!r}, got {actual!r}")
 
     for key in fixture.expected:
         if key == "edge_count":
@@ -87,18 +88,8 @@ def check_fixture(fixture: Fixture, budget: EnumerationBudget = DEFAULT_BUDGET) 
             expect(key, g.is_connected)
         elif key == "cycles_present":
             expect(key, {k: contains_cycle_of_length(g, k) for k in fixture.expected[key]})
-        elif key == "well_covered":
-            expect(key, len(set(ind.sizes())) == 1)
-        elif key == "well_dominated":
-            expect(key, len(set(dom.sizes())) == 1)
-        elif key == "domination":
-            expect(key, min(dom.sizes()))
-        elif key == "upper_domination":
-            expect(key, max(dom.sizes()))
-        elif key == "independent_domination":
-            expect(key, min(ind.sizes()))
-        elif key == "independence":
-            expect(key, max(ind.sizes()))
+        elif key in ORACLE_KEYS:
+            expect(key, getattr(oracle, key))
         elif key == "maximal_independent_size":
             sizes = set(ind.sizes())
             if sizes != {fixture.expected[key]}:
@@ -110,16 +101,14 @@ def check_fixture(fixture: Fixture, budget: EnumerationBudget = DEFAULT_BUDGET) 
             witness = frozenset(fixture.expected[key])
             if witness not in dom.sets:
                 failures.append(f"{key}: {sorted(witness)} is not a minimal dominating set here")
-        elif key == "wcw_dimension":
-            expect(key, oracle_wcw.dimension)
-        elif key == "wwd_dimension":
-            expect(key, oracle_wwd.dimension)
+        elif key in ("wcw_dimension", "wwd_dimension"):
+            expect(key, (oracle.wcw if key == "wcw_dimension" else oracle.wwd).dimension)
         elif key == "wwd_space_rows":
             described = row_space(fixture.expected[key], g.n)
-            if not subspace_equal(described, oracle_wwd):
+            if not subspace_equal(described, oracle.wwd):
                 failures.append(
                     f"{key}: described space (dim {described.dimension}) differs "
-                    f"from the enumerated one (dim {oracle_wwd.dimension})"
+                    f"from the enumerated one (dim {oracle.wwd.dimension})"
                 )
         elif key == "fringe":
             expect(key, sorted(fringe_vertices(g)))
@@ -133,9 +122,9 @@ def check_fixture(fixture: Fixture, budget: EnumerationBudget = DEFAULT_BUDGET) 
     if in_family:
         wcw = characterized_wcw_basis(g, budget).basis
         wwd = characterized_wwd_basis(g, budget).basis
-        if not subspace_equal(wcw, oracle_wcw):
+        if not subspace_equal(wcw, oracle.wcw):
             failures.append("characterized equal-weight space (independent) differs from oracle")
-        if not subspace_equal(wwd, oracle_wwd):
+        if not subspace_equal(wwd, oracle.wwd):
             failures.append("characterized equal-weight space (dominating) differs from oracle")
     return FixtureResult(fixture.name, tuple(failures))
 

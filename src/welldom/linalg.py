@@ -8,7 +8,6 @@ compare equal structurally.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -143,14 +142,9 @@ def parse_fraction(text: str) -> Fraction:
     return Fraction(int(num), int(den)) if den else Fraction(int(num))
 
 
-def basis_json(basis: SubspaceBasis) -> str:
-    return json.dumps(basis.to_json_dict(), indent=2)
-
-
 __all__ = [
     "SubspaceBasis",
     "Vector",
-    "basis_json",
     "constants_space",
     "fraction_str",
     "full_space",

@@ -7,10 +7,6 @@ from itertools import combinations
 from .graphs import Graph
 
 
-def empty_graph(n: int) -> Graph:
-    return Graph.from_edges(n, [])
-
-
 def path_graph(n: int) -> Graph:
     return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
@@ -109,7 +105,6 @@ __all__ = [
     "complete_graph",
     "cycle_graph",
     "double_six_cycle",
-    "empty_graph",
     "fringe_gap_graph",
     "path_graph",
     "star_graph",

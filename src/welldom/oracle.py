@@ -196,32 +196,8 @@ def is_well_dominated(g: Graph, budget: EnumerationBudget = DEFAULT_BUDGET) -> b
     return len(set(sizes)) <= 1
 
 
-@dataclass(frozen=True)
-class ExtremalWeights:
-    dominating_min: Fraction
-    independent_min: Fraction
-    independent_max: Fraction
-    dominating_max: Fraction
-
-
 def set_weight(weights: Sequence[Fraction], s: frozenset[int]) -> Fraction:
     return sum((weights[v] for v in s), Fraction(0))
-
-
-def extremal_weights(
-    g: Graph, weights: Sequence[Fraction | int], budget: EnumerationBudget = DEFAULT_BUDGET
-) -> ExtremalWeights:
-    """Extremes of the weight over both enumerated families.
-
-    The independent extremes range over maximal independent sets, the
-    dominating extremes over minimal dominating sets.
-    """
-    if len(weights) != g.n:
-        raise ValueError(f"got {len(weights)} weights for {g.n} vertices")
-    w = [Fraction(x) for x in weights]
-    mis = [set_weight(w, s) for s in enumerate_maximal_independent_sets(g, budget).sets]
-    mds = [set_weight(w, s) for s in enumerate_minimal_dominating_sets(g, budget).sets]
-    return ExtremalWeights(min(mds), min(mis), max(mis), max(mds))
 
 
 def weight_space_from_family(family: SetFamily) -> SubspaceBasis:
@@ -261,13 +237,11 @@ __all__ = [
     "DEFAULT_BUDGET",
     "DominationNumbers",
     "EnumerationBudget",
-    "ExtremalWeights",
     "FamilyKind",
     "SetFamily",
     "domination_numbers",
     "enumerate_maximal_independent_sets",
     "enumerate_minimal_dominating_sets",
-    "extremal_weights",
     "is_well_covered",
     "is_well_dominated",
     "iter_maximal_independent_masks",

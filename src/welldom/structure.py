@@ -12,22 +12,31 @@ The vocabulary used across the package:
   vertex v on a triangle (v, a, b) is anchored iff every maximal independent
   set of the zone beyond v's distance-2 ball dominates at least one of the
   two boundary tracks N(a) and N(b) restricted to v's second sphere.
+
+ComponentFacts holds these tables, the cycle profile and the special form of
+one connected component, computed once for every engine to read.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterable
+from enum import Enum
+from functools import cached_property
+from typing import Iterable, Sequence
 
 from .graphs import (
     Graph,
-    ball,
     components,
+    contains_cycle_of_length,
+    distances_from,
     induced_subgraph,
+    is_complete,
+    is_isomorphic_small,
     iter_bits,
     mask_of,
-    sphere,
 )
+from .named_graphs import cycle_graph, triangle_tripod_graph
 from .oracle import (
     BudgetExceededError,
     DEFAULT_BUDGET,
@@ -100,28 +109,24 @@ def simplicial_partition(g: Graph) -> SimplicialPartition | None:
     )
 
 
-def fringe_vertices(g: Graph) -> frozenset[int]:
-    """Degree-one vertices plus degree-two vertices on a triangle."""
-    out = []
-    for v in range(g.n):
-        nbrs = g.adj[v]
-        if len(nbrs) == 1:
-            out.append(v)
-        elif len(nbrs) == 2:
-            a, b = nbrs
-            if g.has_edge(a, b):
-                out.append(v)
-    return frozenset(out)
-
-
 def ear_partners(g: Graph) -> dict[int, tuple[int, int]]:
     """For each degree-two triangle vertex, its two (sorted) triangle partners."""
     out: dict[int, tuple[int, int]] = {}
-    for v in fringe_vertices(g):
-        if g.degree(v) == 2:
+    for v in range(g.n):
+        if len(g.adj[v]) == 2:
             a, b = sorted(g.adj[v])
-            out[v] = (a, b)
+            if g.has_edge(a, b):
+                out[v] = (a, b)
     return out
+
+
+def fringe_vertices(g: Graph) -> frozenset[int]:
+    """Degree-one vertices plus degree-two vertices on a triangle."""
+    return _fringe(g, ear_partners(g))
+
+
+def _fringe(g: Graph, partners: dict[int, tuple[int, int]]) -> frozenset[int]:
+    return frozenset(partners).union(v for v in range(g.n) if len(g.adj[v]) == 1)
 
 
 def confined_neighbors(g: Graph, v: int) -> frozenset[int]:
@@ -156,39 +161,32 @@ def anchored_fringe_vertices(
     independent sets of its component minus the distance-2 ball around v,
     short-circuiting on the first set that dominates neither boundary track.
     """
-    fringe = fringe_vertices(g)
     partners = ear_partners(g)
-    comp_of: dict[int, frozenset[int]] = {}
-    for comp in components(g):
-        for v in comp:
-            comp_of[v] = comp
     decided: dict[int, bool] = {}
-    for v in sorted(fringe):
+    for v in sorted(_fringe(g, partners)):
         if v not in partners:
             decided[v] = True  # pendant
             continue
         a, b = partners[v]
-        second = sphere(g, (v,), 2)
+        dist = distances_from(g, (v,))
+        second = frozenset(u for u in range(g.n) if dist[u] == 2)
         track_a = g.adj[a] & second
         track_b = g.adj[b] & second
         if not track_a or not track_b:
             # an empty track is trivially dominated by every set
             decided[v] = True
             continue
-        far = comp_of[v] - ball(g, (v,), 2)
-        sub, remap = induced_subgraph(g, far)
-        back = {new: old for old, new in remap.items()}
+        far = [u for u in range(g.n) if 2 < dist[u] < math.inf]  # v's component minus its 2-ball
+        sub, _ = induced_subgraph(g, far)  # vertex i of sub is far[i]
         anchored = True
-        count = 0
-        for m in iter_maximal_independent_masks(sub):
-            count += 1
+        for count, m in enumerate(iter_maximal_independent_masks(sub), 1):
             if count > budget.max_sets:
                 raise BudgetExceededError(
                     f"more than {budget.max_sets} maximal independent sets while "
-                    f"classifying fringe vertex {v}",
+                    f"classifying fringe vertex {v if g.names is None else g.names[v]}",
                     partial=dict(decided),
                 )
-            chosen = [back[i] for i in iter_bits(m)]
+            chosen = [far[i] for i in iter_bits(m)]
             if not _dominates(g, chosen, track_a) and not _dominates(g, chosen, track_b):
                 anchored = False
                 break
@@ -222,6 +220,122 @@ def independence_number(g: Graph, budget: EnumerationBudget = DEFAULT_BUDGET) ->
     return best
 
 
+class SpecialForm(Enum):
+    CYCLE7 = "cycle7"
+    TRIANGLE_TRIPOD = "triangle_tripod"
+    COMPLETE_SMALL = "complete_small"
+    GENERAL = "general"
+
+
+_CYCLE7 = cycle_graph(7)
+_TRIPOD = triangle_tripod_graph()
+
+
+def special_form_of(g: Graph) -> SpecialForm:
+    if g.n == 7 and is_isomorphic_small(g, _CYCLE7):
+        return SpecialForm.CYCLE7
+    if g.n == 10 and is_isomorphic_small(g, _TRIPOD):
+        return SpecialForm.TRIANGLE_TRIPOD
+    if 1 <= g.n <= 3 and is_complete(g):
+        return SpecialForm.COMPLETE_SMALL
+    return SpecialForm.GENERAL
+
+
+CYCLE_LENGTHS = (3, 4, 5, 6, 7)
+
+
+@dataclass(frozen=True)
+class ComponentFacts:
+    """What the engines read about one connected component, computed once.
+
+    ``labels[v]`` is the whole-graph label of the component's vertex v.  The
+    partition and the anchored fringe (which enumerates, and which the
+    independent-set engines never read) are computed on first use.
+    """
+
+    graph: Graph
+    labels: tuple[int, ...]
+    cycles: frozenset[int]  # the lengths of CYCLE_LENGTHS that occur
+    special_form: SpecialForm
+    fringe: frozenset[int]
+    ear_partners: dict[int, tuple[int, int]]
+    confined: dict[int, frozenset[int]]  # keyed by the vertices outside the fringe
+    simplicial: frozenset[int]
+    budget: EnumerationBudget
+
+    @cached_property
+    def fringe_pieces(self) -> tuple[tuple[int, ...], ...]:
+        return induced_pieces(self.graph, self.fringe)
+
+    @cached_property
+    def partition(self) -> SimplicialPartition | None:
+        return simplicial_partition(self.graph)
+
+    @cached_property
+    def anchored(self) -> frozenset[int]:
+        return anchored_fringe_vertices(self.graph, self.budget)
+
+
+def induced_pieces(g: Graph, vertices: frozenset[int]) -> tuple[tuple[int, ...], ...]:
+    """The connected components of G[vertices], each as a sorted tuple of g's vertices."""
+    sub, _ = induced_subgraph(g, vertices)
+    kept = sorted(vertices)  # vertex i of sub is kept[i]
+    return tuple(tuple(sorted(kept[i] for i in comp)) for comp in components(sub))
+
+
+def component_facts(
+    g: Graph, budget: EnumerationBudget = DEFAULT_BUDGET
+) -> tuple[ComponentFacts, ...]:
+    """The facts of every connected component of ``g``, by smallest vertex."""
+    # each component keeps its whole-graph labels as vertex names, for messages
+    named = g if g.names is not None else Graph(g.n, g.adj, tuple(map(str, range(g.n))))
+    out = []
+    for comp in components(g):
+        sub, _ = induced_subgraph(named, comp)
+        partners = ear_partners(sub)
+        fringe = _fringe(sub, partners)
+        out.append(
+            ComponentFacts(
+                graph=sub,
+                labels=tuple(sorted(comp)),
+                cycles=frozenset(k for k in CYCLE_LENGTHS if contains_cycle_of_length(sub, k)),
+                special_form=special_form_of(sub),
+                fringe=fringe,
+                ear_partners=partners,
+                confined={v: confined_neighbors(sub, v) for v in range(sub.n) if v not in fringe},
+                simplicial=simplicial_vertices(sub),
+                budget=budget,
+            )
+        )
+    return tuple(out)
+
+
+def outside_family(
+    facts: Sequence[ComponentFacts], lengths: tuple[int, ...], *, connected: bool = False
+) -> str | None:
+    """Why a graph with these components is not in the family (non-empty, no
+    cycle of the given lengths, connected if asked), or None if it is."""
+    if not facts:
+        return "empty graph"
+    if connected and len(facts) > 1:
+        return "not connected"
+    present = [k for k in lengths if any(k in f.cycles for f in facts)]
+    if present:
+        return "contains " + ", ".join(f"a {k}-cycle" for k in present)
+    return None
+
+
+def family_facts(
+    g: Graph, lengths: tuple[int, ...], budget: EnumerationBudget = DEFAULT_BUDGET, *, connected: bool = False
+) -> tuple[ComponentFacts, ...]:
+    """The component facts of ``g``, or ValueError when it is outside the family."""
+    facts = component_facts(g, budget)
+    reason = outside_family(facts, lengths, connected=connected)
+    if reason is not None:
+        raise ValueError(f"not applicable: {reason}")
+    return facts
+
+
 @dataclass(frozen=True)
 class StructureSummary:
     fringe: frozenset[int]
@@ -235,27 +349,45 @@ class StructureSummary:
         return self.fringe - self.anchored_fringe
 
 
-def structure_summary(g: Graph, budget: EnumerationBudget = DEFAULT_BUDGET) -> StructureSummary:
-    fringe = fringe_vertices(g)
+def summarize(facts: Sequence[ComponentFacts]) -> StructureSummary:
+    """The whole-graph tables, put together from the facts of its components."""
+
+    def lift(f: ComponentFacts, vertices: Iterable[int]) -> frozenset[int]:
+        return frozenset(f.labels[v] for v in vertices)
+
     return StructureSummary(
-        fringe=fringe,
-        anchored_fringe=anchored_fringe_vertices(g, budget),
-        confined={v: confined_neighbors(g, v) for v in range(g.n) if v not in fringe},
-        ear_partners=ear_partners(g),
-        simplicial=simplicial_vertices(g),
+        fringe=frozenset().union(*(lift(f, f.fringe) for f in facts)),
+        anchored_fringe=frozenset().union(*(lift(f, f.anchored) for f in facts)),
+        confined={f.labels[v]: lift(f, near) for f in facts for v, near in f.confined.items()},
+        ear_partners={f.labels[v]: (f.labels[a], f.labels[b])
+                      for f in facts for v, (a, b) in f.ear_partners.items()},
+        simplicial=frozenset().union(*(lift(f, f.simplicial) for f in facts)),
     )
 
 
+def structure_summary(g: Graph, budget: EnumerationBudget = DEFAULT_BUDGET) -> StructureSummary:
+    return summarize(component_facts(g, budget))
+
+
 __all__ = [
+    "CYCLE_LENGTHS",
+    "ComponentFacts",
     "SimplicialPartition",
+    "SpecialForm",
     "StructureSummary",
     "anchored_fringe_vertices",
+    "component_facts",
     "confined_neighbors",
     "ear_partners",
+    "family_facts",
     "fringe_vertices",
     "greedy_maximal_independent",
     "independence_number",
+    "induced_pieces",
+    "outside_family",
     "simplicial_partition",
     "simplicial_vertices",
+    "special_form_of",
     "structure_summary",
+    "summarize",
 ]

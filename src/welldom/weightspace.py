@@ -16,37 +16,19 @@ engines themselves never enumerate whole families.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
-from fractions import Fraction
 
-from .graphs import (
-    Graph,
-    components,
-    contains_cycle_of_length,
-    induced_subgraph,
-    is_complete,
-    is_isomorphic_small,
-    iter_bits,
-)
+from .graphs import Graph, induced_subgraph, iter_bits
 from .linalg import SubspaceBasis, constants_space, nullspace, row_space
-from .named_graphs import cycle_graph, triangle_tripod_graph
 from .oracle import DEFAULT_BUDGET, EnumerationBudget, iter_maximal_independent_masks
 from .structure import (
+    ComponentFacts,
     SimplicialPartition,
-    anchored_fringe_vertices,
-    confined_neighbors,
-    fringe_vertices,
+    SpecialForm,
+    family_facts,
     greedy_maximal_independent,
-    independence_number,
-    simplicial_partition,
+    induced_pieces,
+    special_form_of,
 )
-
-
-class SpecialForm(Enum):
-    CYCLE7 = "cycle7"
-    TRIANGLE_TRIPOD = "triangle_tripod"
-    COMPLETE_SMALL = "complete_small"
-    GENERAL = "general"
 
 
 class ConstraintConsistencyError(RuntimeError):
@@ -56,30 +38,6 @@ class ConstraintConsistencyError(RuntimeError):
     choice, i.e. fail to be a vector space; it indicates a bug, so it is
     raised loudly instead of being absorbed into a result.
     """
-
-
-_CYCLE7 = cycle_graph(7)
-_TRIPOD = triangle_tripod_graph()
-
-
-def _require_connected_without_cycles(g: Graph, lengths: tuple[int, ...]) -> None:
-    if g.n == 0:
-        raise ValueError("the empty graph has no components to characterize")
-    if not g.is_connected:
-        raise ValueError("characterization requires a connected graph")
-    for k in lengths:
-        if contains_cycle_of_length(g, k):
-            raise ValueError(f"characterization requires no {k}-cycle, but one is present")
-
-
-def special_form_of(g: Graph) -> SpecialForm:
-    if g.n == 7 and is_isomorphic_small(g, _CYCLE7):
-        return SpecialForm.CYCLE7
-    if g.n == 10 and is_isomorphic_small(g, _TRIPOD):
-        return SpecialForm.TRIANGLE_TRIPOD
-    if 1 <= g.n <= 3 and is_complete(g):
-        return SpecialForm.COMPLETE_SMALL
-    return SpecialForm.GENERAL
 
 
 # -- recognition (4- and 5-cycles excluded) -------------------------------------
@@ -93,22 +51,19 @@ class RecognitionOutcome:
 
 
 def recognize_well_covered(g: Graph) -> RecognitionOutcome:
-    """Well-coveredness for connected graphs without 4- and 5-cycles."""
-    _require_connected_without_cycles(g, (4, 5))
-    form = special_form_of(g)
-    if form is SpecialForm.CYCLE7:
+    """Well-coveredness, and so well-dominatedness, for connected graphs without 4- and 5-cycles."""
+    (facts,) = family_facts(g, (4, 5), connected=True)
+    return recognition_from_facts(facts)
+
+
+def recognition_from_facts(f: ComponentFacts) -> RecognitionOutcome:
+    if f.special_form is SpecialForm.CYCLE7:
         return RecognitionOutcome(True, "cycle7", None)
-    if form is SpecialForm.TRIANGLE_TRIPOD:
+    if f.special_form is SpecialForm.TRIANGLE_TRIPOD:
         return RecognitionOutcome(True, "triangle_tripod", None)
-    part = simplicial_partition(g)
-    if part is not None:
-        return RecognitionOutcome(True, "simplicial_partition", part)
+    if f.partition is not None:
+        return RecognitionOutcome(True, "simplicial_partition", f.partition)
     return RecognitionOutcome(False, None, None)
-
-
-def recognize_well_dominated(g: Graph) -> RecognitionOutcome:
-    """Well-dominatedness coincides with well-coveredness on this family."""
-    return recognize_well_covered(g)
 
 
 # -- weight spaces (4-, 5- and 6-cycles excluded) -------------------------------
@@ -121,31 +76,17 @@ class CharacterizationOutcome:
     notes: tuple[str, ...] = ()
 
 
-def _fringe_component_rows(g: Graph, fringe: frozenset[int]) -> list[list[int]]:
-    sub, remap = induced_subgraph(g, fringe)
-    back = {new: old for old, new in remap.items()}
-    rows: list[list[int]] = []
-    for comp in components(sub):
-        members = sorted(back[i] for i in comp)
-        anchor = members[0]
-        for other in members[1:]:
-            row = [0] * g.n
-            row[anchor] = 1
-            row[other] = -1
-            rows.append(row)
-    return rows
-
-
-def _anchor_row(g: Graph, v: int, anchor_set: frozenset[int]) -> list[int]:
-    row = [0] * g.n
+def _tie_row(n: int, v: int, others) -> list[int]:
+    """The constraint row of w(v) = the total weight of ``others``."""
+    row = [0] * n
     row[v] = 1
-    for u in anchor_set:
+    for u in others:
         row[u] -= 1
     return row
 
 
 def _assemble_equal_weight_rows(
-    g: Graph,
+    f: ComponentFacts,
 ) -> tuple[list[list[int]], dict[int, frozenset[int]]]:
     """Constraint rows for the equal-weight space of maximal independent sets.
 
@@ -153,41 +94,49 @@ def _assemble_equal_weight_rows(
     per non-fringe vertex tying its weight to a canonical maximal independent
     subset of its confined neighbors.
     """
-    fringe = fringe_vertices(g)
-    rows = _fringe_component_rows(g, fringe)
+    n = f.graph.n
+    rows = [_tie_row(n, first, (other,)) for first, *rest in f.fringe_pieces for other in rest]
     anchor_choice: dict[int, frozenset[int]] = {}
-    for v in range(g.n):
-        if v in fringe:
-            continue
-        confined = confined_neighbors(g, v)
-        anchor = greedy_maximal_independent(g, confined)
+    for v, confined in f.confined.items():
+        anchor = greedy_maximal_independent(f.graph, confined)
         anchor_choice[v] = anchor
-        rows.append(_anchor_row(g, v, anchor))
+        rows.append(_tie_row(n, v, anchor))
     return rows, anchor_choice
 
 
 def _check_anchor_choices(
-    g: Graph, constraint_span: SubspaceBasis, anchor_choice: dict[int, frozenset[int]]
+    f: ComponentFacts, constraint_span: SubspaceBasis, anchor_choice: dict[int, frozenset[int]]
 ) -> None:
     """Every alternative anchor set must already lie in the constraint span."""
     for v, canonical in anchor_choice.items():
-        confined = confined_neighbors(g, v)
-        sub, remap = induced_subgraph(g, confined)
-        back = {new: old for old, new in remap.items()}
-        for m in iter_maximal_independent_masks(sub):
-            alt = frozenset(back[i] for i in iter_bits(m))
+        kept = sorted(f.confined[v])  # vertex i of the subgraph is kept[i]
+        for m in iter_maximal_independent_masks(induced_subgraph(f.graph, kept)[0]):
+            alt = frozenset(kept[i] for i in iter_bits(m))
             if alt == canonical:
                 continue
-            if not constraint_span.contains_vector(_anchor_row(g, v, alt)):
+            if not constraint_span.contains_vector(_tie_row(f.graph.n, v, alt)):
                 raise ConstraintConsistencyError(
                     f"vertex {v}: anchor sets {sorted(canonical)} and {sorted(alt)} "
                     "describe different weight constraints"
                 )
 
 
-def well_covered_weight_basis(
-    g: Graph, budget: EnumerationBudget = DEFAULT_BUDGET
-) -> CharacterizationOutcome:
+def _basis(f: ComponentFacts, dominating: bool) -> CharacterizationOutcome:
+    n = f.graph.n
+    if f.special_form is not SpecialForm.GENERAL:
+        return CharacterizationOutcome(
+            f.special_form, constants_space(n), (f"{f.special_form.value}: constant weights",)
+        )
+    rows, anchor_choice = _assemble_equal_weight_rows(f)
+    zero_forced = sorted(f.fringe - f.anchored) if dominating else []
+    rows += [_tie_row(n, v, ()) for v in zero_forced]
+    span = row_space(rows, n)
+    _check_anchor_choices(f, span, anchor_choice)
+    notes = (f"zero-forced fringe vertices: {zero_forced}",) if zero_forced else ()
+    return CharacterizationOutcome(f.special_form, nullspace(span.rows, n), notes)
+
+
+def well_covered_weight_basis(g: Graph) -> CharacterizationOutcome:
     """Canonical basis of the equal-weight space over maximal independent sets.
 
     Connected input without 4-, 5- or 6-cycles.  The 7-cycle, the triangle
@@ -195,14 +144,12 @@ def well_covered_weight_basis(
     constant weights; everything else is cut out by the fringe and anchor
     constraints.
     """
-    _require_connected_without_cycles(g, (4, 5, 6))
-    form = special_form_of(g)
-    if form is not SpecialForm.GENERAL:
-        return CharacterizationOutcome(form, constants_space(g.n), (f"{form.value}: constant weights",))
-    rows, anchor_choice = _assemble_equal_weight_rows(g)
-    span = row_space(rows, g.n)
-    _check_anchor_choices(g, span, anchor_choice)
-    return CharacterizationOutcome(form, nullspace(span.rows, g.n))
+    (facts,) = family_facts(g, (4, 5, 6), connected=True)
+    return wcw_basis_from_facts(facts)
+
+
+def wcw_basis_from_facts(f: ComponentFacts) -> CharacterizationOutcome:
+    return _basis(f, dominating=False)
 
 
 def well_dominated_weight_basis(
@@ -213,24 +160,12 @@ def well_dominated_weight_basis(
     Same constraints as the well-covered space plus a zero row for every
     fringe vertex that is not anchored.
     """
-    _require_connected_without_cycles(g, (4, 5, 6))
-    form = special_form_of(g)
-    if form is not SpecialForm.GENERAL:
-        return CharacterizationOutcome(form, constants_space(g.n), (f"{form.value}: constant weights",))
-    rows, anchor_choice = _assemble_equal_weight_rows(g)
-    fringe = fringe_vertices(g)
-    anchored = anchored_fringe_vertices(g, budget)
-    zero_forced = sorted(fringe - anchored)
-    for v in zero_forced:
-        row = [0] * g.n
-        row[v] = 1
-        rows.append(row)
-    span = row_space(rows, g.n)
-    _check_anchor_choices(g, span, anchor_choice)
-    notes = ()
-    if zero_forced:
-        notes = (f"zero-forced fringe vertices: {zero_forced}",)
-    return CharacterizationOutcome(form, nullspace(span.rows, g.n), notes)
+    (facts,) = family_facts(g, (4, 5, 6), budget, connected=True)
+    return wwd_basis_from_facts(facts)
+
+
+def wwd_basis_from_facts(f: ComponentFacts) -> CharacterizationOutcome:
+    return _basis(f, dominating=True)
 
 
 # -- dimension bookkeeping -------------------------------------------------------
@@ -241,7 +176,8 @@ class DimensionReport:
     special_form: SpecialForm
     wwd_dimension: int
     anchored_fringe_size: int
-    anchored_count_matches: bool
+    anchored_independence: int
+    anchored_independence_matches: bool
     wcw_dimension: int
     fringe_independence: int
     fringe_independence_matches: bool
@@ -252,54 +188,45 @@ class DimensionReport:
 def dimension_checks(g: Graph, budget: EnumerationBudget = DEFAULT_BUDGET) -> DimensionReport:
     """Compare both weight-space dimensions against their closed-form counts.
 
-    The well-dominated dimension is compared with the number of anchored
-    fringe vertices, the well-covered dimension with the independence number
-    of the fringe subgraph.  Mismatches are reported, never raised.
+    Connected input without 4-, 5- or 6-cycles; see ``dimension_report``.
     """
-    wcw = well_covered_weight_basis(g, budget)
-    wwd = well_dominated_weight_basis(g, budget)
-    fringe = fringe_vertices(g)
-    anchored = anchored_fringe_vertices(g, budget)
-    fringe_sub, _ = induced_subgraph(g, fringe)
-    alpha_fringe = independence_number(fringe_sub, budget)
+    (facts,) = family_facts(g, (4, 5, 6), budget, connected=True)
+    return dimension_report(
+        facts, wcw_basis_from_facts(facts).basis, wwd_basis_from_facts(facts).basis
+    )
+
+
+def dimension_report(f: ComponentFacts, wcw: SubspaceBasis, wwd: SubspaceBasis) -> DimensionReport:
+    """Compare the dimensions of the component's two bases with alpha(G[anchored
+    fringe]) and alpha(G[fringe]); mismatches are reported, never raised.
+
+    Each alpha is a number of components: on this family the fringe induces
+    disjoint cliques, since pendants touch only non-fringe vertices (except
+    in K2) and an ear's fringe neighbors lie in its own triangle.
+    """
+    alpha_anchored = len(induced_pieces(f.graph, f.anchored))
+    alpha_fringe = len(f.fringe_pieces)
+    general = f.special_form is SpecialForm.GENERAL
+    anchored_matches = wwd.dimension == alpha_anchored
+    wcw_matches = wcw.dimension == alpha_fringe
     diagnostics: list[str] = []
-    if wcw.special_form is not SpecialForm.GENERAL:
-        diagnostics.append(
-            f"special form {wcw.special_form.value}: the fringe counts do not "
-            "apply, the weight spaces are the constants"
-        )
-    anchored_matches = wwd.basis.dimension == len(anchored)
-    if not anchored_matches and wcw.special_form is SpecialForm.GENERAL:
-        adjacent_pairs = [
-            (u, v)
-            for u in sorted(anchored)
-            for v in sorted(anchored)
-            if u < v and g.has_edge(u, v)
-        ]
-        if adjacent_pairs:
-            diagnostics.append(
-                "adjacent anchored fringe pairs share one weight, so the "
-                f"anchored count overshoots the dimension: {adjacent_pairs}"
-            )
-        else:
-            diagnostics.append(
-                "well-dominated dimension differs from the anchored fringe "
-                "count for an unrecognized reason"
-            )
-    wcw_matches = wcw.basis.dimension == alpha_fringe
-    if not wcw_matches and wcw.special_form is SpecialForm.GENERAL:
-        diagnostics.append(
-            "well-covered dimension differs from the fringe independence number"
-        )
+    if not general:
+        diagnostics.append(f"special form {f.special_form.value}: the fringe counts do not "
+                           "apply, the weight spaces are the constants")
+    if general and not anchored_matches:
+        diagnostics.append("well-dominated dimension differs from the anchored fringe independence number")
+    if general and not wcw_matches:
+        diagnostics.append("well-covered dimension differs from the fringe independence number")
     return DimensionReport(
-        special_form=wcw.special_form,
-        wwd_dimension=wwd.basis.dimension,
-        anchored_fringe_size=len(anchored),
-        anchored_count_matches=anchored_matches,
-        wcw_dimension=wcw.basis.dimension,
+        special_form=f.special_form,
+        wwd_dimension=wwd.dimension,
+        anchored_fringe_size=len(f.anchored),
+        anchored_independence=alpha_anchored,
+        anchored_independence_matches=anchored_matches,
+        wcw_dimension=wcw.dimension,
         fringe_independence=alpha_fringe,
         fringe_independence_matches=wcw_matches,
-        chain_holds=wwd.basis.dimension <= wcw.basis.dimension,
+        chain_holds=wwd.dimension <= wcw.dimension,
         diagnostics=tuple(diagnostics),
     )
 
@@ -311,9 +238,12 @@ __all__ = [
     "RecognitionOutcome",
     "SpecialForm",
     "dimension_checks",
+    "dimension_report",
+    "recognition_from_facts",
     "recognize_well_covered",
-    "recognize_well_dominated",
     "special_form_of",
+    "wcw_basis_from_facts",
     "well_covered_weight_basis",
     "well_dominated_weight_basis",
+    "wwd_basis_from_facts",
 ]

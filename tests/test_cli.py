@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from welldom import analysis
 from welldom.cli import cli_main, resolve_budget
 from welldom.graphs import Graph, serialize_graph
+from welldom.linalg import full_space
 from welldom.named_graphs import (
     complete_bipartite_graph,
     cycle_graph,
@@ -12,6 +18,7 @@ from welldom.named_graphs import (
     triangle_with_pendants,
 )
 from welldom.oracle import DEFAULT_BUDGET
+from welldom.weightspace import CharacterizationOutcome
 
 
 @pytest.fixture
@@ -47,10 +54,27 @@ class TestAnalyze:
         assert "well-covered: True" in out
         assert "0 failed" in out
 
-    def test_failed_check_exits_one(self, graph_file, capsys):
-        assert cli_main(["analyze", graph_file(triangle_with_pendants(1))]) == 1
+    def test_failed_check_exits_one(self, graph_file, capsys, monkeypatch):
+        # a wrong dominating-set engine: every weight passes
+        def whole_space(facts):
+            return CharacterizationOutcome(facts.special_form, full_space(facts.graph.n))
+
+        monkeypatch.setattr(analysis, "wwd_basis_from_facts", whole_space)
+        assert cli_main(["analyze", graph_file(path_graph(4))]) == 1
         err = capsys.readouterr().err
-        assert "wwd_dimension_equals_anchored_fringe" in err
+        assert "check failed: wwd_matches_oracle" in err
+
+    def test_adjacent_anchored_pair_exits_zero(self, graph_file, capsys):
+        assert cli_main(["analyze", graph_file(triangle_with_pendants(1))]) == 0
+        assert "0 failed" in capsys.readouterr().out
+
+    def test_large_fringe_exits_zero(self, graph_file, capsys):
+        # the 25-cell path corona: a pendant on each of 25 path vertices
+        edges = [(i, i + 1) for i in range(24)] + [(i, 25 + i) for i in range(25)]
+        assert cli_main(["analyze", graph_file(Graph.from_edges(50, edges)), "--json"]) == 0
+        checks = {c["name"]: c["status"] for c in json.loads(capsys.readouterr().out)["checks"]}
+        assert checks["wwd_dimension_equals_anchored_fringe"] == "pass"
+        assert checks["wcw_dimension_equals_fringe_independence"] == "pass"
 
     def test_json_output(self, graph_file, capsys):
         assert cli_main(["analyze", "--json", graph_file(path_graph(4))]) == 0
@@ -179,3 +203,14 @@ class TestUsageErrors:
 
     def test_no_command(self, capsys):
         assert cli_main([]) == 2
+
+
+def test_runs_as_a_module():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "welldom.cli", "fixtures"],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert done.returncode == 0, done.stderr
+    assert len(done.stdout.strip().splitlines()) == 15

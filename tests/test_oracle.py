@@ -18,7 +18,6 @@ from welldom.oracle import (
     domination_numbers,
     enumerate_maximal_independent_sets,
     enumerate_minimal_dominating_sets,
-    extremal_weights,
     is_well_covered,
     is_well_dominated,
     set_weight,
@@ -141,15 +140,9 @@ class TestWeightSpaces:
 class TestExtremalWeights:
     @given(graphs(max_n=6), st.lists(st.integers(0, 5), min_size=6, max_size=6))
     def test_weighted_chain_for_nonnegative_weights(self, g, raw):
+        # the lightest minimal dominating set weighs at most the lightest
+        # maximal independent set, the heaviest at least the heaviest one
         weights = [Fraction(x) for x in raw[: g.n]]
-        ext = extremal_weights(g, weights)
-        assert (
-            ext.dominating_min
-            <= ext.independent_min
-            <= ext.independent_max
-            <= ext.dominating_max
-        )
-
-    def test_rejects_wrong_length(self):
-        with pytest.raises(ValueError):
-            extremal_weights(path_graph(3), [Fraction(1)])
+        independent = [set_weight(weights, s) for s in enumerate_maximal_independent_sets(g).sets]
+        dominating = [set_weight(weights, s) for s in enumerate_minimal_dominating_sets(g).sets]
+        assert min(dominating) <= min(independent) <= max(independent) <= max(dominating)

@@ -19,12 +19,11 @@ from welldom.oracle import (
     well_covered_weight_space_oracle,
     well_dominated_weight_space_oracle,
 )
-from welldom.structure import anchored_fringe_vertices, independence_number
+from welldom.structure import anchored_fringe_vertices, fringe_vertices, independence_number
 from welldom.weightspace import (
     SpecialForm,
     dimension_checks,
     recognize_well_covered,
-    recognize_well_dominated,
     special_form_of,
     well_covered_weight_basis,
     well_dominated_weight_basis,
@@ -79,8 +78,10 @@ class TestRecognition:
         assert not out.holds and out.clause is None
 
     def test_well_dominated_same_answer(self):
+        # on this family one recognition answers both questions
         for g in (path_graph(4), path_graph(5), cycle_graph(7), complete_graph(3)):
-            assert recognize_well_dominated(g) == recognize_well_covered(g)
+            holds = recognize_well_covered(g).holds
+            assert holds == is_well_covered(g) == is_well_dominated(g)
 
     def test_preconditions(self):
         with pytest.raises(ValueError, match="connected"):
@@ -154,27 +155,32 @@ class TestWeightBases:
 
 
 class TestDimensionReport:
-    def test_adjacent_anchored_pair_is_diagnosed(self):
+    def test_adjacent_anchored_pair_shares_one_weight(self):
+        # the ears 1 and 2 of the paw are both anchored and adjacent, so the
+        # three anchored vertices carry two free weights
         report = dimension_checks(triangle_with_pendants(1))
         assert report.special_form is SpecialForm.GENERAL
         assert report.wwd_dimension == 2
         assert report.anchored_fringe_size == 3
-        assert not report.anchored_count_matches
-        assert any("(1, 2)" in line for line in report.diagnostics)
+        assert report.anchored_independence == 2
+        assert report.anchored_independence_matches
         assert report.wcw_dimension == 2
         assert report.fringe_independence == 2
         assert report.fringe_independence_matches
         assert report.chain_holds
+        assert report.diagnostics == ()
 
     def test_two_pairs(self):
         report = dimension_checks(two_triangles_bridged())
         assert report.wwd_dimension == 2 and report.anchored_fringe_size == 4
-        assert any("(0, 1)" in line and "(4, 5)" in line for line in report.diagnostics)
+        assert report.anchored_independence == 2
+        assert report.anchored_independence_matches
+        assert report.diagnostics == ()
 
     def test_gap_graph_counts_agree(self):
         report = dimension_checks(fringe_gap_graph())
         assert report.wwd_dimension == 0 and report.anchored_fringe_size == 0
-        assert report.anchored_count_matches
+        assert report.anchored_independence_matches
         assert report.wcw_dimension == 1 and report.fringe_independence == 1
         assert report.diagnostics == ()
 
@@ -201,6 +207,9 @@ class TestDimensionReport:
             anchored = anchored_fringe_vertices(g)
             sub, _ = induced_subgraph(g, anchored)
             assert report.wwd_dimension == independence_number(sub)
+            assert report.anchored_independence_matches
+            fringe, _ = induced_subgraph(g, fringe_vertices(g))
+            assert report.fringe_independence == independence_number(fringe)
             assert report.fringe_independence_matches
             assert report.chain_holds
             checked += 1
