@@ -18,7 +18,7 @@ from typing import Sequence
 
 from .generators import GeneratorConfig, generate_family
 from .graphs import Graph, serialize_graph
-from .linalg import SubspaceBasis, row_space, subspace_contains, subspace_equal
+from .linalg import SubspaceBasis, Vector, dense_row, subspace_contains, subspace_equal
 from .oracle import (
     DEFAULT_BUDGET,
     BudgetExceededError,
@@ -64,17 +64,23 @@ class GlobalCharacterization:
 def _direct_sum(
     facts: Sequence[ComponentFacts], outcomes: Sequence[CharacterizationOutcome], n: int
 ) -> GlobalCharacterization:
-    rows: list[list[Fraction]] = []
+    """The component bases embedded side by side.
+
+    Each component's labels are increasing, so its embedded RREF rows stay
+    in RREF, and the rows of all components, sorted by embedded pivot, are
+    the RREF of the direct sum.
+    """
+    rows: list[tuple[int, Vector]] = []
     notes: list[str] = []
     for f, outcome in zip(facts, outcomes):
-        for row in outcome.basis.rows:
-            wide = [Fraction(0)] * n
-            for local, value in enumerate(row):
-                wide[f.labels[local]] = value
-            rows.append(wide)
+        for row, pivot in zip(outcome.basis.sparse_rows, outcome.basis.pivots):
+            wide = dense_row({f.labels[local]: value for local, value in row.items()}, n)
+            rows.append((f.labels[pivot], wide))
         notes.extend(f"component at {f.labels[0]}: {note}" for note in outcome.notes)
+    rows.sort(key=lambda item: item[0])
+    basis = SubspaceBasis(n, tuple(row for _, row in rows), tuple(pivot for pivot, _ in rows))
     forms = tuple(outcome.special_form for outcome in outcomes)
-    return GlobalCharacterization(row_space(rows, n), forms, tuple(notes))
+    return GlobalCharacterization(basis, forms, tuple(notes))
 
 
 def _characterized(facts: Sequence[ComponentFacts], engine, n: int) -> GlobalCharacterization:

@@ -1,49 +1,110 @@
 """Exact rational linear algebra for weight spaces.
 
-Everything runs over fractions.Fraction; floating point never enters.  A
-subspace is always carried in reduced row echelon form, which makes the RREF
-matrix the canonical representative: two spans are equal iff their bases
-compare equal structurally.
+Everything is exact; floating point never enters.  A subspace is always
+carried in reduced row echelon form, which makes the RREF matrix the
+canonical representative: two spans are equal iff their bases compare equal
+structurally.
+
+Row reduction runs over sparse integer rows ({column: int}), reduced one
+input row at a time against a basis kept fully reduced and primitive; only
+that final basis is turned into ``Fraction`` rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Vector = tuple[Fraction, ...]
+Row = Sequence[Fraction | int] | dict[int, Fraction | int]  # dense, or sparse {column: value}
+
+_ZERO = Fraction(0)
 
 
-def _as_row(row: Sequence[Fraction | int], width: int) -> list[Fraction]:
-    if len(row) != width:
-        raise ValueError(f"row has {len(row)} entries, expected {width}")
-    return [Fraction(x) for x in row]
+def _integer_row(row: Row, width: int) -> dict[int, int]:
+    """The nonzero entries of ``row``, scaled by the lcm of their denominators."""
+    if isinstance(row, dict):
+        if any(not 0 <= c < width for c in row):
+            raise ValueError(f"sparse row has a column outside 0..{width - 1}")
+        items = list(row.items())
+    else:
+        if len(row) != width:
+            raise ValueError(f"row has {len(row)} entries, expected {width}")
+        items = list(enumerate(row))
+    if not all(type(x) is int for _, x in items):
+        items = [(c, x if isinstance(x, Fraction) else Fraction(x)) for c, x in items]
+        scale = lcm(*(x.denominator for _, x in items))
+        items = [(c, x.numerator * (scale // x.denominator)) for c, x in items]
+    return {c: x for c, x in items if x}
 
 
-def rref(
-    rows: Iterable[Sequence[Fraction | int]], width: int
-) -> tuple[tuple[Vector, ...], tuple[int, ...]]:
-    """Reduced row echelon form.  Returns the nonzero rows and pivot columns."""
-    m = [_as_row(r, width) for r in rows]
-    pivots: list[int] = []
-    r = 0
-    for c in range(width):
-        pivot_row = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pivot_row is None:
+def _eliminate(row: dict[int, int], pivot: int, by: dict[int, int]) -> None:
+    """Clear ``row[pivot]`` in place with an integer combination a*row - b*by, a > 0."""
+    a, b = by[pivot], row[pivot]
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    if a != 1:
+        for c in row:
+            row[c] *= a
+    for c, y in by.items():
+        x = row.get(c, 0) - b * y
+        if x:
+            row[c] = x
+        else:
+            del row[c]
+
+
+def _make_primitive(row: dict[int, int], lead: int) -> None:
+    """Divide ``row`` in place by the gcd of its entries, signed so that ``row[lead]`` > 0."""
+    g = gcd(*row.values())
+    if row[lead] < 0:
+        g = -g
+    if g != 1:
+        for c in row:
+            row[c] //= g
+
+
+def rref(rows: Iterable[Row], width: int) -> tuple[tuple[Vector, ...], tuple[int, ...]]:
+    """Reduced row echelon form.  Returns the nonzero rows and pivot columns.
+
+    Rows are dense sequences of length ``width`` or sparse {column: value}
+    dicts, with int or Fraction entries.
+    """
+    # pivot column -> primitive integer row whose first nonzero column is the
+    # pivot; every row is zero in every other row's pivot column
+    basis: dict[int, dict[int, int]] = {}
+    for raw in rows:
+        row = _integer_row(raw, width)
+        for pivot in [c for c in row if c in basis]:
+            _eliminate(row, pivot, basis[pivot])
+        if not row:
             continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = m[r][c]
-        m[r] = [x / inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return tuple(tuple(row) for row in m[:r]), tuple(pivots)
+        pivot = min(row)
+        _make_primitive(row, pivot)
+        for lead, other in basis.items():
+            if pivot in other:
+                _eliminate(other, pivot, row)
+                _make_primitive(other, lead)
+        basis[pivot] = row
+    pivots = tuple(sorted(basis))
+    out = []
+    for pivot in pivots:
+        row = basis[pivot]
+        lead = row[pivot]
+        out.append(dense_row({c: Fraction(x, lead) for c, x in row.items()}, width))
+    return tuple(out), pivots
+
+
+def dense_row(entries: dict[int, Fraction], width: int) -> Vector:
+    """The row of length ``width`` with these entries and zeros elsewhere."""
+    # every zero is one shared Fraction, which sparse_rows skips by identity
+    row = [_ZERO] * width
+    for c, x in entries.items():
+        row[c] = x
+    return tuple(row)
 
 
 @dataclass(frozen=True)
@@ -58,17 +119,35 @@ class SubspaceBasis:
     def dimension(self) -> int:
         return len(self.rows)
 
+    @cached_property
+    def sparse_rows(self) -> tuple[dict[int, Fraction], ...]:
+        """Each basis row as {column: nonzero entry}."""
+        # the identity test skips dense_row's shared zero without calling
+        # Fraction.__bool__; any other zero still fails ``x``
+        return tuple({c: x for c, x in enumerate(row) if x is not _ZERO and x} for row in self.rows)
+
+    def _residual(self, vector: Sequence[Fraction | int]) -> dict[int, Fraction]:
+        """The nonzero entries of ``vector`` after elimination against the basis rows."""
+        if len(vector) != self.ambient_dim:
+            raise ValueError(f"row has {len(vector)} entries, expected {self.ambient_dim}")
+        v = {c: Fraction(x) for c, x in enumerate(vector) if x is not _ZERO and x}
+        for row, pc in zip(self.sparse_rows, self.pivots):
+            c = v.get(pc)
+            if c:
+                for j, y in row.items():
+                    x = v.get(j, 0) - c * y
+                    if x:
+                        v[j] = x
+                    else:
+                        del v[j]
+        return v
+
     def reduce(self, vector: Sequence[Fraction | int]) -> Vector:
         """Residual of ``vector`` after elimination against the basis rows."""
-        v = _as_row(vector, self.ambient_dim)
-        for row, pc in zip(self.rows, self.pivots):
-            c = v[pc]
-            if c:
-                v = [x - c * y for x, y in zip(v, row)]
-        return tuple(v)
+        return dense_row(self._residual(vector), self.ambient_dim)
 
     def contains_vector(self, vector: Sequence[Fraction | int]) -> bool:
-        return not any(self.reduce(vector))
+        return not self._residual(vector)
 
     def to_json_dict(self) -> dict:
         return {
@@ -78,31 +157,30 @@ class SubspaceBasis:
         }
 
 
-def row_space(rows: Iterable[Sequence[Fraction | int]], ambient_dim: int) -> SubspaceBasis:
+def row_space(rows: Iterable[Row], ambient_dim: int) -> SubspaceBasis:
     reduced, pivots = rref(rows, ambient_dim)
     return SubspaceBasis(ambient_dim, reduced, pivots)
 
 
-def nullspace(rows: Iterable[Sequence[Fraction | int]], ambient_dim: int) -> SubspaceBasis:
+def nullspace(rows: Iterable[Row], ambient_dim: int) -> SubspaceBasis:
     """Canonical basis of {x : R x = 0} for the constraint rows R."""
-    reduced, pivots = rref(rows, ambient_dim)
-    free = [c for c in range(ambient_dim) if c not in pivots]
-    basis: list[list[Fraction]] = []
-    for f in free:
-        v = [Fraction(0)] * ambient_dim
-        v[f] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -reduced[r][f]
-        basis.append(v)
+    reduced = row_space(rows, ambient_dim)
+    # the standard vector of free column f: 1 at f, -R[r][f] at each pivot p_r
+    pivots = set(reduced.pivots)
+    vectors = {f: {f: 1} for f in range(ambient_dim) if f not in pivots}
+    for row, pc in zip(reduced.sparse_rows, reduced.pivots):
+        for c, x in row.items():
+            if c != pc:
+                vectors[c][pc] = -x
     # a second reduction canonicalizes the standard free-column basis
-    return row_space(basis, ambient_dim)
+    return row_space(vectors.values(), ambient_dim)
 
 
 def constants_space(ambient_dim: int) -> SubspaceBasis:
     """Span of the all-ones vector (the constant weight functions)."""
     if ambient_dim == 0:
         return row_space([], 0)
-    return row_space([[Fraction(1)] * ambient_dim], ambient_dim)
+    return row_space([[1] * ambient_dim], ambient_dim)
 
 
 def full_space(ambient_dim: int) -> SubspaceBasis:
@@ -124,15 +202,6 @@ def subspace_equal(a: SubspaceBasis, b: SubspaceBasis) -> bool:
     return a.rows == b.rows
 
 
-def sum_spaces(spaces: Iterable[SubspaceBasis], ambient_dim: int) -> SubspaceBasis:
-    rows: list[Vector] = []
-    for s in spaces:
-        if s.ambient_dim != ambient_dim:
-            raise ValueError("summands must share the ambient dimension")
-        rows.extend(s.rows)
-    return row_space(rows, ambient_dim)
-
-
 def fraction_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
@@ -146,6 +215,7 @@ __all__ = [
     "SubspaceBasis",
     "Vector",
     "constants_space",
+    "dense_row",
     "fraction_str",
     "full_space",
     "nullspace",
@@ -154,5 +224,4 @@ __all__ = [
     "rref",
     "subspace_contains",
     "subspace_equal",
-    "sum_spaces",
 ]

@@ -14,7 +14,9 @@ The vocabulary used across the package:
   two boundary tracks N(a) and N(b) restricted to v's second sphere.
 
 ComponentFacts holds these tables, the cycle profile and the special form of
-one connected component, computed once for every engine to read.
+one connected component, computed once for every engine to read, together
+with the component's equal-weight constraint rows and their checked null
+space, which both weight-space engines start from.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .graphs import (
     iter_bits,
     mask_of,
 )
+from .linalg import SubspaceBasis, nullspace
 from .named_graphs import cycle_graph, triangle_tripod_graph
 from .oracle import (
     BudgetExceededError,
@@ -81,31 +84,36 @@ def simplicial_partition(g: Graph) -> SimplicialPartition | None:
     """Exact-cover search for a simplicial partition, or None.
 
     Branches on the lowest uncovered vertex; candidate cells are closed
-    neighborhoods of simplicial vertices that avoid everything covered so far.
+    neighborhoods of simplicial vertices that avoid everything covered so far,
+    tried in ascending order of their centers.  The search keeps its own
+    stack, so its depth (one level per cell) is not bounded by Python's.
     """
     simp = sorted(simplicial_vertices(g))
     cells = {x: g.closed_bits[x] for x in simp}
     full = g.full_mask
 
-    def search(covered: int, chosen: list[int]) -> list[int] | None:
-        if covered == full:
-            return chosen
+    def candidates(covered: int):
         undone = ~covered & full
         v_bit = undone & -undone
-        for x in simp:
-            cell = cells[x]
-            if cell & v_bit and not cell & covered:
-                result = search(covered | cell, chosen + [x])
-                if result is not None:
-                    return result
-        return None
+        return (x for x in simp if cells[x] & v_bit and not cells[x] & covered)
 
-    centers = search(0, [])
-    if centers is None:
-        return None
+    chosen: list[int] = []
+    covered = 0
+    untried = [candidates(covered)]  # untried[d]: the remaining branches at depth d
+    while covered != full:
+        x = next(untried[-1], None)
+        if x is None:
+            untried.pop()
+            if not chosen:
+                return None
+            covered &= ~cells[chosen.pop()]
+        else:
+            chosen.append(x)
+            covered |= cells[x]
+            untried.append(candidates(covered))
     return SimplicialPartition(
-        tuple(centers),
-        tuple(frozenset(iter_bits(cells[x])) for x in centers),
+        tuple(chosen),
+        tuple(frozenset(iter_bits(cells[x])) for x in chosen),
     )
 
 
@@ -143,6 +151,20 @@ def greedy_maximal_independent(g: Graph, candidates: Iterable[int]) -> frozenset
         if all(not g.has_edge(v, u) for u in chosen):
             chosen.append(v)
     return frozenset(chosen)
+
+
+class ConstraintConsistencyError(RuntimeError):
+    """An alternative confined anchor set escaped the assembled constraint span.
+
+    This would make the described weight set depend on an arbitrary greedy
+    choice, i.e. fail to be a vector space; it indicates a bug, so it is
+    raised loudly instead of being absorbed into a result.
+    """
+
+
+def tie_row(v: int, others: Iterable[int]) -> dict[int, int]:
+    """The sparse constraint row of w(v) = the total weight of ``others`` (v not among them)."""
+    return {v: 1, **{u: -1 for u in others}}
 
 
 def _dominates(g: Graph, chosen: Iterable[int], targets: frozenset[int]) -> bool:
@@ -250,7 +272,9 @@ class ComponentFacts:
 
     ``labels[v]`` is the whole-graph label of the component's vertex v.  The
     partition and the anchored fringe (which enumerates, and which the
-    independent-set engines never read) are computed on first use.
+    independent-set engines never read) are computed on first use, as are
+    the anchors, the equal-weight rows and their checked null space, which
+    the two weight-space engines share.
     """
 
     graph: Graph
@@ -274,6 +298,50 @@ class ComponentFacts:
     @cached_property
     def anchored(self) -> frozenset[int]:
         return anchored_fringe_vertices(self.graph, self.budget)
+
+    @cached_property
+    def anchor_choice(self) -> dict[int, frozenset[int]]:
+        """Each non-fringe vertex's anchor: a canonical maximal independent subset of its confined neighbors."""
+        return {v: greedy_maximal_independent(self.graph, near) for v, near in self.confined.items()}
+
+    @cached_property
+    def equal_weight_rows(self) -> tuple[dict[int, int], ...]:
+        """Constraint rows cutting out the equal-weight space of maximal independent sets.
+
+        One equality row per extra member of each fringe component, then one
+        row per non-fringe vertex tying its weight to its anchor.
+        """
+        ties = [(first, (other,)) for first, *rest in self.fringe_pieces for other in rest]
+        return tuple(tie_row(v, others) for v, others in ties + list(self.anchor_choice.items()))
+
+    @cached_property
+    def anchor_alternatives(self) -> tuple[tuple[int, frozenset[int]], ...]:
+        """(v, S) for every maximal independent set S of v's confined neighbors other than its anchor."""
+        out = []
+        for v, anchor in self.anchor_choice.items():
+            kept = sorted(self.confined[v])  # vertex i of the subgraph is kept[i]
+            for m in iter_maximal_independent_masks(induced_subgraph(self.graph, kept)[0]):
+                alt = frozenset(kept[i] for i in iter_bits(m))
+                if alt != anchor:
+                    out.append((v, alt))
+        return tuple(out)
+
+    @cached_property
+    def wcw_space(self) -> SubspaceBasis:
+        """Null space of the equal-weight rows, once every alternative anchor's
+        tie row is checked to lie in their span.
+
+        Over Q the row space is the annihilator of the null space, so a tie row
+        lies in the span iff it is orthogonal to every null-space basis vector.
+        """
+        space = nullspace(self.equal_weight_rows, self.graph.n)
+        for v, alt in self.anchor_alternatives:
+            if any(b[v] != sum(b[u] for u in alt) for b in space.rows):
+                raise ConstraintConsistencyError(
+                    f"vertex {v}: anchor sets {sorted(self.anchor_choice[v])} and {sorted(alt)} "
+                    "describe different weight constraints"
+                )
+        return space
 
 
 def induced_pieces(g: Graph, vertices: frozenset[int]) -> tuple[tuple[int, ...], ...]:
@@ -372,6 +440,7 @@ def structure_summary(g: Graph, budget: EnumerationBudget = DEFAULT_BUDGET) -> S
 __all__ = [
     "CYCLE_LENGTHS",
     "ComponentFacts",
+    "ConstraintConsistencyError",
     "SimplicialPartition",
     "SpecialForm",
     "StructureSummary",
@@ -390,4 +459,5 @@ __all__ = [
     "special_form_of",
     "structure_summary",
     "summarize",
+    "tie_row",
 ]

@@ -17,27 +17,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, induced_subgraph, iter_bits
-from .linalg import SubspaceBasis, constants_space, nullspace, row_space
-from .oracle import DEFAULT_BUDGET, EnumerationBudget, iter_maximal_independent_masks
+from .graphs import Graph
+from .linalg import SubspaceBasis, constants_space, nullspace
+from .oracle import DEFAULT_BUDGET, EnumerationBudget
 from .structure import (
     ComponentFacts,
+    ConstraintConsistencyError,
     SimplicialPartition,
     SpecialForm,
     family_facts,
-    greedy_maximal_independent,
     induced_pieces,
     special_form_of,
+    tie_row,
 )
-
-
-class ConstraintConsistencyError(RuntimeError):
-    """An alternative confined anchor set escaped the assembled constraint span.
-
-    This would make the described weight set depend on an arbitrary greedy
-    choice, i.e. fail to be a vector space; it indicates a bug, so it is
-    raised loudly instead of being absorbed into a result.
-    """
 
 
 # -- recognition (4- and 5-cycles excluded) -------------------------------------
@@ -76,64 +68,20 @@ class CharacterizationOutcome:
     notes: tuple[str, ...] = ()
 
 
-def _tie_row(n: int, v: int, others) -> list[int]:
-    """The constraint row of w(v) = the total weight of ``others``."""
-    row = [0] * n
-    row[v] = 1
-    for u in others:
-        row[u] -= 1
-    return row
-
-
-def _assemble_equal_weight_rows(
-    f: ComponentFacts,
-) -> tuple[list[list[int]], dict[int, frozenset[int]]]:
-    """Constraint rows for the equal-weight space of maximal independent sets.
-
-    One equality row per extra member of each fringe component, then one row
-    per non-fringe vertex tying its weight to a canonical maximal independent
-    subset of its confined neighbors.
-    """
-    n = f.graph.n
-    rows = [_tie_row(n, first, (other,)) for first, *rest in f.fringe_pieces for other in rest]
-    anchor_choice: dict[int, frozenset[int]] = {}
-    for v, confined in f.confined.items():
-        anchor = greedy_maximal_independent(f.graph, confined)
-        anchor_choice[v] = anchor
-        rows.append(_tie_row(n, v, anchor))
-    return rows, anchor_choice
-
-
-def _check_anchor_choices(
-    f: ComponentFacts, constraint_span: SubspaceBasis, anchor_choice: dict[int, frozenset[int]]
-) -> None:
-    """Every alternative anchor set must already lie in the constraint span."""
-    for v, canonical in anchor_choice.items():
-        kept = sorted(f.confined[v])  # vertex i of the subgraph is kept[i]
-        for m in iter_maximal_independent_masks(induced_subgraph(f.graph, kept)[0]):
-            alt = frozenset(kept[i] for i in iter_bits(m))
-            if alt == canonical:
-                continue
-            if not constraint_span.contains_vector(_tie_row(f.graph.n, v, alt)):
-                raise ConstraintConsistencyError(
-                    f"vertex {v}: anchor sets {sorted(canonical)} and {sorted(alt)} "
-                    "describe different weight constraints"
-                )
-
-
 def _basis(f: ComponentFacts, dominating: bool) -> CharacterizationOutcome:
     n = f.graph.n
     if f.special_form is not SpecialForm.GENERAL:
         return CharacterizationOutcome(
             f.special_form, constants_space(n), (f"{f.special_form.value}: constant weights",)
         )
-    rows, anchor_choice = _assemble_equal_weight_rows(f)
-    zero_forced = sorted(f.fringe - f.anchored) if dominating else []
-    rows += [_tie_row(n, v, ()) for v in zero_forced]
-    span = row_space(rows, n)
-    _check_anchor_choices(f, span, anchor_choice)
+    if not dominating:
+        return CharacterizationOutcome(f.special_form, f.wcw_space)
+    if f.anchor_alternatives:
+        f.wcw_space  # checks every alternative anchor against the equal-weight rows alone
+    zero_forced = sorted(f.fringe - f.anchored)
+    rows = f.equal_weight_rows + tuple(tie_row(v, ()) for v in zero_forced)
     notes = (f"zero-forced fringe vertices: {zero_forced}",) if zero_forced else ()
-    return CharacterizationOutcome(f.special_form, nullspace(span.rows, n), notes)
+    return CharacterizationOutcome(f.special_form, nullspace(rows, n), notes)
 
 
 def well_covered_weight_basis(g: Graph) -> CharacterizationOutcome:

@@ -15,15 +15,43 @@ from welldom.linalg import (
     rref,
     subspace_contains,
     subspace_equal,
-    sum_spaces,
 )
 
 fractions = st.fractions(min_value=-6, max_value=6, max_denominator=4)
-small_matrices = st.integers(1, 4).flatmap(
-    lambda width: st.lists(
-        st.lists(fractions, min_size=width, max_size=width), min_size=0, max_size=5
-    ).map(lambda rows: (rows, width))
-)
+
+
+def _matrices(entries, max_width, max_rows):
+    return st.integers(1, max_width).flatmap(
+        lambda width: st.lists(
+            st.lists(entries, min_size=width, max_size=width), min_size=0, max_size=max_rows
+        ).map(lambda rows: (rows, width))
+    )
+
+
+small_matrices = _matrices(fractions, 4, 5)
+# the shapes the engines feed in: 0/+-1 constraint and difference rows
+sign_matrices = _matrices(st.sampled_from([0, 0, 1, -1]), 12, 30)
+fraction_matrices = _matrices(fractions, 8, 12)
+
+
+def dense_rref(rows, width):
+    """Reference: Gauss-Jordan on dense Fraction rows, column by column."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    r = 0
+    for c in range(width):
+        pivot_row = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return tuple(tuple(row) for row in m[:r]), tuple(pivots)
 
 
 class TestRref:
@@ -39,6 +67,23 @@ class TestRref:
         rows, pivots = rref([[0, 0], [1, 1], [2, 2]], 2)
         assert rows == ((Fraction(1), Fraction(1)),)
         assert pivots == (0,)
+
+    @given(st.one_of(sign_matrices, fraction_matrices))
+    def test_matches_dense_reference(self, matrix):
+        rows, width = matrix
+        assert rref(rows, width) == dense_rref(rows, width)
+
+    @given(fraction_matrices)
+    def test_sparse_rows_match_dense_rows(self, matrix):
+        rows, width = matrix
+        sparse = [{c: x for c, x in enumerate(row) if x} for row in rows]
+        assert rref(sparse, width) == rref(rows, width)
+
+    def test_row_of_wrong_shape_rejected(self):
+        with pytest.raises(ValueError):
+            rref([[1, 2, 3]], 2)
+        with pytest.raises(ValueError):
+            rref([{2: 1}], 2)
 
     @given(small_matrices)
     def test_idempotent(self, matrix):
@@ -101,16 +146,6 @@ class TestSubspaceOps:
     def test_ambient_mismatch_rejected(self):
         with pytest.raises(ValueError):
             subspace_contains(full_space(2), full_space(3))
-
-    def test_sum_of_disjoint_supports(self):
-        a = row_space([[1, 1, 0, 0]], 4)
-        b = row_space([[0, 0, 1, -1]], 4)
-        total = sum_spaces([a, b], 4)
-        assert total.dimension == 2
-        assert subspace_contains(total, a) and subspace_contains(total, b)
-
-    def test_sum_of_nothing_is_zero_space(self):
-        assert sum_spaces([], 3).dimension == 0
 
     @given(small_matrices)
     def test_reduce_is_membership_test(self, matrix):

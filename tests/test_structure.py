@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given
 
+from welldom.analysis import recognized_status
 from welldom.graphs import Graph, excludes_cycles
 from welldom.named_graphs import (
     complete_graph,
@@ -152,6 +153,15 @@ class TestSimplicial:
         part = simplicial_partition(g)
         if part is not None:
             assert part.is_valid_for(g)
+
+    def test_partition_deeper_than_the_recursion_limit(self):
+        # the 1200-cell path corona: 1200 cells, one search level each
+        cells = 1200
+        edges = [(i, i + 1) for i in range(cells - 1)] + [(i, cells + i) for i in range(cells)]
+        g = Graph.from_edges(2 * cells, edges)
+        assert recognized_status(g).well_covered
+        part = simplicial_partition(g)
+        assert part is not None and part.is_valid_for(g)
 
 
 class TestStructureSummary:

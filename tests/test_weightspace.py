@@ -19,8 +19,10 @@ from welldom.oracle import (
     well_covered_weight_space_oracle,
     well_dominated_weight_space_oracle,
 )
+from welldom import structure
 from welldom.structure import anchored_fringe_vertices, fringe_vertices, independence_number
 from welldom.weightspace import (
+    ConstraintConsistencyError,
     SpecialForm,
     dimension_checks,
     recognize_well_covered,
@@ -152,6 +154,17 @@ class TestWeightBases:
             assert subspace_contains(wcw.basis, wwd.basis)
             checked += 1
         assert checked >= 30
+
+
+class TestAnchorConsistency:
+    def test_inconsistent_anchor_choice_raises(self, monkeypatch):
+        # P3 anchored on pendant 0 alone: w(1) = w(0).  The confined set's
+        # only MIS, {0, 2}, ties w(1) to w(0) + w(2), outside that span
+        monkeypatch.setattr(structure, "greedy_maximal_independent", lambda g, c: frozenset({min(c)}))
+        with pytest.raises(ConstraintConsistencyError, match="vertex 1"):
+            well_covered_weight_basis(path_graph(3))
+        with pytest.raises(ConstraintConsistencyError):
+            well_dominated_weight_basis(path_graph(3))
 
 
 class TestDimensionReport:
