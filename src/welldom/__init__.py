@@ -40,7 +40,6 @@ from .structure import (
     structure_summary,
 )
 from .weightspace import (
-    ConstraintConsistencyError,
     dimension_checks,
     recognize_well_covered,
     well_covered_weight_basis,
@@ -52,7 +51,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AnalysisReport",
     "BudgetExceededError",
-    "ConstraintConsistencyError",
     "DEFAULT_BUDGET",
     "EnumerationBudget",
     "Fixture",

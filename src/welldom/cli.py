@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 success; 1 a checked property failed; 2 usage, parse or
-precondition error; 3 an enumeration or sampling budget ran out.  Budgets
-resolve as flag over WELLDOM_BUDGET over the builtin default.
+precondition error; 3 an enumeration or sampling budget ran out; 4 an
+internal error (an unexpected exception, reported on one stderr line).
+Budgets resolve as flag over WELLDOM_BUDGET over the builtin default.
 """
 
 from __future__ import annotations
@@ -30,12 +31,12 @@ from .oracle import (
     enumerate_maximal_independent_sets,
     enumerate_minimal_dominating_sets,
 )
-from .weightspace import ConstraintConsistencyError
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+EXIT_INTERNAL = 4
 
 # explicit budgets lift the vertex gates up to the graph6 limit and guard by
 # enumerated-set count alone
@@ -277,12 +278,12 @@ def cli_main(argv: list[str] | None = None) -> int:
     except (UsageError, ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ConstraintConsistencyError as exc:
-        print(f"consistency failure: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
     except BudgetExceededError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except Exception as exc:  # a fault in welldom itself, not in the input
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def main() -> None:

@@ -15,8 +15,13 @@ The vocabulary used across the package:
 
 ComponentFacts holds these tables, the cycle profile and the special form of
 one connected component, computed once for every engine to read, together
-with the component's equal-weight constraint rows and their checked null
-space, which both weight-space engines start from.
+with the component's piece vectors, which both weight-space engines start
+from: one vector per connected piece of G[fringe], 1 on the piece and on each
+non-fringe vertex whose confined set meets it.  Without 4-cycles a confined
+set lies in the fringe, and a piece it meets is one vertex or the two ears of
+a pendant triangle, of which every maximal independent subset of the confined
+set takes exactly one.  So every such subset gives a non-fringe vertex the
+same weight, and there is no choice of subset to make or to check.
 """
 
 from __future__ import annotations
@@ -38,7 +43,6 @@ from .graphs import (
     iter_bits,
     mask_of,
 )
-from .linalg import SubspaceBasis, nullspace
 from .named_graphs import cycle_graph, triangle_tripod_graph
 from .oracle import (
     BudgetExceededError,
@@ -142,29 +146,6 @@ def confined_neighbors(g: Graph, v: int) -> frozenset[int]:
     abits = g.adjacency_bits
     nb_v = g.closed_bits[v]
     return frozenset(u for u in g.adj[v] if not abits[u] & ~nb_v)
-
-
-def greedy_maximal_independent(g: Graph, candidates: Iterable[int]) -> frozenset[int]:
-    """Ascending-index greedy maximal independent subset of ``candidates``."""
-    chosen: list[int] = []
-    for v in sorted(set(candidates)):
-        if all(not g.has_edge(v, u) for u in chosen):
-            chosen.append(v)
-    return frozenset(chosen)
-
-
-class ConstraintConsistencyError(RuntimeError):
-    """An alternative confined anchor set escaped the assembled constraint span.
-
-    This would make the described weight set depend on an arbitrary greedy
-    choice, i.e. fail to be a vector space; it indicates a bug, so it is
-    raised loudly instead of being absorbed into a result.
-    """
-
-
-def tie_row(v: int, others: Iterable[int]) -> dict[int, int]:
-    """The sparse constraint row of w(v) = the total weight of ``others`` (v not among them)."""
-    return {v: 1, **{u: -1 for u in others}}
 
 
 def _dominates(g: Graph, chosen: Iterable[int], targets: frozenset[int]) -> bool:
@@ -273,8 +254,7 @@ class ComponentFacts:
     ``labels[v]`` is the whole-graph label of the component's vertex v.  The
     partition and the anchored fringe (which enumerates, and which the
     independent-set engines never read) are computed on first use, as are
-    the anchors, the equal-weight rows and their checked null space, which
-    the two weight-space engines share.
+    the piece vectors, which the two weight-space engines share.
     """
 
     graph: Graph
@@ -300,48 +280,19 @@ class ComponentFacts:
         return anchored_fringe_vertices(self.graph, self.budget)
 
     @cached_property
-    def anchor_choice(self) -> dict[int, frozenset[int]]:
-        """Each non-fringe vertex's anchor: a canonical maximal independent subset of its confined neighbors."""
-        return {v: greedy_maximal_independent(self.graph, near) for v, near in self.confined.items()}
+    def piece_vectors(self) -> tuple[dict[int, int], ...]:
+        """One well-covered weight per fringe piece C, as {vertex: 1}: 1 on C
+        and on every non-fringe vertex whose confined set meets C.
 
-    @cached_property
-    def equal_weight_rows(self) -> tuple[dict[int, int], ...]:
-        """Constraint rows cutting out the equal-weight space of maximal independent sets.
-
-        One equality row per extra member of each fringe component, then one
-        row per non-fringe vertex tying its weight to its anchor.
+        They span the equal-weight space (see the module docstring) and are
+        independent, each being the only one nonzero on its piece.
         """
-        ties = [(first, (other,)) for first, *rest in self.fringe_pieces for other in rest]
-        return tuple(tie_row(v, others) for v, others in ties + list(self.anchor_choice.items()))
-
-    @cached_property
-    def anchor_alternatives(self) -> tuple[tuple[int, frozenset[int]], ...]:
-        """(v, S) for every maximal independent set S of v's confined neighbors other than its anchor."""
-        out = []
-        for v, anchor in self.anchor_choice.items():
-            kept = sorted(self.confined[v])  # vertex i of the subgraph is kept[i]
-            for m in iter_maximal_independent_masks(induced_subgraph(self.graph, kept)[0]):
-                alt = frozenset(kept[i] for i in iter_bits(m))
-                if alt != anchor:
-                    out.append((v, alt))
-        return tuple(out)
-
-    @cached_property
-    def wcw_space(self) -> SubspaceBasis:
-        """Null space of the equal-weight rows, once every alternative anchor's
-        tie row is checked to lie in their span.
-
-        Over Q the row space is the annihilator of the null space, so a tie row
-        lies in the span iff it is orthogonal to every null-space basis vector.
-        """
-        space = nullspace(self.equal_weight_rows, self.graph.n)
-        for v, alt in self.anchor_alternatives:
-            if any(b[v] != sum(b[u] for u in alt) for b in space.rows):
-                raise ConstraintConsistencyError(
-                    f"vertex {v}: anchor sets {sorted(self.anchor_choice[v])} and {sorted(alt)} "
-                    "describe different weight constraints"
-                )
-        return space
+        vectors = [dict.fromkeys(piece, 1) for piece in self.fringe_pieces]
+        vector_of = {u: vec for piece, vec in zip(self.fringe_pieces, vectors) for u in piece}
+        for v, near in self.confined.items():
+            for u in near:
+                vector_of[u][v] = 1
+        return tuple(vectors)
 
 
 def induced_pieces(g: Graph, vertices: frozenset[int]) -> tuple[tuple[int, ...], ...]:
@@ -440,7 +391,6 @@ def structure_summary(g: Graph, budget: EnumerationBudget = DEFAULT_BUDGET) -> S
 __all__ = [
     "CYCLE_LENGTHS",
     "ComponentFacts",
-    "ConstraintConsistencyError",
     "SimplicialPartition",
     "SpecialForm",
     "StructureSummary",
@@ -450,7 +400,6 @@ __all__ = [
     "ear_partners",
     "family_facts",
     "fringe_vertices",
-    "greedy_maximal_independent",
     "independence_number",
     "induced_pieces",
     "outside_family",
@@ -459,5 +408,4 @@ __all__ = [
     "special_form_of",
     "structure_summary",
     "summarize",
-    "tie_row",
 ]

@@ -18,17 +18,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import Graph
-from .linalg import SubspaceBasis, constants_space, nullspace
+from .linalg import SubspaceBasis, constants_space, row_space
 from .oracle import DEFAULT_BUDGET, EnumerationBudget
 from .structure import (
     ComponentFacts,
-    ConstraintConsistencyError,
     SimplicialPartition,
     SpecialForm,
     family_facts,
     induced_pieces,
     special_form_of,
-    tie_row,
 )
 
 
@@ -75,13 +73,13 @@ def _basis(f: ComponentFacts, dominating: bool) -> CharacterizationOutcome:
             f.special_form, constants_space(n), (f"{f.special_form.value}: constant weights",)
         )
     if not dominating:
-        return CharacterizationOutcome(f.special_form, f.wcw_space)
-    if f.anchor_alternatives:
-        f.wcw_space  # checks every alternative anchor against the equal-weight rows alone
+        return CharacterizationOutcome(f.special_form, row_space(f.piece_vectors, n))
+    # a piece vector is the only one nonzero on its piece, so a weight in the
+    # span vanishes on a zero-forced vertex iff its piece's coefficient is 0
     zero_forced = sorted(f.fringe - f.anchored)
-    rows = f.equal_weight_rows + tuple(tie_row(v, ()) for v in zero_forced)
+    kept = [vec for piece, vec in zip(f.fringe_pieces, f.piece_vectors) if f.anchored.issuperset(piece)]
     notes = (f"zero-forced fringe vertices: {zero_forced}",) if zero_forced else ()
-    return CharacterizationOutcome(f.special_form, nullspace(rows, n), notes)
+    return CharacterizationOutcome(f.special_form, row_space(kept, n), notes)
 
 
 def well_covered_weight_basis(g: Graph) -> CharacterizationOutcome:
@@ -89,8 +87,8 @@ def well_covered_weight_basis(g: Graph) -> CharacterizationOutcome:
 
     Connected input without 4-, 5- or 6-cycles.  The 7-cycle, the triangle
     tripod and the complete graphs on up to three vertices carry exactly the
-    constant weights; everything else is cut out by the fringe and anchor
-    constraints.
+    constant weights; everything else is spanned by the piece vectors, one
+    per connected piece of G[fringe].
     """
     (facts,) = family_facts(g, (4, 5, 6), connected=True)
     return wcw_basis_from_facts(facts)
@@ -105,8 +103,9 @@ def well_dominated_weight_basis(
 ) -> CharacterizationOutcome:
     """Canonical basis of the equal-weight space over minimal dominating sets.
 
-    Same constraints as the well-covered space plus a zero row for every
-    fringe vertex that is not anchored.
+    The span of the piece vectors of the pieces whose vertices are all
+    anchored, that is the well-covered weights that vanish on every fringe
+    vertex that is not anchored.
     """
     (facts,) = family_facts(g, (4, 5, 6), budget, connected=True)
     return wwd_basis_from_facts(facts)
@@ -181,7 +180,6 @@ def dimension_report(f: ComponentFacts, wcw: SubspaceBasis, wwd: SubspaceBasis) 
 
 __all__ = [
     "CharacterizationOutcome",
-    "ConstraintConsistencyError",
     "DimensionReport",
     "RecognitionOutcome",
     "SpecialForm",

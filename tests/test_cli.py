@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from welldom import analysis, structure
+from welldom import analysis
 from welldom.cli import cli_main, resolve_budget
 from welldom.graphs import Graph, serialize_graph
 from welldom.linalg import full_space
@@ -112,10 +112,13 @@ class TestWeightSpaceCommands:
         assert cli_main(["wwd", graph_file(complete_bipartite_graph(2, 2))]) == 2
         assert "4-cycle" in capsys.readouterr().err
 
-    def test_inconsistent_anchor_choice_exits_one(self, graph_file, capsys, monkeypatch):
-        monkeypatch.setattr(structure, "greedy_maximal_independent", lambda g, c: frozenset({min(c)}))
-        assert cli_main(["wcw", graph_file(path_graph(3))]) == 1
-        assert "consistency failure: vertex 1" in capsys.readouterr().err
+    def test_internal_error_exits_four_on_one_line(self, graph_file, capsys, monkeypatch):
+        def broken(facts):
+            raise RuntimeError("engine fault")
+
+        monkeypatch.setattr(analysis, "wcw_basis_from_facts", broken)
+        assert cli_main(["wcw", graph_file(path_graph(4))]) == 4
+        assert capsys.readouterr().err == "internal error: RuntimeError: engine fault\n"
 
     def test_text_output_prints_rows(self, graph_file, capsys):
         assert cli_main(["wcw", graph_file(path_graph(4))]) == 0

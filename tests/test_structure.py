@@ -19,14 +19,13 @@ from welldom.structure import (
     confined_neighbors,
     ear_partners,
     fringe_vertices,
-    greedy_maximal_independent,
     independence_number,
     simplicial_partition,
     simplicial_vertices,
     structure_summary,
 )
 
-from conftest import graphs, is_independent
+from conftest import graphs
 
 
 class TestFringe:
@@ -78,20 +77,6 @@ class TestConfinedNeighbors:
         fringe = fringe_vertices(g)
         for v in range(g.n):
             assert confined_neighbors(g, v) <= fringe
-
-
-class TestGreedy:
-    def test_greedy_is_ascending(self):
-        g = path_graph(5)
-        assert greedy_maximal_independent(g, range(5)) == frozenset({0, 2, 4})
-
-    @given(graphs(max_n=8))
-    def test_greedy_output_is_maximal_independent_within_candidates(self, g):
-        candidates = set(range(0, g.n, 2))
-        chosen = greedy_maximal_independent(g, candidates)
-        assert is_independent(g, frozenset(chosen))
-        for extra in candidates - chosen:
-            assert any(g.has_edge(extra, got) for got in chosen)
 
 
 class TestAnchoredFringe:

@@ -1,8 +1,11 @@
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
+from welldom.analysis import characterized_wcw_basis
 from welldom.generators import GeneratorConfig, generate_family
 from welldom.graphs import Graph, induced_subgraph
-from welldom.linalg import constants_space, subspace_contains, subspace_equal
+from welldom.linalg import constants_space, row_space, subspace_contains, subspace_equal
 from welldom.named_graphs import (
     complete_graph,
     cycle_graph,
@@ -19,10 +22,13 @@ from welldom.oracle import (
     well_covered_weight_space_oracle,
     well_dominated_weight_space_oracle,
 )
-from welldom import structure
-from welldom.structure import anchored_fringe_vertices, fringe_vertices, independence_number
+from welldom.structure import (
+    anchored_fringe_vertices,
+    component_facts,
+    fringe_vertices,
+    independence_number,
+)
 from welldom.weightspace import (
-    ConstraintConsistencyError,
     SpecialForm,
     dimension_checks,
     recognize_well_covered,
@@ -34,6 +40,36 @@ from welldom.weightspace import (
 
 def relabel(g: Graph, perm: list[int]) -> Graph:
     return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+@st.composite
+def eared_trees(draw, max_n: int = 12) -> Graph:
+    """A tree on at least 3 vertices with pendant triangles hung on some
+    vertices and ears on some vertex-disjoint tree edges.
+
+    Every cycle is a triangle, and a vertex may carry several pendant
+    triangles, so several two-ear pieces can share a confined set.
+    """
+    tree_n = draw(st.integers(3, max_n))
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, tree_n)]
+    n, touched = tree_n, set()
+    for u, v in draw(st.lists(st.sampled_from(edges), unique=True)):
+        if n < max_n and not {u, v} & touched:
+            touched |= {u, v}
+            edges += [(u, n), (v, n)]
+            n += 1
+    for c in draw(st.lists(st.integers(0, tree_n - 1), max_size=4)):
+        if n + 2 <= max_n:
+            edges += [(c, n), (c, n + 1), (n, n + 1)]
+            n += 2
+    return Graph.from_edges(n, edges)
+
+
+def windmill(k: int) -> Graph:
+    """k triangles sharing centre 0; triangle i has ears 2i+1 and 2i+2."""
+    return Graph.from_edges(
+        2 * k + 1, [e for i in range(k) for e in ((0, 2 * i + 1), (0, 2 * i + 2), (2 * i + 1, 2 * i + 2))]
+    )
 
 
 class TestSpecialForms:
@@ -156,15 +192,27 @@ class TestWeightBases:
         assert checked >= 30
 
 
-class TestAnchorConsistency:
-    def test_inconsistent_anchor_choice_raises(self, monkeypatch):
-        # P3 anchored on pendant 0 alone: w(1) = w(0).  The confined set's
-        # only MIS, {0, 2}, ties w(1) to w(0) + w(2), outside that span
-        monkeypatch.setattr(structure, "greedy_maximal_independent", lambda g, c: frozenset({min(c)}))
-        with pytest.raises(ConstraintConsistencyError, match="vertex 1"):
-            well_covered_weight_basis(path_graph(3))
-        with pytest.raises(ConstraintConsistencyError):
-            well_dominated_weight_basis(path_graph(3))
+class TestPieceVectors:
+    @given(eared_trees())
+    def test_wcw_is_the_span_of_the_piece_vectors(self, g):
+        (facts,) = component_facts(g)
+        wcw = well_covered_weight_basis(g).basis
+        assert facts.special_form is SpecialForm.GENERAL
+        assert subspace_equal(wcw, well_covered_weight_space_oracle(g))
+        assert wcw.dimension == len(facts.fringe_pieces)
+        assert subspace_contains(wcw, well_dominated_weight_basis(g).basis)
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_windmill_matches_oracle(self, k):
+        g = windmill(k)
+        assert subspace_equal(well_covered_weight_basis(g).basis, well_covered_weight_space_oracle(g))
+
+    def test_large_windmill_has_one_vector_per_triangle(self):
+        # the centre's confined set has 2^40 maximal independent subsets,
+        # each taking one ear of every triangle
+        g = windmill(40)
+        pieces = [{0: 1, 2 * i + 1: 1, 2 * i + 2: 1} for i in range(40)]
+        assert characterized_wcw_basis(g).basis == row_space(pieces, g.n)
 
 
 class TestDimensionReport:
