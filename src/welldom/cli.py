@@ -31,6 +31,7 @@ from .oracle import (
     enumerate_maximal_independent_sets,
     enumerate_minimal_dominating_sets,
 )
+from .structure import NotApplicableError
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -71,7 +72,7 @@ def _read_graph(path: str, fmt: str) -> Graph:
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from None
     return parse_graph(text, fmt)
 
@@ -225,6 +226,17 @@ def _parse_forbid(text: str) -> frozenset[int]:
     return lengths
 
 
+def _at_least(floor: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < floor:
+            raise argparse.ArgumentTypeError(f"must be at least {floor}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="welldom",
@@ -258,8 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     fixtures_p.set_defaults(handler=_cmd_fixtures)
 
     proptest_p = sub.add_parser("proptest", help="randomized property sweep")
-    proptest_p.add_argument("--count", type=int, default=100)
-    proptest_p.add_argument("--max-n", dest="max_n", type=int, default=10)
+    proptest_p.add_argument("--count", type=_at_least(0), default=100)
+    proptest_p.add_argument("--max-n", dest="max_n", type=_at_least(1), default=10)
     proptest_p.add_argument("--seed", type=int, default=0)
     proptest_p.add_argument("--forbid", type=_parse_forbid, default=frozenset(),
                             help="comma-separated cycle lengths, e.g. 4,5,6")
@@ -275,7 +287,7 @@ def cli_main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except (UsageError, ParseError, ValueError) as exc:
+    except (UsageError, ParseError, NotApplicableError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BudgetExceededError as exc:

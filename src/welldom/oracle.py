@@ -2,8 +2,10 @@
 
 Every decision the characterization engine makes can be re-derived here from
 first principles: list the maximal independent sets, list the minimal
-dominating sets, and read the answers off the families.  Budgets keep the
-exponential cores honest; exceeding one raises, never truncates silently.
+dominating sets, and read the answers off the families.  One search,
+``iter_set_masks``, lists both families.  Budgets keep it honest: a vertex
+gate per family, and ``max_sets`` on the number of finished sets of either
+family.  Exceeding one raises, never truncates silently.
 """
 
 from __future__ import annotations
@@ -63,109 +65,80 @@ class SetFamily:
         return tuple(len(s) for s in self.sets)
 
 
-def iter_maximal_independent_masks(g: Graph) -> Iterator[int]:
-    """All maximal independent sets as bitmasks, in discovery order.
+def iter_set_masks(g: Graph, independent: bool) -> Iterator[int]:
+    """All maximal independent (or all minimal dominating) sets as bitmasks.
 
-    Pivoted recursion over the complement's closed non-neighborhoods; a branch
-    is cut as soon as it can no longer reach a maximal set.
+    Depth-first search over (chosen, dominated, forbidden) masks on an explicit
+    stack, so depth is not bounded by Python's recursion limit.  Each node
+    branches on which allowed closed neighbor covers the undominated vertex
+    with the fewest of them; earlier siblings are forbidden to later ones, so
+    every set is reached exactly once.  For independent sets only undominated
+    vertices are allowed; for dominating sets a branch is cut as soon as some
+    member has no private neighbor left, which no superset can restore.
     """
-    n = g.n
-    if n == 0:
-        yield 0
-        return
     full = g.full_mask
-    cn = [full & ~g.closed_bits[v] for v in range(n)]
+    nb = g.closed_bits
+    stack = [(0, 0, 0)]
+    while stack:
+        chosen, dominated, forbidden = stack.pop()
+        if dominated == full:
+            yield chosen
+            continue
+        allowed = full & ~forbidden
+        if independent:
+            allowed &= ~dominated
+        v = min(iter_bits(full & ~dominated), key=lambda w: (nb[w] & allowed).bit_count())
+        branches = nb[v] & allowed
+        while branches:  # pushed highest first, so the lowest is searched first
+            u = branches.bit_length() - 1
+            branches ^= 1 << u
+            child = chosen | 1 << u
+            if independent or _irredundant(nb, child):
+                # the lower branches, searched before this one, are forbidden in it
+                stack.append((child, dominated | nb[u], forbidden | branches))
 
-    def expand(r: int, p: int, x: int) -> Iterator[int]:
-        if not p and not x:
-            yield r
-            return
-        pivot = max(iter_bits(p | x), key=lambda u: (p & cn[u]).bit_count())
-        cand = p & ~cn[pivot]
-        for v in iter_bits(cand):
-            bit = 1 << v
-            yield from expand(r | bit, p & cn[v], x & cn[v])
-            p &= ~bit
-            x |= bit
 
-    yield from expand(0, full, 0)
+def _irredundant(nb: Sequence[int], chosen: int) -> bool:
+    """Every member of ``chosen`` dominates some vertex no other member does."""
+    once = twice = 0
+    for w in iter_bits(chosen):
+        twice |= once & nb[w]
+        once |= nb[w]
+    return all(nb[w] & ~twice for w in iter_bits(chosen))
+
+
+def _enumerate(g: Graph, kind: FamilyKind, max_vertices: int, max_sets: int) -> SetFamily:
+    independent = kind is FamilyKind.MAXIMAL_INDEPENDENT
+    if g.n > max_vertices:
+        raise BudgetExceededError(
+            f"{g.n} vertices exceed the {'independent' if independent else 'dominating'}-set "
+            f"enumeration budget of {max_vertices}"
+        )
+    masks: list[int] = []
+    for m in iter_set_masks(g, independent):
+        masks.append(m)
+        if len(masks) > max_sets:
+            raise BudgetExceededError(
+                f"more than {max_sets} {kind.value.replace('_', ' ')} sets", partial=masks
+            )
+    masks.sort()
+    return SetFamily(kind, g.n, tuple(set_of(m) for m in masks))
 
 
 def enumerate_maximal_independent_sets(
     g: Graph, budget: EnumerationBudget = DEFAULT_BUDGET
 ) -> SetFamily:
-    if g.n > budget.max_independent_vertices:
-        raise BudgetExceededError(
-            f"{g.n} vertices exceed the independent-set enumeration budget "
-            f"of {budget.max_independent_vertices}"
-        )
-    masks: list[int] = []
-    for m in iter_maximal_independent_masks(g):
-        masks.append(m)
-        if len(masks) > budget.max_sets:
-            raise BudgetExceededError(
-                f"more than {budget.max_sets} maximal independent sets",
-                partial=masks,
-            )
-    masks.sort()
-    return SetFamily(FamilyKind.MAXIMAL_INDEPENDENT, g.n, tuple(set_of(m) for m in masks))
-
-
-def _minimal_dominating_masks(g: Graph, max_sets: int) -> list[int]:
-    n = g.n
-    if n == 0:
-        return [0]
-    full = g.full_mask
-    nb = g.closed_bits
-    visited: set[int] = set()
-    found: set[int] = set()
-
-    # Branch on which closed neighbor covers the lowest undominated vertex.
-    # Every minimal dominating set survives some branch; non-minimal artifacts
-    # are removed by the private-neighbor filter below.
-    def cover(s: int, dom: int) -> None:
-        if s in visited:
-            return
-        visited.add(s)
-        if dom == full:
-            found.add(s)
-            if len(found) > max_sets:
-                raise BudgetExceededError(
-                    f"more than {max_sets} dominating-set candidates",
-                    partial=found,
-                )
-            return
-        undone = ~dom & full
-        v = (undone & -undone).bit_length() - 1
-        for u in iter_bits(nb[v]):
-            cover(s | (1 << u), dom | nb[u])
-
-    cover(0, 0)
-
-    def is_minimal(s: int) -> bool:
-        members = list(iter_bits(s))
-        for u in members:
-            covered_by_rest = 0
-            for w in members:
-                if w != u:
-                    covered_by_rest |= nb[w]
-            if not nb[u] & ~covered_by_rest:
-                return False
-        return True
-
-    return sorted(m for m in found if is_minimal(m))
+    return _enumerate(
+        g, FamilyKind.MAXIMAL_INDEPENDENT, budget.max_independent_vertices, budget.max_sets
+    )
 
 
 def enumerate_minimal_dominating_sets(
     g: Graph, budget: EnumerationBudget = DEFAULT_BUDGET
 ) -> SetFamily:
-    if g.n > budget.max_dominating_vertices:
-        raise BudgetExceededError(
-            f"{g.n} vertices exceed the dominating-set enumeration budget "
-            f"of {budget.max_dominating_vertices}"
-        )
-    masks = _minimal_dominating_masks(g, budget.max_sets)
-    return SetFamily(FamilyKind.MINIMAL_DOMINATING, g.n, tuple(set_of(m) for m in masks))
+    return _enumerate(
+        g, FamilyKind.MINIMAL_DOMINATING, budget.max_dominating_vertices, budget.max_sets
+    )
 
 
 @dataclass(frozen=True)
@@ -244,7 +217,7 @@ __all__ = [
     "enumerate_minimal_dominating_sets",
     "is_well_covered",
     "is_well_dominated",
-    "iter_maximal_independent_masks",
+    "iter_set_masks",
     "set_weight",
     "weight_space_from_family",
     "well_covered_weight_space_oracle",

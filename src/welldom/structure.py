@@ -48,7 +48,7 @@ from .oracle import (
     BudgetExceededError,
     DEFAULT_BUDGET,
     EnumerationBudget,
-    iter_maximal_independent_masks,
+    iter_set_masks,
 )
 
 
@@ -182,7 +182,7 @@ def anchored_fringe_vertices(
         far = [u for u in range(g.n) if 2 < dist[u] < math.inf]  # v's component minus its 2-ball
         sub, _ = induced_subgraph(g, far)  # vertex i of sub is far[i]
         anchored = True
-        for count, m in enumerate(iter_maximal_independent_masks(sub), 1):
+        for count, m in enumerate(iter_set_masks(sub, True), 1):
             if count > budget.max_sets:
                 raise BudgetExceededError(
                     f"more than {budget.max_sets} maximal independent sets while "
@@ -344,14 +344,18 @@ def outside_family(
     return None
 
 
+class NotApplicableError(ValueError):
+    """The input graph lies outside the family an engine covers."""
+
+
 def family_facts(
     g: Graph, lengths: tuple[int, ...], budget: EnumerationBudget = DEFAULT_BUDGET, *, connected: bool = False
 ) -> tuple[ComponentFacts, ...]:
-    """The component facts of ``g``, or ValueError when it is outside the family."""
+    """The component facts of ``g``, or NotApplicableError when it is outside the family."""
     facts = component_facts(g, budget)
     reason = outside_family(facts, lengths, connected=connected)
     if reason is not None:
-        raise ValueError(f"not applicable: {reason}")
+        raise NotApplicableError(f"not applicable: {reason}")
     return facts
 
 
@@ -391,6 +395,7 @@ def structure_summary(g: Graph, budget: EnumerationBudget = DEFAULT_BUDGET) -> S
 __all__ = [
     "CYCLE_LENGTHS",
     "ComponentFacts",
+    "NotApplicableError",
     "SimplicialPartition",
     "SpecialForm",
     "StructureSummary",

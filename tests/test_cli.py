@@ -113,12 +113,14 @@ class TestWeightSpaceCommands:
         assert "4-cycle" in capsys.readouterr().err
 
     def test_internal_error_exits_four_on_one_line(self, graph_file, capsys, monkeypatch):
-        def broken(facts):
-            raise RuntimeError("engine fault")
+        # a ValueError from inside the engine is a fault too, not bad input
+        for error in (RuntimeError, ValueError):
+            def broken(facts):
+                raise error("engine fault")
 
-        monkeypatch.setattr(analysis, "wcw_basis_from_facts", broken)
-        assert cli_main(["wcw", graph_file(path_graph(4))]) == 4
-        assert capsys.readouterr().err == "internal error: RuntimeError: engine fault\n"
+            monkeypatch.setattr(analysis, "wcw_basis_from_facts", broken)
+            assert cli_main(["wcw", graph_file(path_graph(4))]) == 4
+            assert capsys.readouterr().err == f"internal error: {error.__name__}: engine fault\n"
 
     def test_text_output_prints_rows(self, graph_file, capsys):
         assert cli_main(["wcw", graph_file(path_graph(4))]) == 0
@@ -193,10 +195,21 @@ class TestProptestCommand:
     def test_cycle_length_floor(self, capsys):
         assert cli_main(["proptest", "--forbid", "2,5"]) == 2
 
+    def test_out_of_range_sizes(self, capsys):
+        assert cli_main(["proptest", "--max-n", "0"]) == 2
+        assert cli_main(["proptest", "--count", "-1"]) == 2
+        assert "--count: must be at least 0, got -1" in capsys.readouterr().err
+
 
 class TestUsageErrors:
     def test_missing_file(self, tmp_path, capsys):
         assert cli_main(["analyze", str(tmp_path / "absent.edges")]) == 2
+        assert "cannot read" in capsys.readouterr().err
+
+    def test_undecodable_file(self, tmp_path, capsys):
+        bad = tmp_path / "bad.edges"
+        bad.write_bytes(b"\xff\xfe\n")
+        assert cli_main(["analyze", str(bad)]) == 2
         assert "cannot read" in capsys.readouterr().err
 
     def test_malformed_edgelist(self, tmp_path, capsys):

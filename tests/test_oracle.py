@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from welldom.graphs import Graph
+from welldom.graphs import Graph, mask_of, set_of
 from welldom.named_graphs import (
     complete_bipartite_graph,
     cycle_graph,
@@ -20,6 +20,7 @@ from welldom.oracle import (
     enumerate_minimal_dominating_sets,
     is_well_covered,
     is_well_dominated,
+    iter_set_masks,
     set_weight,
     weight_space_from_family,
     well_covered_weight_space_oracle,
@@ -33,7 +34,7 @@ class TestMaximalIndependentEnumeration:
     @given(graphs(max_n=8))
     def test_matches_brute_force(self, g):
         family = enumerate_maximal_independent_sets(g)
-        assert set(family.sets) == brute_maximal_independent(g)
+        assert list(family.sets) == sorted(brute_maximal_independent(g), key=mask_of)
 
     @given(graphs(max_n=8))
     def test_sets_are_in_canonical_mask_order(self, g):
@@ -45,12 +46,18 @@ class TestMaximalIndependentEnumeration:
         family = enumerate_maximal_independent_sets(Graph.from_edges(0, []))
         assert family.sets == (frozenset(),)
 
+    def test_search_depth_is_not_bounded_by_the_stack(self):
+        g = path_graph(3000)
+        first = set_of(next(iter_set_masks(g, True)))
+        assert all(not g.adj[v] & first for v in first)  # independent
+        assert all(v in first or g.adj[v] & first for v in range(g.n))  # maximal
+
 
 class TestMinimalDominatingEnumeration:
     @given(graphs(max_n=7))
     def test_matches_brute_force(self, g):
         family = enumerate_minimal_dominating_sets(g)
-        assert set(family.sets) == brute_minimal_dominating(g)
+        assert list(family.sets) == sorted(brute_minimal_dominating(g), key=mask_of)
 
     def test_star_families(self):
         family = enumerate_minimal_dominating_sets(star_graph(4))
@@ -77,6 +84,14 @@ class TestBudgets:
         budget = EnumerationBudget(max_sets=3)
         with pytest.raises(BudgetExceededError):
             enumerate_maximal_independent_sets(cycle_graph(7), budget)
+
+    def test_set_count_gate_for_dominating_sets(self):
+        g = cycle_graph(7)
+        with pytest.raises(BudgetExceededError, match="more than 3 minimal dominating sets") as err:
+            enumerate_minimal_dominating_sets(g, EnumerationBudget(max_sets=3))
+        partial = err.value.partial
+        assert len(partial) == len(set(partial)) == 4
+        assert {set_of(m) for m in partial} <= brute_minimal_dominating(g)
 
     def test_budget_validation(self):
         with pytest.raises(ValueError):
