@@ -265,32 +265,6 @@ def distances_from(g: Graph, sources: Iterable[int]) -> list[int | float]:
     return dist
 
 
-def distance(g: Graph, u: int, v: int) -> int | float:
-    return distances_from(g, (u,))[v]
-
-
-def sphere(g: Graph, sources: Iterable[int], radius: int) -> frozenset[int]:
-    """Vertices at distance exactly ``radius`` from the set ``sources``."""
-    src = set(sources)
-    if not src:
-        raise ValueError("sphere of an empty vertex set is undefined")
-    if radius < 0:
-        raise ValueError("radius must be non-negative")
-    dist = distances_from(g, src)
-    return frozenset(v for v in range(g.n) if dist[v] == radius)
-
-
-def ball(g: Graph, sources: Iterable[int], radius: int) -> frozenset[int]:
-    """Vertices at distance at most ``radius`` from the set ``sources``."""
-    src = set(sources)
-    if not src:
-        raise ValueError("ball of an empty vertex set is undefined")
-    if radius < 0:
-        raise ValueError("radius must be non-negative")
-    dist = distances_from(g, src)
-    return frozenset(v for v in range(g.n) if dist[v] <= radius)
-
-
 # -- subgraphs and components ---------------------------------------------------
 
 
@@ -414,10 +388,8 @@ def is_isomorphic_small(g: Graph, h: Graph, *, max_vertices: int = 12) -> bool:
 __all__ = [
     "Graph",
     "ParseError",
-    "ball",
     "components",
     "contains_cycle_of_length",
-    "distance",
     "distances_from",
     "excludes_cycles",
     "induced_subgraph",
@@ -428,5 +400,4 @@ __all__ = [
     "parse_graph",
     "serialize_graph",
     "set_of",
-    "sphere",
 ]

@@ -126,8 +126,8 @@ class SubspaceBasis:
         # Fraction.__bool__; any other zero still fails ``x``
         return tuple({c: x for c, x in enumerate(row) if x is not _ZERO and x} for row in self.rows)
 
-    def _residual(self, vector: Sequence[Fraction | int]) -> dict[int, Fraction]:
-        """The nonzero entries of ``vector`` after elimination against the basis rows."""
+    def contains_vector(self, vector: Sequence[Fraction | int]) -> bool:
+        """Whether ``vector`` reduces to zero against the basis rows."""
         if len(vector) != self.ambient_dim:
             raise ValueError(f"row has {len(vector)} entries, expected {self.ambient_dim}")
         v = {c: Fraction(x) for c, x in enumerate(vector) if x is not _ZERO and x}
@@ -140,14 +140,7 @@ class SubspaceBasis:
                         v[j] = x
                     else:
                         del v[j]
-        return v
-
-    def reduce(self, vector: Sequence[Fraction | int]) -> Vector:
-        """Residual of ``vector`` after elimination against the basis rows."""
-        return dense_row(self._residual(vector), self.ambient_dim)
-
-    def contains_vector(self, vector: Sequence[Fraction | int]) -> bool:
-        return not self._residual(vector)
+        return not v
 
     def to_json_dict(self) -> dict:
         return {
@@ -183,10 +176,6 @@ def constants_space(ambient_dim: int) -> SubspaceBasis:
     return row_space([[1] * ambient_dim], ambient_dim)
 
 
-def full_space(ambient_dim: int) -> SubspaceBasis:
-    return nullspace([], ambient_dim)
-
-
 def subspace_contains(outer: SubspaceBasis, inner: SubspaceBasis) -> bool:
     """Whether every vector of ``inner`` lies in ``outer``."""
     if outer.ambient_dim != inner.ambient_dim:
@@ -206,20 +195,13 @@ def fraction_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def parse_fraction(text: str) -> Fraction:
-    num, _, den = text.partition("/")
-    return Fraction(int(num), int(den)) if den else Fraction(int(num))
-
-
 __all__ = [
     "SubspaceBasis",
     "Vector",
     "constants_space",
     "dense_row",
     "fraction_str",
-    "full_space",
     "nullspace",
-    "parse_fraction",
     "row_space",
     "rref",
     "subspace_contains",

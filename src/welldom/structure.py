@@ -148,13 +148,6 @@ def confined_neighbors(g: Graph, v: int) -> frozenset[int]:
     return frozenset(u for u in g.adj[v] if not abits[u] & ~nb_v)
 
 
-def _dominates(g: Graph, chosen: Iterable[int], targets: frozenset[int]) -> bool:
-    reach = 0
-    for u in chosen:
-        reach |= g.closed_bits[u]
-    return not mask_of(targets) & ~reach
-
-
 def anchored_fringe_vertices(
     g: Graph, budget: EnumerationBudget = DEFAULT_BUDGET
 ) -> frozenset[int]:
@@ -163,6 +156,7 @@ def anchored_fringe_vertices(
     Pendants qualify outright.  An ear v is tested by enumerating the maximal
     independent sets of its component minus the distance-2 ball around v,
     short-circuiting on the first set that dominates neither boundary track.
+    A set dominates a track iff it meets each track vertex's far-zone neighbour mask.
     """
     partners = ear_partners(g)
     decided: dict[int, bool] = {}
@@ -170,17 +164,18 @@ def anchored_fringe_vertices(
         if v not in partners:
             decided[v] = True  # pendant
             continue
-        a, b = partners[v]
         dist = distances_from(g, (v,))
-        second = frozenset(u for u in range(g.n) if dist[u] == 2)
-        track_a = g.adj[a] & second
-        track_b = g.adj[b] & second
-        if not track_a or not track_b:
+        tracks = [[u for u in g.adj[x] if dist[u] == 2] for x in partners[v]]  # N(a), N(b) at distance 2
+        if not all(tracks):
             # an empty track is trivially dominated by every set
             decided[v] = True
             continue
         far = [u for u in range(g.n) if 2 < dist[u] < math.inf]  # v's component minus its 2-ball
-        sub, _ = induced_subgraph(g, far)  # vertex i of sub is far[i]
+        sub, index = induced_subgraph(g, far)
+        # a track as the masks of its vertices' far-zone neighbours, in sub's numbering
+        track_a, track_b = (
+            [mask_of(index[w] for w in g.adj[u] if w in index) for u in track] for track in tracks
+        )
         anchored = True
         for count, m in enumerate(iter_set_masks(sub, True), 1):
             if count > budget.max_sets:
@@ -189,8 +184,7 @@ def anchored_fringe_vertices(
                     f"classifying fringe vertex {v if g.names is None else g.names[v]}",
                     partial=dict(decided),
                 )
-            chosen = [far[i] for i in iter_bits(m)]
-            if not _dominates(g, chosen, track_a) and not _dominates(g, chosen, track_b):
+            if not (all(m & t for t in track_a) or all(m & t for t in track_b)):
                 anchored = False
                 break
         decided[v] = anchored

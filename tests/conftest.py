@@ -27,6 +27,29 @@ def graphs(draw, max_n: int = 8, min_n: int = 0) -> Graph:
     return Graph.from_edges(n, sorted(edges))
 
 
+@st.composite
+def eared_trees(draw, max_n: int = 12) -> Graph:
+    """A tree on at least 3 vertices with pendant triangles hung on some
+    vertices and ears on some vertex-disjoint tree edges.
+
+    Every cycle is a triangle, and a vertex may carry several pendant
+    triangles, so several two-ear pieces can share a confined set.
+    """
+    tree_n = draw(st.integers(3, max_n))
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, tree_n)]
+    n, touched = tree_n, set()
+    for u, v in draw(st.lists(st.sampled_from(edges), unique=True)):
+        if n < max_n and not {u, v} & touched:
+            touched |= {u, v}
+            edges += [(u, n), (v, n)]
+            n += 1
+    for c in draw(st.lists(st.integers(0, tree_n - 1), max_size=4)):
+        if n + 2 <= max_n:
+            edges += [(c, n), (c, n + 1), (n, n + 1)]
+            n += 2
+    return Graph.from_edges(n, edges)
+
+
 def subsets(n: int):
     for mask in range(1 << n):
         yield frozenset(i for i in range(n) if mask >> i & 1)

@@ -9,7 +9,7 @@ import pytest
 from welldom import analysis
 from welldom.cli import cli_main, resolve_budget
 from welldom.graphs import Graph, serialize_graph
-from welldom.linalg import full_space
+from welldom.linalg import nullspace
 from welldom.named_graphs import (
     complete_bipartite_graph,
     cycle_graph,
@@ -57,7 +57,7 @@ class TestAnalyze:
     def test_failed_check_exits_one(self, graph_file, capsys, monkeypatch):
         # a wrong dominating-set engine: every weight passes
         def whole_space(facts):
-            return CharacterizationOutcome(facts.special_form, full_space(facts.graph.n))
+            return CharacterizationOutcome(facts.special_form, nullspace([], facts.graph.n))
 
         monkeypatch.setattr(analysis, "wwd_basis_from_facts", whole_space)
         assert cli_main(["analyze", graph_file(path_graph(4))]) == 1

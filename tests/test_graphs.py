@@ -8,10 +8,8 @@ import hypothesis.strategies as st
 from welldom.graphs import (
     Graph,
     ParseError,
-    ball,
     components,
     contains_cycle_of_length,
-    distance,
     distances_from,
     excludes_cycles,
     induced_subgraph,
@@ -19,7 +17,6 @@ from welldom.graphs import (
     is_isomorphic_small,
     parse_graph,
     serialize_graph,
-    sphere,
 )
 from welldom.named_graphs import (
     complete_graph,
@@ -116,16 +113,7 @@ class TestDistances:
 
     def test_unreachable_is_infinite(self):
         g = Graph.from_edges(3, [(0, 1)])
-        assert distance(g, 0, 2) == math.inf
-
-    def test_sphere_and_ball(self):
-        g = path_graph(5)
-        assert sphere(g, [0], 2) == frozenset({2})
-        assert ball(g, [0], 2) == frozenset({0, 1, 2})
-
-    def test_empty_sources_rejected(self):
-        with pytest.raises(ValueError):
-            sphere(path_graph(3), [], 1)
+        assert distances_from(g, [0]) == [0, 1, math.inf]
 
 
 class TestComponents:

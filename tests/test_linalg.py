@@ -8,9 +8,7 @@ from welldom.linalg import (
     SubspaceBasis,
     constants_space,
     fraction_str,
-    full_space,
     nullspace,
-    parse_fraction,
     row_space,
     rref,
     subspace_contains,
@@ -125,7 +123,7 @@ class TestNullspace:
         assert null.rows == rerefed and null.pivots == pivots
 
     def test_full_and_constants(self):
-        assert full_space(3).dimension == 3
+        assert nullspace([], 3).dimension == 3
         c = constants_space(4)
         assert c.dimension == 1
         assert c.rows[0] == (1, 1, 1, 1)
@@ -145,7 +143,7 @@ class TestSubspaceOps:
 
     def test_ambient_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            subspace_contains(full_space(2), full_space(3))
+            subspace_contains(nullspace([], 2), nullspace([], 3))
 
     @given(small_matrices)
     def test_reduce_is_membership_test(self, matrix):
@@ -153,14 +151,9 @@ class TestSubspaceOps:
         space = row_space(rows, width)
         for row in rows:
             assert space.contains_vector(row)
-            assert all(x == 0 for x in space.reduce(row))
 
 
 class TestSerialization:
-    @given(st.fractions(min_value=-100, max_value=100, max_denominator=100))
-    def test_fraction_round_trip(self, x):
-        assert parse_fraction(fraction_str(x)) == x
-
     def test_fraction_str_always_has_denominator(self):
         assert fraction_str(Fraction(3)) == "3/1"
         assert fraction_str(Fraction(-1, 2)) == "-1/2"

@@ -1,8 +1,10 @@
-import pytest
-from hypothesis import given
+import math
 
-from welldom.analysis import recognized_status
-from welldom.graphs import Graph, excludes_cycles
+import pytest
+from hypothesis import example, given
+
+from welldom.analysis import characterized_wwd_basis, recognized_status
+from welldom.graphs import Graph, distances_from, excludes_cycles, induced_subgraph, parse_graph
 from welldom.named_graphs import (
     complete_graph,
     cycle_graph,
@@ -25,7 +27,24 @@ from welldom.structure import (
     structure_summary,
 )
 
-from conftest import graphs
+from conftest import brute_maximal_independent, eared_trees, graphs
+
+
+def anchored_by_definition(g: Graph) -> frozenset[int]:
+    """The anchored fringe from plain sets: pendants, and each ear v on (a, b)
+    such that every maximal independent set of v's component minus its
+    2-ball dominates the neighbours of a, or those of b, at distance 2."""
+    partners = ear_partners(g)
+    anchored = set(fringe_vertices(g)) - set(partners)
+    for v, (a, b) in partners.items():
+        dist = distances_from(g, [v])
+        tracks = [{u for u in g.adj[x] if dist[u] == 2} for x in (a, b)]
+        far = sorted(u for u in range(g.n) if 2 < dist[u] < math.inf)
+        sub, _ = induced_subgraph(g, far)  # vertex i of sub is far[i]
+        reaches = [set().union(*(g.adj[far[i]] for i in s)) for s in brute_maximal_independent(sub)]
+        if all(any(track <= reach for track in tracks) for reach in reaches):
+            anchored.add(v)
+    return frozenset(anchored)
 
 
 class TestFringe:
@@ -96,7 +115,22 @@ class TestAnchoredFringe:
         g = fringe_gap_graph()
         with pytest.raises(BudgetExceededError) as err:
             anchored_fringe_vertices(g, EnumerationBudget(max_sets=1))
-        assert isinstance(err.value.partial, dict)
+        assert str(err.value) == "more than 1 maximal independent sets while classifying fringe vertex 0"
+        assert err.value.partial == {}
+        # a component's message names the vertex by its whole-graph label
+        shifted = Graph.from_edges(12, [(0, 1)] + [(u + 2, v + 2) for u, v in g.edges()])
+        with pytest.raises(BudgetExceededError, match="fringe vertex 2$"):
+            characterized_wwd_basis(shifted, EnumerationBudget(max_sets=1))
+
+    # the gap graph's ear is unanchored; the graph6 graphs are the known WWD
+    # faults, whose ears have two non-empty tracks
+    @given(eared_trees())
+    @example(fringe_gap_graph())
+    @example(parse_graph("HCAIbCg", "graph6"))
+    @example(parse_graph("HK_R?Kg", "graph6"))
+    @example(parse_graph("KhOOS?C?gHH?", "graph6"))
+    def test_matches_definition(self, g):
+        assert anchored_fringe_vertices(g) == anchored_by_definition(g)
 
 
 class TestIndependenceNumber:
