@@ -5,7 +5,10 @@ first principles: list the maximal independent sets, list the minimal
 dominating sets, and read the answers off the families.  One search,
 ``iter_set_masks``, lists both families.  Budgets keep it honest: a vertex
 gate per family, and ``max_sets`` on the number of finished sets of either
-family.  Exceeding one raises, never truncates silently.
+family.  Exceeding one raises, never truncates silently.  The anchored
+classification (``structure.anchored_fringe_vertices``) runs the same search
+from a start state and charges it search nodes, not sets, per ear: each of
+its checks stops at its first set, so finished sets would not bound its work.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .graphs import Graph, iter_bits, set_of
 from .linalg import SubspaceBasis, nullspace
@@ -33,6 +36,10 @@ class BudgetExceededError(RuntimeError):
 
 @dataclass(frozen=True)
 class EnumerationBudget:
+    """Vertex gates for the two oracle families, and ``max_sets``: the most
+    finished sets of one oracle family, and the most search nodes of one
+    ear's anchored classification."""
+
     max_independent_vertices: int = 24
     max_dominating_vertices: int = 20
     max_sets: int = 1_000_000
@@ -65,7 +72,13 @@ class SetFamily:
         return tuple(len(s) for s in self.sets)
 
 
-def iter_set_masks(g: Graph, independent: bool) -> Iterator[int]:
+def iter_set_masks(
+    g: Graph,
+    independent: bool,
+    within: int | None = None,
+    forbidden: int = 0,
+    on_node: Callable[[], None] | None = None,
+) -> Iterator[int]:
     """All maximal independent (or all minimal dominating) sets as bitmasks.
 
     Depth-first search over (chosen, dominated, forbidden) masks on an explicit
@@ -75,36 +88,44 @@ def iter_set_masks(g: Graph, independent: bool) -> Iterator[int]:
     every set is reached exactly once.  For independent sets only undominated
     vertices are allowed; for dominating sets a branch is cut as soon as some
     member has no private neighbor left, which no superset can restore.
+
+    The search may start from a state: it then lists the sets of G[within]
+    (default: all of g) that avoid ``forbidden``.  ``on_node`` is called once
+    per search node, before the node is expanded, so a caller can charge the
+    search's work to a budget and stop it by raising.
     """
-    full = g.full_mask
+    full = g.full_mask if within is None else within
     nb = g.closed_bits
-    stack = [(0, 0, 0)]
+    stack = [(0, 0, forbidden)]
     while stack:
+        if on_node is not None:
+            on_node()
         chosen, dominated, forbidden = stack.pop()
-        if dominated == full:
+        undominated = full & ~dominated
+        if not undominated:
             yield chosen
             continue
         allowed = full & ~forbidden
         if independent:
             allowed &= ~dominated
-        v = min(iter_bits(full & ~dominated), key=lambda w: (nb[w] & allowed).bit_count())
+        v = min(iter_bits(undominated), key=lambda w: (nb[w] & allowed).bit_count())
         branches = nb[v] & allowed
         while branches:  # pushed highest first, so the lowest is searched first
             u = branches.bit_length() - 1
             branches ^= 1 << u
             child = chosen | 1 << u
-            if independent or _irredundant(nb, child):
+            if independent or _irredundant(nb, child, full):
                 # the lower branches, searched before this one, are forbidden in it
                 stack.append((child, dominated | nb[u], forbidden | branches))
 
 
-def _irredundant(nb: Sequence[int], chosen: int) -> bool:
-    """Every member of ``chosen`` dominates some vertex no other member does."""
+def _irredundant(nb: Sequence[int], chosen: int, full: int) -> bool:
+    """Every member of ``chosen`` dominates some vertex of ``full`` no other member does."""
     once = twice = 0
     for w in iter_bits(chosen):
         twice |= once & nb[w]
         once |= nb[w]
-    return all(nb[w] & ~twice for w in iter_bits(chosen))
+    return all(nb[w] & full & ~twice for w in iter_bits(chosen))
 
 
 def _enumerate(g: Graph, kind: FamilyKind, max_vertices: int, max_sets: int) -> SetFamily:

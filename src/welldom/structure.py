@@ -11,7 +11,10 @@ The vocabulary used across the package:
   well-dominated weight space.  A pendant vertex is always anchored; an ear
   vertex v on a triangle (v, a, b) is anchored iff every maximal independent
   set of the zone beyond v's distance-2 ball dominates at least one of the
-  two boundary tracks N(a) and N(b) restricted to v's second sphere.
+  two boundary tracks N(a) and N(b) restricted to v's second sphere.  Those
+  sets are never listed: one pair of track vertices at a time, the question
+  is decided inside v's distance-4 ball (see anchored_fringe_vertices), so
+  an ear costs work bounded by that ball, not by the far zone's sets.
 
 ComponentFacts holds these tables, the cycle profile and the special form of
 one connected component, computed once for every engine to read, together
@@ -26,22 +29,19 @@ same weight, and there is no choice of subset to make or to check.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .graphs import (
     Graph,
     components,
     contains_cycle_of_length,
-    distances_from,
     induced_subgraph,
     is_complete,
     is_isomorphic_small,
     iter_bits,
-    mask_of,
 )
 from .named_graphs import cycle_graph, triangle_tripod_graph
 from .oracle import (
@@ -153,42 +153,63 @@ def anchored_fringe_vertices(
 ) -> frozenset[int]:
     """The fringe vertices whose weight stays free under well-domination.
 
-    Pendants qualify outright.  An ear v is tested by enumerating the maximal
-    independent sets of its component minus the distance-2 ball around v,
-    short-circuiting on the first set that dominates neither boundary track.
-    A set dominates a track iff it meets each track vertex's far-zone neighbour mask.
+    Pendants qualify outright.  An ear v on (a, b) is unanchored iff some
+    maximal independent set of the far zone (v's component minus its 2-ball
+    B = N[a] | N[b]) misses the far neighbours of a track vertex t of a and
+    of a track vertex t' of b, the tracks being N(a) - N[v] and N(b) - N[v].
+    Each pair is decided in its distance-4 neighbourhood: with X the far
+    neighbours of t and t' and C = N(X) - B - X, such a set exists iff
+    G[X | C] has a maximal independent set that avoids X, that is iff some
+    independent subset of C dominates X.
+      * A far-zone set that misses X dominates X, so its part in C is one.
+      * One in C grows greedily into a far-zone set that never takes a
+        vertex of X, each being dominated already.
+    The pairs are tried in order and the first that passes decides v.
+
+    Every search node of an ear's pair checks is charged to
+    ``budget.max_sets``; past it a BudgetExceededError names the ear and
+    carries the vertices decided so far.
     """
     partners = ear_partners(g)
+    nb = g.closed_bits
+    abits = g.adjacency_bits
     decided: dict[int, bool] = {}
+    nodes = 0
+
+    def charge() -> None:
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget.max_sets:
+            raise BudgetExceededError(
+                f"more than {budget.max_sets} search nodes while "
+                f"classifying fringe vertex {v if g.names is None else g.names[v]}",
+                partial=dict(decided),
+            )
+
     for v in sorted(_fringe(g, partners)):
         if v not in partners:
             decided[v] = True  # pendant
             continue
-        dist = distances_from(g, (v,))
-        tracks = [[u for u in g.adj[x] if dist[u] == 2] for x in partners[v]]  # N(a), N(b) at distance 2
-        if not all(tracks):
-            # an empty track is trivially dominated by every set
-            decided[v] = True
-            continue
-        far = [u for u in range(g.n) if 2 < dist[u] < math.inf]  # v's component minus its 2-ball
-        sub, index = induced_subgraph(g, far)
-        # a track as the masks of its vertices' far-zone neighbours, in sub's numbering
-        track_a, track_b = (
-            [mask_of(index[w] for w in g.adj[u] if w in index) for u in track] for track in tracks
+        a, b = partners[v]
+        ball = nb[a] | nb[b]
+        # the tracks N(a) - N[v] and N(b) - N[v], each vertex as the mask of
+        # its far neighbours; an empty track leaves no pair, and v anchored
+        track_a, track_b = ([abits[t] & ~ball for t in iter_bits(abits[x] & ~nb[v])] for x in (a, b))
+        nodes = 0
+        decided[v] = not any(
+            _far_set_avoids(g, xa | xb, ball, charge) for xa in track_a for xb in track_b
         )
-        anchored = True
-        for count, m in enumerate(iter_set_masks(sub, True), 1):
-            if count > budget.max_sets:
-                raise BudgetExceededError(
-                    f"more than {budget.max_sets} maximal independent sets while "
-                    f"classifying fringe vertex {v if g.names is None else g.names[v]}",
-                    partial=dict(decided),
-                )
-            if not (all(m & t for t in track_a) or all(m & t for t in track_b)):
-                anchored = False
-                break
-        decided[v] = anchored
     return frozenset(v for v, ok in decided.items() if ok)
+
+
+def _far_set_avoids(g: Graph, far: int, ball: int, on_node: Callable[[], None]) -> bool:
+    """Whether a maximal independent set of the far zone (outside ``ball``)
+    avoids ``far``, decided as whether one of G[far | C] does, C being the
+    neighbours of ``far`` outside ``ball``."""
+    reach = 0
+    for x in iter_bits(far):
+        reach |= g.adjacency_bits[x]
+    return next(iter_set_masks(g, True, far | reach & ~ball, far, on_node), None) is not None
 
 
 def independence_number(g: Graph, budget: EnumerationBudget = DEFAULT_BUDGET) -> int:
@@ -271,7 +292,11 @@ class ComponentFacts:
 
     @cached_property
     def anchored(self) -> frozenset[int]:
-        return anchored_fringe_vertices(self.graph, self.budget)
+        try:
+            return anchored_fringe_vertices(self.graph, self.budget)
+        except BudgetExceededError as err:
+            err.partial = {self.labels[v]: ok for v, ok in err.partial.items()}
+            raise
 
     @cached_property
     def piece_vectors(self) -> tuple[dict[int, int], ...]:

@@ -1,10 +1,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 import hypothesis.strategies as st
 
-from welldom.graphs import Graph, mask_of, set_of
+from welldom.graphs import Graph, induced_subgraph, mask_of, set_of
 from welldom.named_graphs import (
     complete_bipartite_graph,
     cycle_graph,
@@ -45,6 +45,19 @@ class TestMaximalIndependentEnumeration:
     def test_empty_graph_has_empty_maximal_set(self):
         family = enumerate_maximal_independent_sets(Graph.from_edges(0, []))
         assert family.sets == (frozenset(),)
+
+    # on the path 0-1-2-3 inside {1, 2, 3}, {1, 2} is not minimal: 1's only
+    # private neighbour, 0, lies outside
+    @given(graphs(max_n=8), st.integers(0, 255), st.integers(0, 255))
+    @example(path_graph(4), 0b1110, 0)
+    def test_start_state_lists_the_sets_of_the_subgraph(self, g, within, forbidden):
+        within &= g.full_mask
+        kept = sorted(set_of(within))
+        sub, _ = induced_subgraph(g, kept)  # vertex i of sub is kept[i]
+        for independent, brute in ((True, brute_maximal_independent), (False, brute_minimal_dominating)):
+            masks = (mask_of(kept[i] for i in s) for s in brute(sub))
+            expected = sorted(m for m in masks if not m & forbidden)
+            assert sorted(iter_set_masks(g, independent, within, forbidden)) == expected
 
     def test_search_depth_is_not_bounded_by_the_stack(self):
         g = path_graph(3000)

@@ -115,12 +115,17 @@ class TestAnchoredFringe:
         g = fringe_gap_graph()
         with pytest.raises(BudgetExceededError) as err:
             anchored_fringe_vertices(g, EnumerationBudget(max_sets=1))
-        assert str(err.value) == "more than 1 maximal independent sets while classifying fringe vertex 0"
+        assert str(err.value) == "more than 1 search nodes while classifying fringe vertex 0"
         assert err.value.partial == {}
         # a component's message names the vertex by its whole-graph label
         shifted = Graph.from_edges(12, [(0, 1)] + [(u + 2, v + 2) for u, v in g.edges()])
         with pytest.raises(BudgetExceededError, match="fringe vertex 2$"):
             characterized_wwd_basis(shifted, EnumerationBudget(max_sets=1))
+        # and its partial keys the vertices decided before, pendant 2 here, the same way
+        pendant = Graph.from_edges(13, [(0, 1), (2, 12)] + [(u + 3, v + 3) for u, v in g.edges()])
+        with pytest.raises(BudgetExceededError, match="fringe vertex 3$") as err:
+            characterized_wwd_basis(pendant, EnumerationBudget(max_sets=1))
+        assert err.value.partial == {2: True}
 
     # the gap graph's ear is unanchored; the graph6 graphs are the known WWD
     # faults, whose ears have two non-empty tracks
@@ -130,6 +135,12 @@ class TestAnchoredFringe:
     @example(parse_graph("HK_R?Kg", "graph6"))
     @example(parse_graph("KhOOS?C?gHH?", "graph6"))
     def test_matches_definition(self, g):
+        assert anchored_fringe_vertices(g) == anchored_by_definition(g)
+
+    # far zones with cycles, ears on 4- and 5-cycles, track vertices with no
+    # far neighbour: the local test is exact on any graph, not only the family
+    @given(graphs(max_n=10))
+    def test_matches_definition_on_general_graphs(self, g):
         assert anchored_fringe_vertices(g) == anchored_by_definition(g)
 
 

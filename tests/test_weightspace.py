@@ -1,7 +1,9 @@
+import random
+
 import pytest
 from hypothesis import given
 
-from welldom.analysis import characterized_wcw_basis
+from welldom.analysis import characterized_wcw_basis, characterized_wwd_basis
 from welldom.generators import GeneratorConfig, generate_family
 from welldom.graphs import Graph, induced_subgraph
 from welldom.linalg import constants_space, row_space, subspace_contains, subspace_equal
@@ -191,6 +193,22 @@ class TestPieceVectors:
         g = windmill(40)
         pieces = [{0: 1, 2 * i + 1: 1, 2 * i + 2: 1} for i in range(40)]
         assert characterized_wcw_basis(g).basis == row_space(pieces, g.n)
+
+
+class TestInvariantsAtScale:
+    def test_two_thousand_vertex_eared_tree(self):
+        # far beyond the oracle: the invariants that need no enumeration, with
+        # the default budget (the far-zone enumeration exceeded it here)
+        rng = random.Random(1)
+        edges = [(rng.randrange(v), v) for v in range(1, 1700)]
+        for i, (u, v) in enumerate(rng.sample(edges, 300)):
+            edges += [(u, 1700 + i), (v, 1700 + i)]
+        g = Graph.from_edges(2000, edges)
+        (facts,) = component_facts(g)
+        wcw = characterized_wcw_basis(g).basis
+        wwd = characterized_wwd_basis(g).basis
+        assert wcw.dimension == len(facts.fringe_pieces)
+        assert subspace_contains(wcw, wwd)
 
 
 class TestDimensionReport:
