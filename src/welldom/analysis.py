@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, fields
-from fractions import Fraction
 from typing import Sequence
 
 from .generators import GeneratorConfig, generate_family
@@ -26,7 +25,6 @@ from .oracle import (
     SetFamily,
     enumerate_maximal_independent_sets,
     enumerate_minimal_dominating_sets,
-    set_weight,
     weight_space_from_family,
 )
 from .structure import (
@@ -467,7 +465,8 @@ def run_property_sweep(
     recognizable = {4, 5} <= cfg.forbidden_cycles
     for index, g in enumerate(generate_family(cfg)):
         checked += 1
-        weights = [Fraction(weight_rng.randint(0, 12), weight_rng.randint(1, 4)) for _ in range(g.n)]
+        # the weight a/b scaled by 12, exact since b divides 12
+        weights = [12 * weight_rng.randint(0, 12) // weight_rng.randint(1, 4) for _ in range(g.n)]
         try:
             ind = enumerate_maximal_independent_sets(g, budget)
             dom = enumerate_minimal_dominating_sets(g, budget)
@@ -491,15 +490,15 @@ def _replay_label(cfg: GeneratorConfig, index: int, g: Graph) -> str:
 
 
 def _sweep_problems(
-    ind: SetFamily, dom: SetFamily, weights: list[Fraction],
+    ind: SetFamily, dom: SetFamily, weights: list[int],
     facts: Sequence[ComponentFacts] | None, characterized: bool,
 ) -> list[str]:
     """The invariants one sweep graph breaks; ``facts`` only without 4- and 5-cycles."""
     problems: list[str] = []
     if not (min(dom.sizes()) <= min(ind.sizes()) <= max(ind.sizes()) <= max(dom.sizes())):
         problems.append("domination chain violated")
-    ind_weights = [set_weight(weights, s) for s in ind.sets]
-    dom_weights = [set_weight(weights, s) for s in dom.sets]
+    ind_weights = [sum(map(weights.__getitem__, s)) for s in ind.sets]
+    dom_weights = [sum(map(weights.__getitem__, s)) for s in dom.sets]
     if not (min(dom_weights) <= min(ind_weights) <= max(ind_weights) <= max(dom_weights)):
         problems.append("weighted domination chain violated")
     if facts is None:

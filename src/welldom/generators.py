@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterator
 
-from .graphs import Graph, contains_cycle_of_length
+from .graphs import Graph, cycle_lengths, excludes_cycles
 from .oracle import BudgetExceededError
 
 SAMPLING_ATTEMPTS = 300
@@ -83,7 +83,7 @@ def sample_cycle_free(
             if rng.random() < edge_probability
         ]
         g = Graph.from_edges(n, edges)
-        if all(not contains_cycle_of_length(g, k) for k in forbidden_cycles):
+        if excludes_cycles(g, forbidden_cycles):
             return g
     raise BudgetExceededError(
         f"no sample free of cycle lengths {sorted(forbidden_cycles)} within "
@@ -113,9 +113,9 @@ def generate_family(cfg: GeneratorConfig) -> Iterator[Graph]:
         else:
             n = rng.randint(1, cfg.max_n)
             g = sample_cycle_free(rng, n, _sparse_probability(n), cfg.forbidden_cycles)
-        bad = [k for k in cfg.forbidden_cycles if contains_cycle_of_length(g, k)]
+        bad = cycle_lengths(g, cfg.forbidden_cycles)
         if bad:
-            raise RuntimeError(f"generator bug: emitted graph with cycle lengths {bad}")
+            raise RuntimeError(f"generator bug: emitted graph with cycle lengths {sorted(bad)}")
         yield g
 
 

@@ -3,8 +3,8 @@
 Vertices are dense 0-based indices.  Adjacency is stored as a tuple of
 frozensets; bitmask views (bit i of a mask <-> vertex i) are cached for the
 enumeration-heavy callers.  Everything here is exact: distances are BFS
-integers, cycle tests are exhaustive path searches, and the two text formats
-round-trip bit for bit.
+integers, the cycle search prunes only paths that cannot close a wanted
+cycle, and the two text formats round-trip bit for bit.
 """
 
 from __future__ import annotations
@@ -309,37 +309,93 @@ def components(g: Graph) -> list[frozenset[int]]:
 # -- cycle search ----------------------------------------------------------------
 
 
+def cycle_lengths(g: Graph, lengths: Iterable[int]) -> frozenset[int]:
+    """The lengths among ``lengths`` at which some distinct vertices of g form
+    a cycle subgraph (not necessarily induced)."""
+    return frozenset(_iter_cycle_lengths(g, lengths))
+
+
 def contains_cycle_of_length(g: Graph, k: int) -> bool:
-    """Whether some k distinct vertices form a cycle subgraph (not necessarily induced).
-
-    Exhaustive DFS over simple paths whose start is the smallest vertex of the
-    would-be cycle, so every cycle is searched from exactly one root.
-    """
-    if k < 3:
-        raise ValueError(f"cycle length must be at least 3, got {k}")
-    n = g.n
-    if k > n:
-        return False
-    abits = g.adjacency_bits
-
-    def walk(start_bit: int, higher: int, v: int, used: int, remaining: int) -> bool:
-        if remaining == 0:
-            return bool(abits[v] & start_bit)
-        cand = abits[v] & higher & ~used
-        for u in iter_bits(cand):
-            if walk(start_bit, higher, u, used | (1 << u), remaining - 1):
-                return True
-        return False
-
-    for s in range(n - k + 1):
-        higher = g.full_mask & ~((1 << (s + 1)) - 1)
-        if walk(1 << s, higher, s, 0, k - 1):
-            return True
-    return False
+    return k in cycle_lengths(g, (k,))
 
 
 def excludes_cycles(g: Graph, lengths: Iterable[int]) -> bool:
-    return not any(contains_cycle_of_length(g, k) for k in lengths)
+    return next(_iter_cycle_lengths(g, lengths), None) is None
+
+
+def _iter_cycle_lengths(g: Graph, lengths: Iterable[int]) -> Iterator[int]:
+    """Yield each wanted length once, as a cycle of that length turns up.
+
+    Each cycle is searched from its smallest vertex s, and three rules keep
+    the search small without changing its answer:
+
+    - the search from s stays inside the 2-core of G[{s} | higher vertices]
+      (vertices of degree < 2 removed until none is left): no cycle passes
+      through a removed vertex.  One peeling of g, then one more after each
+      root leaves, keeps this core up to date;
+    - a path of k edges from s extends to u only if u is within distance
+      min(top - k, top // 2) of s in that core, where top is the largest
+      length still wanted and k counts the new edge: the cycle must still
+      close within top edges, and each vertex of a cycle of length <= top is
+      at most top // 2 from s along it;
+    - the search stops once every wanted length has been found.
+    """
+    wanted = set(lengths)
+    if any(k < 3 for k in wanted):
+        raise ValueError(f"cycle length must be at least 3, got {min(wanted)}")
+    abits = g.adjacency_bits
+    degree = [len(nbrs) for nbrs in g.adj]
+    core = _peel(abits, degree, g.full_mask, [v for v in range(g.n) if degree[v] < 2])
+    while wanted and core.bit_count() >= min(wanted):
+        start = core & -core
+        s = start.bit_length() - 1
+        top = max(wanted)
+        ball = _balls(abits, s, core, top // 2)
+        stack = [(s, start, 0)]
+        while stack:
+            v, used, k = stack.pop()
+            if k >= 2 and abits[v] & start and k + 1 in wanted:
+                wanted.discard(k + 1)
+                yield k + 1
+                if not wanted:
+                    return
+                top = max(wanted)
+            radius = min(top - k - 1, top // 2)
+            if radius < 1:
+                continue
+            step = abits[v] & ball[radius] & ~used
+            while step:
+                low = step & -step
+                stack.append((low.bit_length() - 1, used | low, k + 1))
+                step ^= low
+        core = _peel(abits, degree, core, [s])
+
+
+def _peel(abits: tuple[int, ...], degree: list[int], core: int, doomed: list[int]) -> int:
+    """Remove ``doomed`` from the vertex mask ``core``, then every vertex whose
+    degree inside it drops below 2, until none is left.  ``degree`` is kept
+    up to date for the vertices that remain."""
+    while doomed:
+        v = doomed.pop()
+        core &= ~(1 << v)
+        for u in iter_bits(abits[v] & core):
+            degree[u] -= 1
+            if degree[u] == 1:
+                doomed.append(u)
+    return core
+
+
+def _balls(abits: tuple[int, ...], s: int, allowed: int, radius: int) -> list[int]:
+    """``ball[r]``: the vertices of G[allowed] within distance r of s, r <= radius."""
+    ball = [1 << s]
+    frontier = ball[0]
+    for _ in range(radius):
+        reached = 0
+        for v in iter_bits(frontier):
+            reached |= abits[v]
+        frontier = reached & allowed & ~ball[-1]
+        ball.append(ball[-1] | frontier)
+    return ball
 
 
 # -- isomorphism -------------------------------------------------------------------
@@ -390,6 +446,7 @@ __all__ = [
     "ParseError",
     "components",
     "contains_cycle_of_length",
+    "cycle_lengths",
     "distances_from",
     "excludes_cycles",
     "induced_subgraph",

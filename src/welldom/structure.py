@@ -37,7 +37,7 @@ from typing import Callable, Iterable, Sequence
 from .graphs import (
     Graph,
     components,
-    contains_cycle_of_length,
+    cycle_lengths,
     induced_subgraph,
     is_complete,
     is_isomorphic_small,
@@ -336,7 +336,7 @@ def component_facts(
             ComponentFacts(
                 graph=sub,
                 labels=tuple(sorted(comp)),
-                cycles=frozenset(k for k in CYCLE_LENGTHS if contains_cycle_of_length(sub, k)),
+                cycles=cycle_lengths(sub, CYCLE_LENGTHS),
                 special_form=special_form_of(sub),
                 fringe=fringe,
                 ear_partners=partners,

@@ -146,7 +146,7 @@ class TestAnalyzeReport:
         counts: Counter = Counter()
         modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "welldom"]
         for module_name, attr in (
-            ("welldom.graphs", "contains_cycle_of_length"),
+            ("welldom.graphs", "cycle_lengths"),
             ("welldom.graphs", "is_isomorphic_small"),
             ("welldom.structure", "anchored_fringe_vertices"),
             ("welldom.linalg", "nullspace"),
@@ -164,7 +164,7 @@ class TestAnalyzeReport:
                     if value is original:
                         monkeypatch.setattr(module, key, counted)
         analyze(fringe_gap_graph())
-        assert counts["contains_cycle_of_length"] <= 5  # one per length 3..7
+        assert counts["cycle_lengths"] == 1  # one profile for the one component
         assert counts["anchored_fringe_vertices"] == 1
         assert counts["is_isomorphic_small"] <= 1
         # one null space per oracle space, each reducing twice; one reduction

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -67,6 +68,20 @@ class TestFamilyStream:
         second = [serialize_graph(g) for g in generate_family(cfg)]
         assert first == second
         assert len(first) == 40
+
+    @pytest.mark.parametrize(
+        "max_n, forbidden, seed, count, digest",
+        [
+            (12, {4, 5, 6}, 77, 380, "22f1de6c1c8c0d0e8ee5b260b10ecf2a5896b4ea1abe77563a340d4dd6b22ad6"),
+            (10, {4, 5}, 20260814, 620, "28d2b9f49a8606d2f52cf860133f76f9bdf0a072504f313e5fe646969e889863"),
+        ],
+    )
+    def test_criterion_streams_are_pinned(self, max_n, forbidden, seed, count, digest):
+        # the criterion-7 and criterion-6 families; a changed rejection test
+        # must not shift the graphs they draw
+        cfg = GeneratorConfig(max_n=max_n, forbidden_cycles=frozenset(forbidden), seed=seed, count=count)
+        text = "".join(serialize_graph(g, "graph6") for g in generate_family(cfg))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_different_seeds_differ(self):
         base = GeneratorConfig(max_n=8, seed=1, count=30)

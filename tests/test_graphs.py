@@ -2,7 +2,7 @@ import math
 
 import networkx as nx
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 import hypothesis.strategies as st
 
 from welldom.graphs import (
@@ -10,6 +10,7 @@ from welldom.graphs import (
     ParseError,
     components,
     contains_cycle_of_length,
+    cycle_lengths,
     distances_from,
     excludes_cycles,
     induced_subgraph,
@@ -26,7 +27,7 @@ from welldom.named_graphs import (
     triangle_tripod_graph,
 )
 
-from conftest import brute_has_cycle, graphs
+from conftest import brute_has_cycle, eared_trees, graphs
 
 
 class TestGraphBasics:
@@ -134,10 +135,39 @@ class TestComponents:
         assert sorted(v for c in comps for v in c) == list(range(g.n))
 
 
+# a 7-cycle 0..6 with the path 7-8-9-10 hung on vertex 3, three steps from 0
+SEVEN_CYCLE_WITH_TAIL = Graph.from_edges(
+    11, [(i, (i + 1) % 7) for i in range(7)] + [(3, 7), (7, 8), (8, 9), (9, 10)]
+)
+# the path 0..8 ending in the triangle 8-9-10
+TRIANGLE_ON_TAIL = Graph.from_edges(11, [(i, i + 1) for i in range(9)] + [(8, 10), (9, 10)])
+# a triangle and a 7-cycle through vertex 0: finding the triangle must not
+# narrow the search for the 7-cycle
+SHARED_ROOT = Graph.from_edges(9, [(i, (i + 1) % 7) for i in range(7)] + [(0, 7), (7, 8), (0, 8)])
+
+
 class TestCycleDetection:
     @given(graphs(max_n=7), st.integers(3, 7))
     def test_matches_brute_force(self, g, k):
         assert contains_cycle_of_length(g, k) == brute_has_cycle(g, k)
+
+    @given(st.one_of(graphs(max_n=9), eared_trees(max_n=9)), st.sets(st.integers(3, 7)))
+    @example(cycle_graph(8), set(range(3, 8)))
+    @example(SEVEN_CYCLE_WITH_TAIL, set(range(3, 8)))
+    @example(TRIANGLE_ON_TAIL, set(range(3, 8)))
+    @example(SHARED_ROOT, set(range(3, 8)))
+    def test_profile_matches_brute_force(self, g, lengths):
+        present = {k for k in lengths if brute_has_cycle(g, k)}
+        assert cycle_lengths(g, lengths) == present
+        assert excludes_cycles(g, lengths) == (not present)
+
+    def test_profile_examples(self):
+        assert cycle_lengths(cycle_graph(8), range(3, 8)) == frozenset()
+        assert cycle_lengths(SEVEN_CYCLE_WITH_TAIL, range(3, 8)) == {7}
+        assert cycle_lengths(TRIANGLE_ON_TAIL, range(3, 8)) == {3}
+        assert cycle_lengths(SHARED_ROOT, range(3, 8)) == {3, 7}
+        assert cycle_lengths(complete_graph(5), ()) == frozenset()
+        assert cycle_lengths(complete_graph(5), (3, 6)) == {3}  # 6 > n
 
     def test_cycle_graph_has_only_its_length(self):
         g = cycle_graph(6)
@@ -147,10 +177,15 @@ class TestCycleDetection:
     def test_short_lengths_rejected(self):
         with pytest.raises(ValueError):
             contains_cycle_of_length(path_graph(3), 2)
+        with pytest.raises(ValueError):
+            cycle_lengths(complete_graph(4), (2, 3))
+        with pytest.raises(ValueError):
+            excludes_cycles(complete_graph(4), (2,))
 
     def test_excludes_cycles(self):
         assert excludes_cycles(triangle_tripod_graph(), (4, 5, 6))
         assert not excludes_cycles(triangle_tripod_graph(), (3,))
+        assert excludes_cycles(complete_graph(5), ())
 
 
 class TestIsomorphism:
