@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, fields
+from fractions import Fraction
 from typing import Sequence
 
 from .generators import GeneratorConfig, generate_family
 from .graphs import Graph, serialize_graph
-from .linalg import SubspaceBasis, Vector, dense_row, subspace_contains, subspace_equal
+from .linalg import SubspaceBasis, subspace_contains, subspace_equal
 from .oracle import (
     DEFAULT_BUDGET,
     BudgetExceededError,
@@ -68,13 +69,13 @@ def _direct_sum(
     in RREF, and the rows of all components, sorted by embedded pivot, are
     the RREF of the direct sum.
     """
-    rows: list[tuple[int, Vector]] = []
+    rows: list[tuple[int, dict[int, Fraction]]] = []
     notes: list[str] = []
     for f, outcome in zip(facts, outcomes):
+        labels = f.labels
         for row, pivot in zip(outcome.basis.sparse_rows, outcome.basis.pivots):
-            wide = dense_row({f.labels[local]: value for local, value in row.items()}, n)
-            rows.append((f.labels[pivot], wide))
-        notes.extend(f"component at {f.labels[0]}: {note}" for note in outcome.notes)
+            rows.append((labels[pivot], {labels[local]: value for local, value in row.items()}))
+        notes.extend(f"component at {labels[0]}: {note}" for note in outcome.notes)
     rows.sort(key=lambda item: item[0])
     basis = SubspaceBasis(n, tuple(row for _, row in rows), tuple(pivot for pivot, _ in rows))
     forms = tuple(outcome.special_form for outcome in outcomes)

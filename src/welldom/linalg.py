@@ -7,7 +7,9 @@ structurally.
 
 Row reduction runs over sparse integer rows ({column: int}), reduced one
 input row at a time against a basis kept fully reduced and primitive; only
-that final basis is turned into ``Fraction`` rows.
+that final basis is turned into ``Fraction`` rows.  Bases stay sparse
+({column: Fraction}); dense rows of the ambient width are built only when
+read.
 """
 
 from __future__ import annotations
@@ -67,15 +69,21 @@ def _make_primitive(row: dict[int, int], lead: int) -> None:
             row[c] //= g
 
 
-def rref(rows: Iterable[Row], width: int) -> tuple[tuple[Vector, ...], tuple[int, ...]]:
+def rref(
+    rows: Iterable[Row], width: int
+) -> tuple[tuple[dict[int, Fraction], ...], tuple[int, ...]]:
     """Reduced row echelon form.  Returns the nonzero rows and pivot columns.
 
     Rows are dense sequences of length ``width`` or sparse {column: value}
-    dicts, with int or Fraction entries.
+    dicts, with int or Fraction entries.  The output rows are sparse:
+    {column: Fraction} with no zero entries, in pivot order.
     """
     # pivot column -> primitive integer row whose first nonzero column is the
     # pivot; every row is zero in every other row's pivot column
     basis: dict[int, dict[int, int]] = {}
+    # column -> pivots of the kept rows that are nonzero there, besides their
+    # own pivot; a new pivot is eliminated from exactly these rows
+    holders: dict[int, set[int]] = {}
     for raw in rows:
         row = _integer_row(raw, width)
         for pivot in [c for c in row if c in basis]:
@@ -84,23 +92,32 @@ def rref(rows: Iterable[Row], width: int) -> tuple[tuple[Vector, ...], tuple[int
             continue
         pivot = min(row)
         _make_primitive(row, pivot)
-        for lead, other in basis.items():
-            if pivot in other:
-                _eliminate(other, pivot, row)
-                _make_primitive(other, lead)
+        for lead in holders.pop(pivot, ()):
+            other = basis[lead]
+            _eliminate(other, pivot, row)
+            _make_primitive(other, lead)
+            # only the columns of ``row`` can appear in or vanish from ``other``
+            for c in row:
+                if c in other:
+                    holders.setdefault(c, set()).add(lead)
+                elif c != pivot:
+                    holders[c].discard(lead)
+        for c in row:
+            if c != pivot:
+                holders.setdefault(c, set()).add(pivot)
         basis[pivot] = row
     pivots = tuple(sorted(basis))
     out = []
     for pivot in pivots:
         row = basis[pivot]
         lead = row[pivot]
-        out.append(dense_row({c: Fraction(x, lead) for c, x in row.items()}, width))
+        out.append({c: Fraction(x, lead) for c, x in row.items()})
     return tuple(out), pivots
 
 
 def dense_row(entries: dict[int, Fraction], width: int) -> Vector:
     """The row of length ``width`` with these entries and zeros elsewhere."""
-    # every zero is one shared Fraction, which sparse_rows skips by identity
+    # every zero is one shared Fraction, which contains_vector skips by identity
     row = [_ZERO] * width
     for c, x in entries.items():
         row[c] = x
@@ -109,45 +126,58 @@ def dense_row(entries: dict[int, Fraction], width: int) -> Vector:
 
 @dataclass(frozen=True)
 class SubspaceBasis:
-    """Canonical (RREF) basis of a subspace of Q^ambient_dim."""
+    """Canonical (RREF) basis of a subspace of Q^ambient_dim.
+
+    ``sparse_rows`` holds each basis row as {column: nonzero entry}, in the
+    order of ``pivots``; the dense ``rows`` are built only when read.
+    """
 
     ambient_dim: int
-    rows: tuple[Vector, ...]
+    sparse_rows: tuple[dict[int, Fraction], ...]
     pivots: tuple[int, ...]
 
     @property
     def dimension(self) -> int:
-        return len(self.rows)
+        return len(self.sparse_rows)
 
     @cached_property
-    def sparse_rows(self) -> tuple[dict[int, Fraction], ...]:
-        """Each basis row as {column: nonzero entry}."""
-        # the identity test skips dense_row's shared zero without calling
-        # Fraction.__bool__; any other zero still fails ``x``
-        return tuple({c: x for c, x in enumerate(row) if x is not _ZERO and x} for row in self.rows)
+    def rows(self) -> tuple[Vector, ...]:
+        """Each basis row as a tuple of ``ambient_dim`` entries."""
+        return tuple(dense_row(row, self.ambient_dim) for row in self.sparse_rows)
+
+    @cached_property
+    def _row_at(self) -> dict[int, dict[int, Fraction]]:
+        return dict(zip(self.pivots, self.sparse_rows))
+
+    def _spans(self, vector: dict[int, Fraction]) -> bool:
+        """Whether the sparse ``vector`` lies in the span; it is reduced in place."""
+        # a basis row is zero in the other rows' pivot columns, so each pivot
+        # column of the vector is cleared by its own row, in any order
+        row_at = self._row_at
+        for pc in [c for c in vector if c in row_at]:
+            coefficient = vector[pc]
+            for j, y in row_at[pc].items():
+                x = vector.get(j, 0) - coefficient * y
+                if x:
+                    vector[j] = x
+                else:
+                    del vector[j]
+        return not vector
 
     def contains_vector(self, vector: Sequence[Fraction | int]) -> bool:
-        """Whether ``vector`` reduces to zero against the basis rows."""
+        """Whether the dense ``vector`` reduces to zero against the basis rows."""
         if len(vector) != self.ambient_dim:
             raise ValueError(f"row has {len(vector)} entries, expected {self.ambient_dim}")
-        v = {c: Fraction(x) for c, x in enumerate(vector) if x is not _ZERO and x}
-        for row, pc in zip(self.sparse_rows, self.pivots):
-            c = v.get(pc)
-            if c:
-                for j, y in row.items():
-                    x = v.get(j, 0) - c * y
-                    if x:
-                        v[j] = x
-                    else:
-                        del v[j]
-        return not v
+        return self._spans({c: Fraction(x) for c, x in enumerate(vector) if x is not _ZERO and x})
 
     def to_json_dict(self) -> dict:
-        return {
-            "ambient_dim": self.ambient_dim,
-            "dimension": self.dimension,
-            "basis": [[fraction_str(x) for x in row] for row in self.rows],
-        }
+        basis = []
+        for row in self.sparse_rows:
+            text = ["0/1"] * self.ambient_dim
+            for c, x in row.items():
+                text[c] = fraction_str(x)
+            basis.append(text)
+        return {"ambient_dim": self.ambient_dim, "dimension": self.dimension, "basis": basis}
 
 
 def row_space(rows: Iterable[Row], ambient_dim: int) -> SubspaceBasis:
@@ -182,13 +212,13 @@ def subspace_contains(outer: SubspaceBasis, inner: SubspaceBasis) -> bool:
         raise ValueError(
             f"ambient dimensions differ: {outer.ambient_dim} vs {inner.ambient_dim}"
         )
-    return all(outer.contains_vector(row) for row in inner.rows)
+    return all(outer._spans(dict(row)) for row in inner.sparse_rows)
 
 
 def subspace_equal(a: SubspaceBasis, b: SubspaceBasis) -> bool:
     if a.ambient_dim != b.ambient_dim:
         raise ValueError(f"ambient dimensions differ: {a.ambient_dim} vs {b.ambient_dim}")
-    return a.rows == b.rows
+    return a.sparse_rows == b.sparse_rows
 
 
 def fraction_str(x: Fraction) -> str:

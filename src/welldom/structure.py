@@ -267,9 +267,10 @@ class ComponentFacts:
     """What the engines read about one connected component, computed once.
 
     ``labels[v]`` is the whole-graph label of the component's vertex v.  The
-    partition and the anchored fringe (which enumerates, and which the
-    independent-set engines never read) are computed on first use, as are
-    the piece vectors, which the two weight-space engines share.
+    simplicial vertices, the partition and the anchored fringe (which
+    enumerates, and which the independent-set engines never read) are
+    computed on first use, as are the piece vectors, which the two
+    weight-space engines share.
     """
 
     graph: Graph
@@ -279,8 +280,11 @@ class ComponentFacts:
     fringe: frozenset[int]
     ear_partners: dict[int, tuple[int, int]]
     confined: dict[int, frozenset[int]]  # keyed by the vertices outside the fringe
-    simplicial: frozenset[int]
     budget: EnumerationBudget
+
+    @cached_property
+    def simplicial(self) -> frozenset[int]:
+        return simplicial_vertices(self.graph)
 
     @cached_property
     def fringe_pieces(self) -> tuple[tuple[int, ...], ...]:
@@ -325,11 +329,17 @@ def component_facts(
     g: Graph, budget: EnumerationBudget = DEFAULT_BUDGET
 ) -> tuple[ComponentFacts, ...]:
     """The facts of every connected component of ``g``, by smallest vertex."""
-    # each component keeps its whole-graph labels as vertex names, for messages
-    named = g if g.names is not None else Graph(g.n, g.adj, tuple(map(str, range(g.n))))
+    comps = components(g)
+    if len(comps) == 1:
+        # the labels are the identity, so ``g`` itself names every vertex as
+        # its component would
+        subs = [g]
+    else:
+        # each component keeps its whole-graph labels as vertex names, for messages
+        named = g if g.names is not None else Graph(g.n, g.adj, tuple(map(str, range(g.n))))
+        subs = [induced_subgraph(named, comp)[0] for comp in comps]
     out = []
-    for comp in components(g):
-        sub, _ = induced_subgraph(named, comp)
+    for comp, sub in zip(comps, subs):
         partners = ear_partners(sub)
         fringe = _fringe(sub, partners)
         out.append(
@@ -341,7 +351,6 @@ def component_facts(
                 fringe=fringe,
                 ear_partners=partners,
                 confined={v: confined_neighbors(sub, v) for v in range(sub.n) if v not in fringe},
-                simplicial=simplicial_vertices(sub),
                 budget=budget,
             )
         )

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import sys
@@ -13,6 +14,7 @@ from welldom.analysis import (
     recognized_status,
     run_property_sweep,
 )
+from welldom.fixtures import builtin_fixtures
 from welldom.generators import GeneratorConfig, generate_family
 from welldom.graphs import Graph, induced_subgraph, parse_graph
 from welldom.linalg import row_space, subspace_equal
@@ -149,6 +151,7 @@ class TestAnalyzeReport:
             ("welldom.graphs", "cycle_lengths"),
             ("welldom.graphs", "is_isomorphic_small"),
             ("welldom.structure", "anchored_fringe_vertices"),
+            ("welldom.structure", "simplicial_vertices"),
             ("welldom.linalg", "nullspace"),
             ("welldom.linalg", "row_space"),
             ("welldom.oracle", "weight_space_from_family"),
@@ -172,6 +175,12 @@ class TestAnalyzeReport:
         assert counts["weight_space_from_family"] == 2
         assert counts["nullspace"] == 2
         assert counts["row_space"] == 2 * 2 + 2
+        # one table for the summary, one inside the simplicial partition search
+        assert counts["simplicial_vertices"] == 2
+        counts.clear()
+        characterized_wcw_basis(fringe_gap_graph())
+        characterized_wwd_basis(fringe_gap_graph())
+        assert counts["simplicial_vertices"] == 0
 
     def test_structure_budget_error_propagates(self):
         with pytest.raises(BudgetExceededError):
@@ -222,6 +231,21 @@ class TestJsonReport:
         second = json.dumps(analyze(triangle_with_pendants(2)).to_json_dict())
         assert first == second
         json.loads(first)  # round-trips
+
+    def test_reports_are_pinned(self):
+        """The JSON reports of the fixtures and the criterion-7 stream, byte for byte.
+
+        A change that means to alter a report (the WWD engine of ROADMAP
+        direction 1 will) updates this digest and records which reports
+        changed and why; any other change must leave it alone.
+        """
+        cfg = GeneratorConfig(max_n=12, forbidden_cycles=frozenset({4, 5, 6}), seed=77, count=380)
+        graphs = [fixture.graph for fixture in builtin_fixtures()] + list(generate_family(cfg))
+        digest = hashlib.sha256()
+        for g in graphs:
+            digest.update(json.dumps(analyze(g).to_json_dict()).encode() + b"\n")
+        assert len(graphs) == 15 + 380
+        assert digest.hexdigest() == "7a474bd6bc3efeced88fc47e4e0bdf657090f9607ff9210610e0620bf0eace8c"
 
 
 class TestPropertySweep:

@@ -1,12 +1,14 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 import hypothesis.strategies as st
 
+from welldom import linalg
 from welldom.linalg import (
     SubspaceBasis,
     constants_space,
+    dense_row,
     fraction_str,
     nullspace,
     row_space,
@@ -30,6 +32,30 @@ small_matrices = _matrices(fractions, 4, 5)
 # the shapes the engines feed in: 0/+-1 constraint and difference rows
 sign_matrices = _matrices(st.sampled_from([0, 0, 1, -1]), 12, 30)
 fraction_matrices = _matrices(fractions, 8, 12)
+# wide and sparse: a kept row gains and loses columns as later pivots are
+# eliminated from it
+wide_sparse_matrices = st.integers(1, 40).flatmap(
+    lambda width: st.lists(
+        st.dictionaries(
+            st.integers(0, width - 1), st.sampled_from([1, -1, 2, -3, Fraction(1, 2)]), max_size=4
+        ),
+        max_size=60,
+    ).map(lambda rows: (rows, width))
+)
+
+
+@st.composite
+def matrix_pairs(draw):
+    """Two matrices of one width, the second often built from rows of the first."""
+    width = draw(st.integers(1, 6))
+    row = st.lists(st.sampled_from([0, 0, 1, -1, 2]), min_size=width, max_size=width)
+    a = draw(st.lists(row, max_size=5))
+    b = draw(st.lists(st.sampled_from(a), max_size=4)) if a else []
+    return a, b + draw(st.lists(row, max_size=2)), width
+
+
+def dense(rows, width):
+    return tuple(dense_row(row, width) for row in rows)
 
 
 def dense_rref(rows, width):
@@ -55,7 +81,7 @@ def dense_rref(rows, width):
 class TestRref:
     def test_known_reduction(self):
         rows, pivots = rref([[2, 4], [1, 3]], 2)
-        assert rows == (
+        assert dense(rows, 2) == (
             (Fraction(1), Fraction(0)),
             (Fraction(0), Fraction(1)),
         )
@@ -63,13 +89,40 @@ class TestRref:
 
     def test_zero_rows_dropped(self):
         rows, pivots = rref([[0, 0], [1, 1], [2, 2]], 2)
-        assert rows == ((Fraction(1), Fraction(1)),)
+        assert dense(rows, 2) == ((Fraction(1), Fraction(1)),)
         assert pivots == (0,)
 
     @given(st.one_of(sign_matrices, fraction_matrices))
     def test_matches_dense_reference(self, matrix):
         rows, width = matrix
-        assert rref(rows, width) == dense_rref(rows, width)
+        reduced, pivots = rref(rows, width)
+        assert (dense(reduced, width), pivots) == dense_rref(rows, width)
+
+    @given(wide_sparse_matrices)
+    # row 0 loses column 2 and gains column 3 when pivot 1 is eliminated
+    # from it; the last two rows then read both changes off the column index
+    @example(([{0: 1, 1: 1, 2: 1}, {1: 1, 2: 1, 3: 1}, {3: 1}, {2: 1}], 4))
+    def test_wide_sparse_rows_match_dense_reference(self, matrix):
+        rows, width = matrix
+        reduced, pivots = rref(rows, width)
+        assert (dense(reduced, width), pivots) == dense_rref(dense(rows, width), width)
+        for row, pivot in zip(reduced, pivots):
+            assert min(row) == pivot and row[pivot] == 1
+            assert all(type(x) is Fraction and x for x in row.values())
+
+    def test_disjoint_rows_eliminate_nothing(self, monkeypatch):
+        calls = 0
+        eliminate = linalg._eliminate
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return eliminate(*args)
+
+        monkeypatch.setattr(linalg, "_eliminate", counted)
+        rows, pivots = rref([{2 * i: 2, 2 * i + 1: i + 1} for i in range(2000)], 4000)
+        assert calls == 0
+        assert len(rows) == 2000 and pivots == tuple(range(0, 4000, 2))
 
     @given(fraction_matrices)
     def test_sparse_rows_match_dense_rows(self, matrix):
@@ -95,7 +148,7 @@ class TestRref:
         rows, width = matrix
         reduced, pivots = rref(rows, width)
         for i, p in enumerate(pivots):
-            column = [row[p] for row in reduced]
+            column = [row.get(p, 0) for row in reduced]
             assert column[i] == 1
             assert all(x == 0 for j, x in enumerate(column) if j != i)
 
@@ -120,7 +173,7 @@ class TestNullspace:
         rows, width = matrix
         null = nullspace(rows, width)
         rerefed, pivots = rref(null.rows, width)
-        assert null.rows == rerefed and null.pivots == pivots
+        assert null.rows == dense(rerefed, width) and null.pivots == pivots
 
     def test_full_and_constants(self):
         assert nullspace([], 3).dimension == 3
@@ -151,6 +204,26 @@ class TestSubspaceOps:
         space = row_space(rows, width)
         for row in rows:
             assert space.contains_vector(row)
+
+
+class TestSparseBasis:
+    @given(sign_matrices)
+    def test_dense_rows_and_json_follow_sparse_rows(self, matrix):
+        rows, width = matrix
+        space = row_space(rows, width)
+        assert space.rows == dense(space.sparse_rows, width)
+        assert space.dimension == len(space.rows)
+        payload = space.to_json_dict()
+        assert payload["basis"] == [[fraction_str(x) for x in row] for row in space.rows]
+
+    @given(matrix_pairs())
+    def test_comparisons_agree_with_dense_rows(self, pair):
+        a_rows, b_rows, width = pair
+        a, b = row_space(a_rows, width), row_space(b_rows, width)
+        assert subspace_equal(a, b) == (a.rows == b.rows)
+        stacked = dense_rref(a.rows + b.rows, width)
+        assert subspace_contains(a, b) == (stacked == (a.rows, a.pivots))
+        assert subspace_contains(a, b) == all(a.contains_vector(row) for row in b.rows)
 
 
 class TestSerialization:

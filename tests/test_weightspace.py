@@ -195,20 +195,42 @@ class TestPieceVectors:
         assert characterized_wcw_basis(g).basis == row_space(pieces, g.n)
 
 
+def eared_tree(tree_n: int, ears: int) -> Graph:
+    """A random recursive tree on ``tree_n`` vertices, with one new vertex
+    joined to both ends of each of ``ears`` distinct tree edges."""
+    rng = random.Random(1)
+    edges = [(rng.randrange(v), v) for v in range(1, tree_n)]
+    for i, (u, v) in enumerate(rng.sample(edges, ears)):
+        edges += [(u, tree_n + i), (v, tree_n + i)]
+    return Graph.from_edges(tree_n + ears, edges)
+
+
+def path_corona(cells: int) -> Graph:
+    """A path on ``cells`` vertices, each with one pendant."""
+    edges = [(i, i + 1) for i in range(cells - 1)] + [(i, cells + i) for i in range(cells)]
+    return Graph.from_edges(2 * cells, edges)
+
+
 class TestInvariantsAtScale:
-    def test_two_thousand_vertex_eared_tree(self):
-        # far beyond the oracle: the invariants that need no enumeration, with
-        # the default budget (the far-zone enumeration exceeded it here)
-        rng = random.Random(1)
-        edges = [(rng.randrange(v), v) for v in range(1, 1700)]
-        for i, (u, v) in enumerate(rng.sample(edges, 300)):
-            edges += [(u, 1700 + i), (v, 1700 + i)]
-        g = Graph.from_edges(2000, edges)
+    # far beyond the oracle: the invariants that need no enumeration, with
+    # the default budget (the far-zone enumeration exceeded it on the
+    # 2,000-vertex tree)
+    @staticmethod
+    def check_invariants(g: Graph) -> None:
         (facts,) = component_facts(g)
         wcw = characterized_wcw_basis(g).basis
         wwd = characterized_wwd_basis(g).basis
         assert wcw.dimension == len(facts.fringe_pieces)
         assert subspace_contains(wcw, wwd)
+
+    def test_two_thousand_vertex_eared_tree(self):
+        self.check_invariants(eared_tree(1700, 300))
+
+    def test_eight_thousand_vertex_eared_tree(self):
+        self.check_invariants(eared_tree(6800, 1200))
+
+    def test_twelve_hundred_cell_path_corona(self):
+        self.check_invariants(path_corona(1200))
 
 
 class TestDimensionReport:
