@@ -24,23 +24,24 @@ Vector = tuple[Fraction, ...]
 Row = Sequence[Fraction | int] | dict[int, Fraction | int]  # dense, or sparse {column: value}
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def _integer_row(row: Row, width: int) -> dict[int, int]:
     """The nonzero entries of ``row``, scaled by the lcm of their denominators."""
     if isinstance(row, dict):
-        if any(not 0 <= c < width for c in row):
+        if row and not 0 <= min(row) <= max(row) < width:
             raise ValueError(f"sparse row has a column outside 0..{width - 1}")
-        items = list(row.items())
+        values, items = row.values(), row.items()
     else:
         if len(row) != width:
             raise ValueError(f"row has {len(row)} entries, expected {width}")
-        items = list(enumerate(row))
-    if not all(type(x) is int for _, x in items):
-        items = [(c, x if isinstance(x, Fraction) else Fraction(x)) for c, x in items]
-        scale = lcm(*(x.denominator for _, x in items))
-        items = [(c, x.numerator * (scale // x.denominator)) for c, x in items]
-    return {c: x for c, x in items if x}
+        values, items = row, enumerate(row)
+    if set(map(type, values)) <= {int}:
+        return {c: x for c, x in items if x}
+    fractions = [(c, x if isinstance(x, Fraction) else Fraction(x)) for c, x in items]
+    scale = lcm(*(x.denominator for _, x in fractions))
+    return {c: x.numerator * (scale // x.denominator) for c, x in fractions if x}
 
 
 def _eliminate(row: dict[int, int], pivot: int, by: dict[int, int]) -> None:
@@ -186,17 +187,28 @@ def row_space(rows: Iterable[Row], ambient_dim: int) -> SubspaceBasis:
 
 
 def nullspace(rows: Iterable[Row], ambient_dim: int) -> SubspaceBasis:
-    """Canonical basis of {x : R x = 0} for the constraint rows R."""
-    reduced = row_space(rows, ambient_dim)
-    # the standard vector of free column f: 1 at f, -R[r][f] at each pivot p_r
-    pivots = set(reduced.pivots)
-    vectors = {f: {f: 1} for f in range(ambient_dim) if f not in pivots}
-    for row, pc in zip(reduced.sparse_rows, reduced.pivots):
+    """Canonical basis of {x : R x = 0} for the constraint rows R.
+
+    One reduction, of R with its columns reversed (c -> n-1-c): each reduced
+    row then leads at its largest original column p and is nonzero only below
+    it.  So the vector of a free column f (1 at f, -R[r][f] at each pivot p_r)
+    is nonzero only at f and at pivots above f: it leads at its own free
+    column, where no other vector is nonzero, and the vectors already form
+    the canonical RREF basis.
+    """
+    last = ambient_dim - 1
+    flipped = (
+        {last - c: x for c, x in row.items()} if isinstance(row, dict) else row[::-1]
+        for row in rows
+    )
+    reduced, flipped_pivots = rref(flipped, ambient_dim)
+    pivots = {last - p for p in flipped_pivots}
+    vectors = {f: {f: _ONE} for f in range(ambient_dim) if f not in pivots}
+    for row, p in zip(reduced, flipped_pivots):
         for c, x in row.items():
-            if c != pc:
-                vectors[c][pc] = -x
-    # a second reduction canonicalizes the standard free-column basis
-    return row_space(vectors.values(), ambient_dim)
+            if c != p:
+                vectors[last - c][last - p] = -x
+    return SubspaceBasis(ambient_dim, tuple(vectors.values()), tuple(vectors))
 
 
 def constants_space(ambient_dim: int) -> SubspaceBasis:

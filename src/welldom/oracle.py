@@ -3,9 +3,12 @@
 Every decision the characterization engine makes can be re-derived here from
 first principles: list the maximal independent sets, list the minimal
 dominating sets, and read the answers off the families.  One search,
-``iter_set_masks``, lists both families.  Budgets keep it honest: a vertex
-gate per family, and ``max_sets`` on the number of finished sets of either
-family.  Exceeding one raises, never truncates silently.  The anchored
+``iter_set_masks``, lists both families.  For minimal dominating sets it
+carries, next to the dominated vertices, the ``twice`` mask of the vertices
+that two chosen vertices dominate, so a new member rechecks only the members
+it could have left without a private neighbor.  Budgets keep it honest: a
+vertex gate per family, and ``max_sets`` on the number of finished sets of
+either family.  Exceeding one raises, never truncates silently.  The anchored
 classification (``structure.anchored_fringe_vertices``) runs the same search
 from a start state and charges it search nodes, not sets, per ear: each of
 its checks stops at its first set, so finished sets would not bound its work.
@@ -18,7 +21,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
-from .graphs import Graph, iter_bits, set_of
+from .graphs import Graph, set_of
 from .linalg import SubspaceBasis, nullspace
 
 
@@ -81,26 +84,32 @@ def iter_set_masks(
 ) -> Iterator[int]:
     """All maximal independent (or all minimal dominating) sets as bitmasks.
 
-    Depth-first search over (chosen, dominated, forbidden) masks on an explicit
-    stack, so depth is not bounded by Python's recursion limit.  Each node
-    branches on which allowed closed neighbor covers the undominated vertex
-    with the fewest of them; earlier siblings are forbidden to later ones, so
-    every set is reached exactly once.  For independent sets only undominated
-    vertices are allowed; for dominating sets a branch is cut as soon as some
-    member has no private neighbor left, which no superset can restore.
+    Depth-first search over (chosen, dominated, twice, forbidden) masks on an
+    explicit stack, so depth is not bounded by Python's recursion limit.  Each
+    node branches on which allowed closed neighbor covers the undominated
+    vertex with the fewest of them (ties to the lowest vertex); earlier
+    siblings are forbidden to later ones, so every set is reached exactly
+    once.  For independent sets only undominated vertices are allowed.  For
+    dominating sets ``twice`` holds the vertices that two chosen vertices
+    dominate, and a branch is cut as soon as some member has no private
+    neighbor left, which no superset can restore.  A child only rechecks the
+    members whose closed neighborhood meets the vertices it newly doubles: the
+    parent passed the check, and the new member keeps as a private neighbor
+    the undominated vertex it was chosen to cover.
 
     The search may start from a state: it then lists the sets of G[within]
-    (default: all of g) that avoid ``forbidden``.  ``on_node`` is called once
-    per search node, before the node is expanded, so a caller can charge the
-    search's work to a budget and stop it by raising.
+    (default: all of g) that avoid ``forbidden``; private neighbors count only
+    inside ``within``.  ``on_node`` is called once per search node, before the
+    node is expanded, so a caller can charge the search's work to a budget and
+    stop it by raising.
     """
     full = g.full_mask if within is None else within
     nb = g.closed_bits
-    stack = [(0, 0, forbidden)]
+    stack = [(0, 0, 0, forbidden)]
     while stack:
         if on_node is not None:
             on_node()
-        chosen, dominated, forbidden = stack.pop()
+        chosen, dominated, twice, forbidden = stack.pop()
         undominated = full & ~dominated
         if not undominated:
             yield chosen
@@ -108,24 +117,37 @@ def iter_set_masks(
         allowed = full & ~forbidden
         if independent:
             allowed &= ~dominated
-        v = min(iter_bits(undominated), key=lambda w: (nb[w] & allowed).bit_count())
+        # the undominated vertex with the fewest allowed closed neighbors
+        fewest = full.bit_length() + 1
+        rest = undominated
+        while rest:
+            low = rest & -rest
+            w = low.bit_length() - 1
+            count = (nb[w] & allowed).bit_count()
+            if count < fewest:
+                v, fewest = w, count
+                if not count:
+                    break
+            rest ^= low
         branches = nb[v] & allowed
         while branches:  # pushed highest first, so the lowest is searched first
             u = branches.bit_length() - 1
             branches ^= 1 << u
-            child = chosen | 1 << u
-            if independent or _irredundant(nb, child, full):
+            if independent:
                 # the lower branches, searched before this one, are forbidden in it
-                stack.append((child, dominated | nb[u], forbidden | branches))
-
-
-def _irredundant(nb: Sequence[int], chosen: int, full: int) -> bool:
-    """Every member of ``chosen`` dominates some vertex of ``full`` no other member does."""
-    once = twice = 0
-    for w in iter_bits(chosen):
-        twice |= once & nb[w]
-        once |= nb[w]
-    return all(nb[w] & full & ~twice for w in iter_bits(chosen))
+                stack.append((chosen | 1 << u, dominated | nb[u], 0, forbidden | branches))
+                continue
+            doubled = twice | dominated & nb[u]
+            newly = doubled & ~twice & full
+            members = chosen if newly else 0
+            while members:  # recheck the members that dominate a newly doubled vertex
+                low = members & -members
+                members ^= low
+                cover = nb[low.bit_length() - 1]
+                if cover & newly and not cover & full & ~doubled:
+                    break
+            else:
+                stack.append((chosen | 1 << u, dominated | nb[u], doubled, forbidden | branches))
 
 
 def _enumerate(g: Graph, kind: FamilyKind, max_vertices: int, max_sets: int) -> SetFamily:
@@ -205,11 +227,8 @@ def weight_space_from_family(family: SetFamily) -> SubspaceBasis:
     first = family.sets[0]
     rows = []
     for s in family.sets[1:]:
-        row = [0] * family.n
-        for v in s:
-            row[v] += 1
-        for v in first:
-            row[v] -= 1
+        row = dict.fromkeys(s - first, 1)
+        row.update(dict.fromkeys(first - s, -1))
         rows.append(row)
     return nullspace(rows, family.n)
 

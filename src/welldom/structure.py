@@ -92,7 +92,12 @@ def simplicial_partition(g: Graph) -> SimplicialPartition | None:
     tried in ascending order of their centers.  The search keeps its own
     stack, so its depth (one level per cell) is not bounded by Python's.
     """
-    simp = sorted(simplicial_vertices(g))
+    return _partition_search(g, simplicial_vertices(g))
+
+
+def _partition_search(g: Graph, simplicial: frozenset[int]) -> SimplicialPartition | None:
+    """``simplicial_partition`` given the simplicial vertices of g."""
+    simp = sorted(simplicial)
     cells = {x: g.closed_bits[x] for x in simp}
     full = g.full_mask
 
@@ -292,7 +297,7 @@ class ComponentFacts:
 
     @cached_property
     def partition(self) -> SimplicialPartition | None:
-        return simplicial_partition(self.graph)
+        return _partition_search(self.graph, self.simplicial)
 
     @cached_property
     def anchored(self) -> frozenset[int]:

@@ -13,7 +13,7 @@ from itertools import combinations, permutations
 import hypothesis.strategies as st
 from hypothesis import settings
 
-from welldom.graphs import Graph
+from welldom.graphs import Graph, iter_bits
 
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
@@ -91,3 +91,40 @@ def brute_has_cycle(g: Graph, k: int) -> bool:
             if all(g.has_edge(walk[i], walk[(i + 1) % k]) for i in range(k)):
                 return True
     return False
+
+
+def reference_set_masks(g: Graph, independent: bool, within=None, forbidden=0, on_node=None):
+    """The oracle search as it was before it carried the ``twice`` mask: every
+    dominating child re-derives irredundance over all its members, and the
+    branch vertex is picked with ``min``.  ``iter_set_masks`` must yield the
+    same sequence and call ``on_node`` as often."""
+    full = g.full_mask if within is None else within
+    nb = g.closed_bits
+
+    def irredundant(chosen: int) -> bool:
+        once = twice = 0
+        for w in iter_bits(chosen):
+            twice |= once & nb[w]
+            once |= nb[w]
+        return all(nb[w] & full & ~twice for w in iter_bits(chosen))
+
+    stack = [(0, 0, forbidden)]
+    while stack:
+        if on_node is not None:
+            on_node()
+        chosen, dominated, forbidden = stack.pop()
+        undominated = full & ~dominated
+        if not undominated:
+            yield chosen
+            continue
+        allowed = full & ~forbidden
+        if independent:
+            allowed &= ~dominated
+        v = min(iter_bits(undominated), key=lambda w: (nb[w] & allowed).bit_count())
+        branches = nb[v] & allowed
+        while branches:
+            u = branches.bit_length() - 1
+            branches ^= 1 << u
+            child = chosen | 1 << u
+            if independent or irredundant(child):
+                stack.append((child, dominated | nb[u], forbidden | branches))

@@ -153,7 +153,7 @@ class TestAnalyzeReport:
             ("welldom.structure", "anchored_fringe_vertices"),
             ("welldom.structure", "simplicial_vertices"),
             ("welldom.linalg", "nullspace"),
-            ("welldom.linalg", "row_space"),
+            ("welldom.linalg", "rref"),
             ("welldom.oracle", "weight_space_from_family"),
         ):
             original = getattr(sys.modules[module_name], attr)
@@ -170,13 +170,13 @@ class TestAnalyzeReport:
         assert counts["cycle_lengths"] == 1  # one profile for the one component
         assert counts["anchored_fringe_vertices"] == 1
         assert counts["is_isomorphic_small"] <= 1
-        # one null space per oracle space, each reducing twice; one reduction
+        # one null space per oracle space, each one reduction; one reduction
         # per closed-form basis of the one component
         assert counts["weight_space_from_family"] == 2
         assert counts["nullspace"] == 2
-        assert counts["row_space"] == 2 * 2 + 2
-        # one table for the summary, one inside the simplicial partition search
-        assert counts["simplicial_vertices"] == 2
+        assert counts["rref"] == 2 + 2
+        # one table, shared by the summary and the simplicial partition search
+        assert counts["simplicial_vertices"] == 1
         counts.clear()
         characterized_wcw_basis(fringe_gap_graph())
         characterized_wwd_basis(fringe_gap_graph())

@@ -226,12 +226,34 @@ class TestUsageErrors:
         assert cli_main([]) == 2
 
 
-def test_runs_as_a_module():
+def _run_module(*argv: str) -> subprocess.CompletedProcess:
+    """``python -m welldom.cli ARGV`` in a fresh process."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-m", "welldom.cli", "fixtures"],
+    return subprocess.run(
+        [sys.executable, "-m", "welldom.cli", *argv],
         capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_runs_as_a_module():
+    done = _run_module("fixtures")
     assert done.returncode == 0, done.stderr
     assert len(done.stdout.strip().splitlines()) == 15
+
+
+def test_back_to_back_calls_match_fresh_processes(graph_file, capsys):
+    # cli_main keeps one parser per process; no call may see an earlier one
+    path = graph_file(triangle_with_pendants(1))
+    commands = [["analyze", path], ["wcw"], ["wcw", "--json", path]]
+    alone = []
+    for argv in commands:
+        done = _run_module(*argv)
+        alone.append((done.stdout, done.stderr, done.returncode))
+    together = []
+    for argv in commands:
+        code = cli_main(argv)
+        captured = capsys.readouterr()
+        together.append((captured.out, captured.err, code))
+    assert [code for _, _, code in together] == [0, 2, 0]
+    assert together == alone

@@ -175,6 +175,18 @@ class TestNullspace:
         rerefed, pivots = rref(null.rows, width)
         assert null.rows == dense(rerefed, width) and null.pivots == pivots
 
+    @given(st.one_of(small_matrices, wide_sparse_matrices))
+    def test_matches_two_pass_reference(self, matrix):
+        # reduce the rows, build the free-column vectors, reduce those again
+        rows, width = matrix
+        reduced, pivots = rref(rows, width)
+        vectors = {f: {f: 1} for f in range(width) if f not in pivots}
+        for row, p in zip(reduced, pivots):
+            for c, x in row.items():
+                if c != p:
+                    vectors[c][p] = -x
+        assert nullspace(rows, width) == row_space(vectors.values(), width)
+
     def test_full_and_constants(self):
         assert nullspace([], 3).dimension == 3
         c = constants_space(4)

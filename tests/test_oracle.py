@@ -27,7 +27,12 @@ from welldom.oracle import (
     well_dominated_weight_space_oracle,
 )
 
-from conftest import brute_maximal_independent, brute_minimal_dominating, graphs
+from conftest import (
+    brute_maximal_independent,
+    brute_minimal_dominating,
+    graphs,
+    reference_set_masks,
+)
 
 
 class TestMaximalIndependentEnumeration:
@@ -58,6 +63,29 @@ class TestMaximalIndependentEnumeration:
             masks = (mask_of(kept[i] for i in s) for s in brute(sub))
             expected = sorted(m for m in masks if not m & forbidden)
             assert sorted(iter_set_masks(g, independent, within, forbidden)) == expected
+
+    # same path and start state: the reference must prune {1, 2} exactly as
+    # the incremental check does, since 1's only private neighbour is outside
+    @given(
+        graphs(max_n=12),
+        st.one_of(st.none(), st.integers(0, (1 << 12) - 1)),
+        st.integers(0, (1 << 12) - 1),
+    )
+    @example(path_graph(4), 0b1110, 0)
+    def test_search_matches_reference_order_and_nodes(self, g, within, forbidden):
+        if within is not None:
+            within &= g.full_mask
+        for independent in (True, False):
+            runs = []
+            for search in (iter_set_masks, reference_set_masks):
+                nodes = 0
+
+                def count():
+                    nonlocal nodes
+                    nodes += 1
+
+                runs.append((list(search(g, independent, within, forbidden, count)), nodes))
+            assert runs[0] == runs[1]
 
     def test_search_depth_is_not_bounded_by_the_stack(self):
         g = path_graph(3000)
