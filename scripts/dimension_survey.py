@@ -6,7 +6,8 @@ dominating weight-space dimension against two candidate closed forms: the raw
 anchored-fringe count and the independence number of the anchored fringe
 subgraph.  The raw count overshoots whenever two anchored fringe vertices are
 adjacent (they share one free weight); the independence number is the one
-that actually matches.
+that matches wherever no forced ear rows couple two ears (README,
+"Dimensions and the anchored fringe").
 
     python3 scripts/dimension_survey.py --count 400 --max-n 12 --seed 77
 """

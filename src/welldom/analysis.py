@@ -86,18 +86,14 @@ def _characterized(facts: Sequence[ComponentFacts], engine, n: int) -> GlobalCha
     return _direct_sum(facts, [engine(f) for f in facts], n)
 
 
-def characterized_wcw_basis(
-    g: Graph, budget: EnumerationBudget = DEFAULT_BUDGET
-) -> GlobalCharacterization:
+def characterized_wcw_basis(g: Graph) -> GlobalCharacterization:
     """Equal-weight space of maximal independent sets, any number of components."""
-    return _characterized(family_facts(g, (4, 5, 6), budget), wcw_basis_from_facts, g.n)
+    return _characterized(family_facts(g, (4, 5, 6)), wcw_basis_from_facts, g.n)
 
 
-def characterized_wwd_basis(
-    g: Graph, budget: EnumerationBudget = DEFAULT_BUDGET
-) -> GlobalCharacterization:
+def characterized_wwd_basis(g: Graph) -> GlobalCharacterization:
     """Equal-weight space of minimal dominating sets, any number of components."""
-    return _characterized(family_facts(g, (4, 5, 6), budget), wwd_basis_from_facts, g.n)
+    return _characterized(family_facts(g, (4, 5, 6)), wwd_basis_from_facts, g.n)
 
 
 @dataclass(frozen=True)
@@ -289,31 +285,38 @@ def _dimension_check_results(
     wcw_parts: Sequence[CharacterizationOutcome],
     wwd_parts: Sequence[CharacterizationOutcome],
 ) -> list[CheckResult]:
+    """The two dimension checks; a component whose forced rows couple ears
+    states its coupling rank in the well-dominated check's detail."""
     failures: dict[str, list[str]] = {name: [] for name in DIMENSION_CHECKS}
+    coupled: list[str] = []
     flagged: list[str] = []
     for f, wcw, wwd in zip(facts, wcw_parts, wwd_parts):
         if f.special_form is not SpecialForm.GENERAL:
             flagged.append(f"component at {f.labels[0]} is {f.special_form.value}")
             continue
         r = dimension_report(f, wcw.basis, wwd.basis)
+        anchored = f"anchored fringe independence {r.anchored_independence}"
+        if r.coupling_rank:
+            anchored += f" minus coupling rank {r.coupling_rank}"
+            if r.anchored_independence_matches:
+                coupled.append(f"component at {f.labels[0]}: dimension {r.wwd_dimension} = {anchored}")
         for name, holds, dimension, closed_form in (
-            (DIMENSION_CHECKS[0], r.anchored_independence_matches, r.wwd_dimension,
-             f"anchored fringe independence {r.anchored_independence}"),
+            (DIMENSION_CHECKS[0], r.anchored_independence_matches, r.wwd_dimension, anchored),
             (DIMENSION_CHECKS[1], r.fringe_independence_matches, r.wcw_dimension,
              f"fringe independence {r.fringe_independence}"),
         ):
             if not holds:
                 failures[name].append(f"component at {f.labels[0]}: dimension {dimension} vs {closed_form}")
-    flag_note = "; ".join(flagged)
+    passed = {DIMENSION_CHECKS[0]: coupled + flagged, DIMENSION_CHECKS[1]: flagged}
     return [
-        CheckResult(name, "fail" if lines else "pass", "; ".join(lines) if lines else flag_note)
+        CheckResult(name, "fail" if lines else "pass", "; ".join(lines or passed[name]))
         for name, lines in failures.items()
     ]
 
 
 def analyze(g: Graph, budget: EnumerationBudget = DEFAULT_BUDGET) -> AnalysisReport:
     """Full report: structure, recognition, weight spaces, oracle, cross-checks."""
-    facts = component_facts(g, budget)
+    facts = component_facts(g)
     structure = summarize(facts)
 
     recognition_reason = outside_family(facts, (4, 5))
@@ -474,7 +477,7 @@ def run_property_sweep(
         except BudgetExceededError as exc:
             skips.append(f"{_replay_label(cfg, index, g)}: {exc}")
             continue
-        facts = component_facts(g, budget) if g.n and recognizable else None
+        facts = component_facts(g) if g.n and recognizable else None
         if facts is not None and len(facts) == 1:
             family_instances += 1
         problems = _sweep_problems(ind, dom, weights, facts, 6 in cfg.forbidden_cycles)

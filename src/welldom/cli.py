@@ -124,7 +124,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _weight_space_command(args: argparse.Namespace, engine, label: str) -> int:
     g = _read_graph(args.file, args.format)
-    outcome = engine(g, resolve_budget())
+    outcome = engine(g)
     if args.json:
         payload = {
             "schema_version": 1,

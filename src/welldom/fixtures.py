@@ -114,15 +114,15 @@ def check_fixture(fixture: Fixture, budget: EnumerationBudget = DEFAULT_BUDGET) 
         elif key == "fringe":
             expect(key, sorted(fringe_vertices(g)))
         elif key == "anchored_fringe":
-            expect(key, sorted(anchored_fringe_vertices(g, budget)))
+            expect(key, sorted(anchored_fringe_vertices(g)))
         else:
             failures.append(f"unknown expectation key {key!r}")
 
     # the closed-form engines must reproduce the enumerated spaces whenever
     # the graph sits inside the short-cycle-free family
     if in_family:
-        wcw = characterized_wcw_basis(g, budget).basis
-        wwd = characterized_wwd_basis(g, budget).basis
+        wcw = characterized_wcw_basis(g).basis
+        wwd = characterized_wwd_basis(g).basis
         if not subspace_equal(wcw, oracle.wcw):
             failures.append("characterized equal-weight space (independent) differs from oracle")
         if not subspace_equal(wwd, oracle.wwd):

@@ -8,10 +8,8 @@ carries, next to the dominated vertices, the ``twice`` mask of the vertices
 that two chosen vertices dominate, so a new member rechecks only the members
 it could have left without a private neighbor.  Budgets keep it honest: a
 vertex gate per family, and ``max_sets`` on the number of finished sets of
-either family.  Exceeding one raises, never truncates silently.  The anchored
-classification (``structure.anchored_fringe_vertices``) runs the same search
-from a start state and charges it search nodes, not sets, per ear: each of
-its checks stops at its first set, so finished sets would not bound its work.
+either family.  Exceeding one raises, never truncates silently.  Only the
+oracle enumerates: the closed-form engines take no budget.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .graphs import Graph, set_of
 from .linalg import SubspaceBasis, nullspace
@@ -40,8 +38,7 @@ class BudgetExceededError(RuntimeError):
 @dataclass(frozen=True)
 class EnumerationBudget:
     """Vertex gates for the two oracle families, and ``max_sets``: the most
-    finished sets of one oracle family, and the most search nodes of one
-    ear's anchored classification."""
+    finished sets of one oracle family."""
 
     max_independent_vertices: int = 24
     max_dominating_vertices: int = 20
@@ -75,13 +72,7 @@ class SetFamily:
         return tuple(len(s) for s in self.sets)
 
 
-def iter_set_masks(
-    g: Graph,
-    independent: bool,
-    within: int | None = None,
-    forbidden: int = 0,
-    on_node: Callable[[], None] | None = None,
-) -> Iterator[int]:
+def iter_set_masks(g: Graph, independent: bool) -> Iterator[int]:
     """All maximal independent (or all minimal dominating) sets as bitmasks.
 
     Depth-first search over (chosen, dominated, twice, forbidden) masks on an
@@ -96,19 +87,11 @@ def iter_set_masks(
     members whose closed neighborhood meets the vertices it newly doubles: the
     parent passed the check, and the new member keeps as a private neighbor
     the undominated vertex it was chosen to cover.
-
-    The search may start from a state: it then lists the sets of G[within]
-    (default: all of g) that avoid ``forbidden``; private neighbors count only
-    inside ``within``.  ``on_node`` is called once per search node, before the
-    node is expanded, so a caller can charge the search's work to a budget and
-    stop it by raising.
     """
-    full = g.full_mask if within is None else within
+    full = g.full_mask
     nb = g.closed_bits
-    stack = [(0, 0, 0, forbidden)]
+    stack = [(0, 0, 0, 0)]
     while stack:
-        if on_node is not None:
-            on_node()
         chosen, dominated, twice, forbidden = stack.pop()
         undominated = full & ~dominated
         if not undominated:
@@ -138,13 +121,13 @@ def iter_set_masks(
                 stack.append((chosen | 1 << u, dominated | nb[u], 0, forbidden | branches))
                 continue
             doubled = twice | dominated & nb[u]
-            newly = doubled & ~twice & full
+            newly = doubled & ~twice
             members = chosen if newly else 0
             while members:  # recheck the members that dominate a newly doubled vertex
                 low = members & -members
                 members ^= low
                 cover = nb[low.bit_length() - 1]
-                if cover & newly and not cover & full & ~doubled:
+                if cover & newly and not cover & ~doubled:
                     break
             else:
                 stack.append((chosen | 1 << u, dominated | nb[u], doubled, forbidden | branches))

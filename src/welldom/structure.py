@@ -7,14 +7,11 @@ The vocabulary used across the package:
   contained in a neighbor's closed neighborhood.
 * confined neighbors of v: the neighbors u with N(u) inside N[v]; they never
   see past v's closed neighborhood.
-* anchored fringe: the fringe vertices that keep a free weight in the
-  well-dominated weight space.  A pendant vertex is always anchored; an ear
-  vertex v on a triangle (v, a, b) is anchored iff every maximal independent
-  set of the zone beyond v's distance-2 ball dominates at least one of the
-  two boundary tracks N(a) and N(b) restricted to v's second sphere.  Those
-  sets are never listed: one pair of track vertices at a time, the question
-  is decided inside v's distance-4 ball (see anchored_fringe_vertices), so
-  an ear costs work bounded by that ball, not by the far zone's sets.
+* forced ear rows: for each ear and witness pair, the ears that certain
+  minimal dominating sets must double (see forced_ear_rows).  The work for
+  one ear stays inside its distance-4 ball: there is no search.
+* anchored fringe: the fringe vertices on which some well-dominated weight
+  is nonzero, that is whose piece the forced rows do not force to zero.
 
 ComponentFacts holds these tables, the cycle profile and the special form of
 one connected component, computed once for every engine to read, together
@@ -25,14 +22,23 @@ set lies in the fringe, and a piece it meets is one vertex or the two ears of
 a pendant triangle, of which every maximal independent subset of the confined
 set takes exactly one.  So every such subset gives a non-fringe vertex the
 same weight, and there is no choice of subset to make or to check.
+
+Without 4-, 5- and 6-cycles a piece vector is 1 on a clique (a pendant and
+its neighbour, or a triangle), which every minimal dominating set meets
+once, except that a set holding both partners of a lone ear doubles it.  So
+the well-dominated weights are the combinations of piece vectors whose
+coefficients every forced row sums to 0.  That the rows catch every doubled
+set of ears is verified, not proven: the rule matches the enumeration oracle
+on every connected family graph with at most 13 vertices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .graphs import (
     Graph,
@@ -43,13 +49,9 @@ from .graphs import (
     is_isomorphic_small,
     iter_bits,
 )
+from .linalg import nullspace
 from .named_graphs import cycle_graph, triangle_tripod_graph
-from .oracle import (
-    BudgetExceededError,
-    DEFAULT_BUDGET,
-    EnumerationBudget,
-    iter_set_masks,
-)
+from .oracle import BudgetExceededError, DEFAULT_BUDGET, EnumerationBudget
 
 
 def simplicial_vertices(g: Graph) -> frozenset[int]:
@@ -153,68 +155,46 @@ def confined_neighbors(g: Graph, v: int) -> frozenset[int]:
     return frozenset(u for u in g.adj[v] if not abits[u] & ~nb_v)
 
 
-def anchored_fringe_vertices(
-    g: Graph, budget: EnumerationBudget = DEFAULT_BUDGET
-) -> frozenset[int]:
-    """The fringe vertices whose weight stays free under well-domination.
+def forced_ear_rows(g: Graph, partners: dict[int, tuple[int, int]]) -> tuple[tuple[int, ...], ...]:
+    """The distinct forced ear rows of g, each a sorted tuple of ears.
 
-    Pendants qualify outright.  An ear v on (a, b) is unanchored iff some
-    maximal independent set of the far zone (v's component minus its 2-ball
-    B = N[a] | N[b]) misses the far neighbours of a track vertex t of a and
-    of a track vertex t' of b, the tracks being N(a) - N[v] and N(b) - N[v].
-    Each pair is decided in its distance-4 neighbourhood: with X the far
-    neighbours of t and t' and C = N(X) - B - X, such a set exists iff
-    G[X | C] has a maximal independent set that avoids X, that is iff some
-    independent subset of C dominates X.
-      * A far-zone set that misses X dominates X, so its part in C is one.
-      * One in C grows greedily into a far-zone set that never takes a
-        vertex of X, each being dominated already.
-    The pairs are tried in order and the first that passes decides v.
-
-    Every search node of an ear's pair checks is charged to
-    ``budget.max_sets``; past it a BudgetExceededError names the ear and
-    carries the vertices decided so far.
+    For an ear e on (a, b), x in N(a) - N[b] and y in N(b) - N[a], let
+    B = (N[x] | N[y] | {e}) - {a, b}.  The pair (x, y) is a witness iff every
+    vertex of B has a closed neighbour outside B; its forced set F is {a, b}
+    plus each vertex that is the only closed neighbour outside B of some
+    vertex of B, and its row is e and every other ear whose partners both
+    lie in F.
     """
-    partners = ear_partners(g)
     nb = g.closed_bits
     abits = g.adjacency_bits
-    decided: dict[int, bool] = {}
-    nodes = 0
-
-    def charge() -> None:
-        nonlocal nodes
-        nodes += 1
-        if nodes > budget.max_sets:
-            raise BudgetExceededError(
-                f"more than {budget.max_sets} search nodes while "
-                f"classifying fringe vertex {v if g.names is None else g.names[v]}",
-                partial=dict(decided),
-            )
-
-    for v in sorted(_fringe(g, partners)):
-        if v not in partners:
-            decided[v] = True  # pendant
-            continue
-        a, b = partners[v]
-        ball = nb[a] | nb[b]
-        # the tracks N(a) - N[v] and N(b) - N[v], each vertex as the mask of
-        # its far neighbours; an empty track leaves no pair, and v anchored
-        track_a, track_b = ([abits[t] & ~ball for t in iter_bits(abits[x] & ~nb[v])] for x in (a, b))
-        nodes = 0
-        decided[v] = not any(
-            _far_set_avoids(g, xa | xb, ball, charge) for xa in track_a for xb in track_b
-        )
-    return frozenset(v for v, ok in decided.items() if ok)
+    ears_at: dict[int, list[tuple[int, int]]] = {}  # u -> (bit of the other partner, ear)
+    for e, (a, b) in partners.items():
+        ears_at.setdefault(a, []).append((1 << b, e))
+        ears_at.setdefault(b, []).append((1 << a, e))
+    rows = set()
+    for e, (a, b) in partners.items():
+        ends = 1 << a | 1 << b
+        for x in iter_bits(abits[a] & ~nb[b]):
+            for y in iter_bits(abits[b] & ~nb[a]):
+                avoid = (nb[x] | nb[y] | 1 << e) & ~ends
+                forced = ends
+                for z in iter_bits(avoid):
+                    out = nb[z] & ~avoid
+                    if not out:
+                        break
+                    if not out & (out - 1):
+                        forced |= out
+                else:  # e itself is among the ears, both its partners being forced
+                    ears = {ear for u in iter_bits(forced) for bit, ear in ears_at.get(u, ()) if bit & forced}
+                    rows.add(tuple(sorted(ears)))
+    return tuple(sorted(rows))
 
 
-def _far_set_avoids(g: Graph, far: int, ball: int, on_node: Callable[[], None]) -> bool:
-    """Whether a maximal independent set of the far zone (outside ``ball``)
-    avoids ``far``, decided as whether one of G[far | C] does, C being the
-    neighbours of ``far`` outside ``ball``."""
-    reach = 0
-    for x in iter_bits(far):
-        reach |= g.adjacency_bits[x]
-    return next(iter_set_masks(g, True, far | reach & ~ball, far, on_node), None) is not None
+def anchored_fringe_vertices(g: Graph) -> frozenset[int]:
+    """The fringe vertices on which some well-dominated weight is nonzero:
+    every pendant, and each ear whose piece the forced ear rows do not force
+    to zero (see ComponentFacts.coefficients)."""
+    return frozenset(f.labels[v] for f in component_facts(g) for v in f.anchored)
 
 
 def independence_number(g: Graph, budget: EnumerationBudget = DEFAULT_BUDGET) -> int:
@@ -272,10 +252,10 @@ class ComponentFacts:
     """What the engines read about one connected component, computed once.
 
     ``labels[v]`` is the whole-graph label of the component's vertex v.  The
-    simplicial vertices, the partition and the anchored fringe (which
-    enumerates, and which the independent-set engines never read) are
-    computed on first use, as are the piece vectors, which the two
-    weight-space engines share.
+    simplicial vertices, the partition, the forced ear rows and what they
+    force (which the independent-set engines never read) are computed on
+    first use, as are the piece vectors, which the two weight-space engines
+    share.
     """
 
     graph: Graph
@@ -285,7 +265,6 @@ class ComponentFacts:
     fringe: frozenset[int]
     ear_partners: dict[int, tuple[int, int]]
     confined: dict[int, frozenset[int]]  # keyed by the vertices outside the fringe
-    budget: EnumerationBudget
 
     @cached_property
     def simplicial(self) -> frozenset[int]:
@@ -300,12 +279,32 @@ class ComponentFacts:
         return _partition_search(self.graph, self.simplicial)
 
     @cached_property
+    def forced(self) -> tuple[frozenset[int], tuple[tuple[int, ...], ...]]:
+        """The forced ear rows in the indices of ``fringe_pieces``: the pieces
+        some row forces to zero on its own, once the pieces so forced are
+        dropped from every row, and the coupled rows, which then hold two or more."""
+        piece_of = {v: i for i, piece in enumerate(self.fringe_pieces) for v in piece}
+        rows = {frozenset(piece_of[e] for e in row) for row in forced_ear_rows(self.graph, self.ear_partners)}
+        zero: set[int] = set()
+        while single := {p for row in rows if len(row) == 1 for p in row}:
+            zero |= single
+            rows = {row - zero for row in rows} - {frozenset()}
+        return frozenset(zero), tuple(sorted(tuple(sorted(row)) for row in rows))
+
+    @cached_property
+    def coefficients(self) -> tuple[dict[int, int | Fraction], ...]:
+        """A basis of the piece coefficients that every forced row sums to 0,
+        as sparse rows; only coupled rows need a null space."""
+        zero, coupled = self.forced
+        if not coupled:  # each piece outside the zero-forced ones is free on its own
+            return tuple({p: 1} for p in range(len(self.fringe_pieces)) if p not in zero)
+        rows = [dict.fromkeys(row, 1) for row in coupled] + [{p: 1} for p in zero]
+        return nullspace(rows, len(self.fringe_pieces)).sparse_rows
+
+    @cached_property
     def anchored(self) -> frozenset[int]:
-        try:
-            return anchored_fringe_vertices(self.graph, self.budget)
-        except BudgetExceededError as err:
-            err.partial = {self.labels[v]: ok for v, ok in err.partial.items()}
-            raise
+        """The fringe vertices on which some well-dominated weight is nonzero."""
+        return frozenset(v for row in self.coefficients for p in row for v in self.fringe_pieces[p])
 
     @cached_property
     def piece_vectors(self) -> tuple[dict[int, int], ...]:
@@ -330,9 +329,7 @@ def induced_pieces(g: Graph, vertices: frozenset[int]) -> tuple[tuple[int, ...],
     return tuple(tuple(sorted(kept[i] for i in comp)) for comp in components(sub))
 
 
-def component_facts(
-    g: Graph, budget: EnumerationBudget = DEFAULT_BUDGET
-) -> tuple[ComponentFacts, ...]:
+def component_facts(g: Graph) -> tuple[ComponentFacts, ...]:
     """The facts of every connected component of ``g``, by smallest vertex."""
     comps = components(g)
     if len(comps) == 1:
@@ -356,7 +353,6 @@ def component_facts(
                 fringe=fringe,
                 ear_partners=partners,
                 confined={v: confined_neighbors(sub, v) for v in range(sub.n) if v not in fringe},
-                budget=budget,
             )
         )
     return tuple(out)
@@ -382,10 +378,10 @@ class NotApplicableError(ValueError):
 
 
 def family_facts(
-    g: Graph, lengths: tuple[int, ...], budget: EnumerationBudget = DEFAULT_BUDGET, *, connected: bool = False
+    g: Graph, lengths: tuple[int, ...], *, connected: bool = False
 ) -> tuple[ComponentFacts, ...]:
     """The component facts of ``g``, or NotApplicableError when it is outside the family."""
-    facts = component_facts(g, budget)
+    facts = component_facts(g)
     reason = outside_family(facts, lengths, connected=connected)
     if reason is not None:
         raise NotApplicableError(f"not applicable: {reason}")
@@ -421,8 +417,8 @@ def summarize(facts: Sequence[ComponentFacts]) -> StructureSummary:
     )
 
 
-def structure_summary(g: Graph, budget: EnumerationBudget = DEFAULT_BUDGET) -> StructureSummary:
-    return summarize(component_facts(g, budget))
+def structure_summary(g: Graph) -> StructureSummary:
+    return summarize(component_facts(g))
 
 
 __all__ = [
@@ -437,6 +433,7 @@ __all__ = [
     "confined_neighbors",
     "ear_partners",
     "family_facts",
+    "forced_ear_rows",
     "fringe_vertices",
     "independence_number",
     "induced_pieces",

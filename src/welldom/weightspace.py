@@ -16,10 +16,10 @@ engines themselves never enumerate whole families.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .graphs import Graph
 from .linalg import SubspaceBasis, constants_space, row_space
-from .oracle import DEFAULT_BUDGET, EnumerationBudget
 from .structure import (
     ComponentFacts,
     SimplicialPartition,
@@ -74,12 +74,17 @@ def _basis(f: ComponentFacts, dominating: bool) -> CharacterizationOutcome:
         )
     if not dominating:
         return CharacterizationOutcome(f.special_form, row_space(f.piece_vectors, n))
-    # a piece vector is the only one nonzero on its piece, so a weight in the
-    # span vanishes on a zero-forced vertex iff its piece's coefficient is 0
+    kept = []
+    for coefficients in f.coefficients:  # a combination of the piece vectors
+        vec: dict[int, int | Fraction] = {}
+        for p, x in coefficients.items():
+            for v in f.piece_vectors[p]:
+                vec[v] = vec.get(v, 0) + x
+        kept.append(vec)
     zero_forced = sorted(f.fringe - f.anchored)
-    kept = [vec for piece, vec in zip(f.fringe_pieces, f.piece_vectors) if f.anchored.issuperset(piece)]
-    notes = (f"zero-forced fringe vertices: {zero_forced}",) if zero_forced else ()
-    return CharacterizationOutcome(f.special_form, row_space(kept, n), notes)
+    notes = [f"zero-forced fringe vertices: {zero_forced}"] if zero_forced else []
+    notes += [f"coupled ears: {sorted(v for p in row for v in f.fringe_pieces[p])}" for row in f.forced[1]]
+    return CharacterizationOutcome(f.special_form, row_space(kept, n), tuple(notes))
 
 
 def well_covered_weight_basis(g: Graph) -> CharacterizationOutcome:
@@ -98,16 +103,15 @@ def wcw_basis_from_facts(f: ComponentFacts) -> CharacterizationOutcome:
     return _basis(f, dominating=False)
 
 
-def well_dominated_weight_basis(
-    g: Graph, budget: EnumerationBudget = DEFAULT_BUDGET
-) -> CharacterizationOutcome:
+def well_dominated_weight_basis(g: Graph) -> CharacterizationOutcome:
     """Canonical basis of the equal-weight space over minimal dominating sets.
 
-    The span of the piece vectors of the pieces whose vertices are all
-    anchored, that is the well-covered weights that vanish on every fringe
-    vertex that is not anchored.
+    The combinations of the piece vectors whose coefficients every forced
+    ear row sums to 0 (see the ``structure`` module docstring): a row of one
+    ear drops its piece, and only the coupled rows, of two or more ears, go
+    through a null space, in the coordinates of the pieces.
     """
-    (facts,) = family_facts(g, (4, 5, 6), budget, connected=True)
+    (facts,) = family_facts(g, (4, 5, 6), connected=True)
     return wwd_basis_from_facts(facts)
 
 
@@ -124,6 +128,7 @@ class DimensionReport:
     wwd_dimension: int
     anchored_fringe_size: int
     anchored_independence: int
+    coupling_rank: int
     anchored_independence_matches: bool
     wcw_dimension: int
     fringe_independence: int
@@ -132,20 +137,21 @@ class DimensionReport:
     diagnostics: tuple[str, ...]
 
 
-def dimension_checks(g: Graph, budget: EnumerationBudget = DEFAULT_BUDGET) -> DimensionReport:
+def dimension_checks(g: Graph) -> DimensionReport:
     """Compare both weight-space dimensions against their closed-form counts.
 
     Connected input without 4-, 5- or 6-cycles; see ``dimension_report``.
     """
-    (facts,) = family_facts(g, (4, 5, 6), budget, connected=True)
+    (facts,) = family_facts(g, (4, 5, 6), connected=True)
     return dimension_report(
         facts, wcw_basis_from_facts(facts).basis, wwd_basis_from_facts(facts).basis
     )
 
 
 def dimension_report(f: ComponentFacts, wcw: SubspaceBasis, wwd: SubspaceBasis) -> DimensionReport:
-    """Compare the dimensions of the component's two bases with alpha(G[anchored
-    fringe]) and alpha(G[fringe]); mismatches are reported, never raised.
+    """Compare the dimensions of the component's two bases with alpha(G[fringe])
+    and with alpha(G[anchored fringe]) minus the coupling rank, the rank of the
+    coupled rows on the anchored pieces; mismatches are reported, never raised.
 
     Each alpha is a number of components: on this family the fringe induces
     disjoint cliques, since pendants touch only non-fringe vertices (except
@@ -153,15 +159,19 @@ def dimension_report(f: ComponentFacts, wcw: SubspaceBasis, wwd: SubspaceBasis) 
     """
     alpha_anchored = len(induced_pieces(f.graph, f.anchored))
     alpha_fringe = len(f.fringe_pieces)
+    anchored = {p for row in f.coefficients for p in row}
+    coupled = [{p: 1 for p in row if p in anchored} for row in f.forced[1]]
+    coupling = row_space(coupled, len(f.fringe_pieces)).dimension if coupled else 0
     general = f.special_form is SpecialForm.GENERAL
-    anchored_matches = wwd.dimension == alpha_anchored
+    anchored_matches = wwd.dimension == alpha_anchored - coupling
     wcw_matches = wcw.dimension == alpha_fringe
     diagnostics: list[str] = []
     if not general:
         diagnostics.append(f"special form {f.special_form.value}: the fringe counts do not "
                            "apply, the weight spaces are the constants")
     if general and not anchored_matches:
-        diagnostics.append("well-dominated dimension differs from the anchored fringe independence number")
+        diagnostics.append("well-dominated dimension differs from the anchored fringe independence "
+                           "number minus the coupling rank")
     if general and not wcw_matches:
         diagnostics.append("well-covered dimension differs from the fringe independence number")
     return DimensionReport(
@@ -169,6 +179,7 @@ def dimension_report(f: ComponentFacts, wcw: SubspaceBasis, wwd: SubspaceBasis) 
         wwd_dimension=wwd.dimension,
         anchored_fringe_size=len(f.anchored),
         anchored_independence=alpha_anchored,
+        coupling_rank=coupling,
         anchored_independence_matches=anchored_matches,
         wcw_dimension=wcw.dimension,
         fringe_independence=alpha_fringe,

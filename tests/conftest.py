@@ -8,12 +8,13 @@ correct.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations, permutations
 
 import hypothesis.strategies as st
 from hypothesis import settings
 
-from welldom.graphs import Graph, iter_bits
+from welldom.graphs import Graph, distances_from, is_isomorphic_small, iter_bits
 
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
@@ -93,12 +94,12 @@ def brute_has_cycle(g: Graph, k: int) -> bool:
     return False
 
 
-def reference_set_masks(g: Graph, independent: bool, within=None, forbidden=0, on_node=None):
+def reference_set_masks(g: Graph, independent: bool):
     """The oracle search as it was before it carried the ``twice`` mask: every
     dominating child re-derives irredundance over all its members, and the
     branch vertex is picked with ``min``.  ``iter_set_masks`` must yield the
-    same sequence and call ``on_node`` as often."""
-    full = g.full_mask if within is None else within
+    same sequence."""
+    full = g.full_mask
     nb = g.closed_bits
 
     def irredundant(chosen: int) -> bool:
@@ -106,12 +107,10 @@ def reference_set_masks(g: Graph, independent: bool, within=None, forbidden=0, o
         for w in iter_bits(chosen):
             twice |= once & nb[w]
             once |= nb[w]
-        return all(nb[w] & full & ~twice for w in iter_bits(chosen))
+        return all(nb[w] & ~twice for w in iter_bits(chosen))
 
-    stack = [(0, 0, forbidden)]
+    stack = [(0, 0, 0)]
     while stack:
-        if on_node is not None:
-            on_node()
         chosen, dominated, forbidden = stack.pop()
         undominated = full & ~dominated
         if not undominated:
@@ -128,3 +127,51 @@ def reference_set_masks(g: Graph, independent: bool, within=None, forbidden=0, o
             child = chosen | 1 << u
             if independent or irredundant(child):
                 stack.append((child, dominated | nb[u], forbidden | branches))
+
+
+def _refined_colours(g: Graph) -> tuple[int, ...]:
+    """The sorted colours of one-dimensional colour refinement: the same for
+    isomorphic graphs, and for most others different."""
+    colours = [len(g.adj[v]) for v in range(g.n)]
+    for _ in range(g.n):
+        colours = [hash((colours[v], tuple(sorted(colours[u] for u in g.adj[v])))) for v in range(g.n)]
+    return tuple(sorted(colours))
+
+
+@cache
+def family_graphs(max_n: int) -> tuple[tuple[Graph, ...], ...]:
+    """Every connected graph without 4-, 5- and 6-cycles on 1..max_n vertices,
+    one per isomorphism class; entry n - 1 holds those on n vertices.
+
+    Each graph on n vertices is one on n - 1 plus a vertex joined to a set S:
+    removing a vertex that is no cut vertex leaves a connected family graph.
+    The new vertex closes no 4-, 5- or 6-cycle iff every two vertices of S are
+    adjacent with no common neighbour, or more than 4 apart.  Duplicates are
+    dropped by refined colours, then by ``is_isomorphic_small``.
+    """
+    levels = [(Graph.from_edges(1, []),)]
+    for n in range(2, max_n + 1):
+        kept: dict[tuple, list[Graph]] = {}
+        for g in levels[-1]:
+            dist = [distances_from(g, [u]) for u in range(g.n)]
+
+            def fits(u: int, v: int) -> bool:
+                if dist[u][v] == 1:
+                    return not g.adj[u] & g.adj[v]
+                return dist[u][v] > 4
+
+            def neighbour_sets(start: int, chosen: list[int]):
+                for u in range(start, g.n):
+                    if all(fits(u, v) for v in chosen):
+                        chosen.append(u)
+                        yield list(chosen)
+                        yield from neighbour_sets(u + 1, chosen)
+                        chosen.pop()
+
+            for s in neighbour_sets(0, []):
+                h = Graph.from_edges(n, g.edges() + [(u, n - 1) for u in s])
+                bucket = kept.setdefault((h.edge_count, _refined_colours(h)), [])
+                if not any(is_isomorphic_small(h, other, max_vertices=n) for other in bucket):
+                    bucket.append(h)
+        levels.append(tuple(h for bucket in kept.values() for h in bucket))
+    return tuple(levels)

@@ -14,6 +14,7 @@ from welldom.analysis import (
     recognized_status,
     run_property_sweep,
 )
+from welldom.cli import cli_main
 from welldom.fixtures import builtin_fixtures
 from welldom.generators import GeneratorConfig, generate_family
 from welldom.graphs import Graph, induced_subgraph, parse_graph
@@ -25,7 +26,7 @@ from welldom.named_graphs import (
     path_graph,
     triangle_with_pendants,
 )
-from welldom.oracle import BudgetExceededError, EnumerationBudget, well_dominated_weight_space_oracle
+from welldom.oracle import EnumerationBudget, well_dominated_weight_space_oracle
 from welldom.weightspace import RecognitionOutcome, SpecialForm
 
 ALL_CHECKS = (
@@ -90,15 +91,32 @@ class TestComponentCombination:
             recognized_status(Graph.from_edges(0, []))
 
 
-@pytest.mark.xfail(strict=True, reason="known fault: WWD is not always the well-covered weights "
-                   "that vanish on the zero-forced fringe vertices")
-@pytest.mark.parametrize("text", ["HCAIbCg", "HK_R?Kg", "KhOOS?C?gHH?"])
-def test_wwd_basis_matches_oracle_on_known_fault(text):
-    # the two 9-vertex graphs, both of the criterion-7 family: dimension 1
-    # here, 0 by the oracle.  The 12-vertex one: dimension 3 here, 2 by the
-    # oracle, whose WWD couples the weights of two ears
+@pytest.mark.parametrize("text", ["HCAIbCg", "HK_R?Kg", "KhOOS?C?gHH?", "IuO_OGB?W"])
+def test_wwd_basis_matches_oracle_on_known_fault(text, tmp_path):
+    # the graphs on which the earlier anchored-fringe search was wrong.  The
+    # two 9-vertex ones, both of the criterion-7 family: dimension 0 by the
+    # oracle, where the search gave 1.  The 12- and the 10-vertex one:
+    # dimensions 2 and 1, where it gave 3 and 2, since their WWD couples the
+    # weights of two ears
     g = parse_graph(text, "graph6")
     assert subspace_equal(characterized_wwd_basis(g).basis, well_dominated_weight_space_oracle(g))
+    assert analyze(g).failed_checks == ()
+    path = tmp_path / "graph.g6"
+    path.write_text(text + "\n")
+    assert cli_main(["analyze", "--format", "graph6", str(path)]) == 0
+
+
+def test_coupled_ears_are_noted_and_counted():
+    # the smallest graph whose WWD couples two ears: the 8-cycle
+    # 0-1-4-6-8-7-5-2 with ear 3 on edge 0-1 and ear 9 on edge 7-8, whose
+    # piece coefficients must sum to 0
+    report = analyze(parse_graph("IuO_OGB?W", "graph6"))
+    assert report.characterization.wwd.dimension == 1
+    assert "component at 0: coupled ears: [3, 9]" in report.characterization.notes
+    by_name = {c.name: c for c in report.checks}
+    assert by_name["wwd_dimension_equals_anchored_fringe"].detail == (
+        "component at 0: dimension 1 = anchored fringe independence 2 minus coupling rank 1"
+    )
 
 
 class TestAnalyzeReport:
@@ -150,7 +168,7 @@ class TestAnalyzeReport:
         for module_name, attr in (
             ("welldom.graphs", "cycle_lengths"),
             ("welldom.graphs", "is_isomorphic_small"),
-            ("welldom.structure", "anchored_fringe_vertices"),
+            ("welldom.structure", "forced_ear_rows"),
             ("welldom.structure", "simplicial_vertices"),
             ("welldom.linalg", "nullspace"),
             ("welldom.linalg", "rref"),
@@ -168,7 +186,7 @@ class TestAnalyzeReport:
                         monkeypatch.setattr(module, key, counted)
         analyze(fringe_gap_graph())
         assert counts["cycle_lengths"] == 1  # one profile for the one component
-        assert counts["anchored_fringe_vertices"] == 1
+        assert counts["forced_ear_rows"] == 1
         assert counts["is_isomorphic_small"] <= 1
         # one null space per oracle space, each one reduction; one reduction
         # per closed-form basis of the one component
@@ -181,10 +199,12 @@ class TestAnalyzeReport:
         characterized_wcw_basis(fringe_gap_graph())
         characterized_wwd_basis(fringe_gap_graph())
         assert counts["simplicial_vertices"] == 0
-
-    def test_structure_budget_error_propagates(self):
-        with pytest.raises(BudgetExceededError):
-            analyze(fringe_gap_graph(), EnumerationBudget(max_sets=1))
+        assert counts["forced_ear_rows"] == 1  # only the dominating engine reads them
+        # one set of rows per component, also where the rows couple two ears
+        counts.clear()
+        coupled = parse_graph("IuO_OGB?W", "graph6")
+        analyze(Graph.from_edges(12, [(0, 1)] + [(u + 2, v + 2) for u, v in coupled.edges()]))
+        assert counts["forced_ear_rows"] == 2
 
     def test_empty_graph(self):
         report = analyze(Graph.from_edges(0, []))

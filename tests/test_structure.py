@@ -1,10 +1,8 @@
-import math
-
 import pytest
 from hypothesis import example, given
 
-from welldom.analysis import characterized_wwd_basis, recognized_status
-from welldom.graphs import Graph, distances_from, excludes_cycles, induced_subgraph, parse_graph
+from welldom.analysis import recognized_status
+from welldom.graphs import Graph, excludes_cycles, parse_graph
 from welldom.named_graphs import (
     complete_graph,
     cycle_graph,
@@ -15,7 +13,11 @@ from welldom.named_graphs import (
     triangle_with_pendants,
     two_triangles_bridged,
 )
-from welldom.oracle import BudgetExceededError, EnumerationBudget, enumerate_maximal_independent_sets
+from welldom.oracle import (
+    BudgetExceededError,
+    enumerate_maximal_independent_sets,
+    well_dominated_weight_space_oracle,
+)
 from welldom.structure import (
     anchored_fringe_vertices,
     confined_neighbors,
@@ -27,24 +29,14 @@ from welldom.structure import (
     structure_summary,
 )
 
-from conftest import brute_maximal_independent, eared_trees, graphs
+from conftest import eared_trees, graphs
 
 
 def anchored_by_definition(g: Graph) -> frozenset[int]:
-    """The anchored fringe from plain sets: pendants, and each ear v on (a, b)
-    such that every maximal independent set of v's component minus its
-    2-ball dominates the neighbours of a, or those of b, at distance 2."""
-    partners = ear_partners(g)
-    anchored = set(fringe_vertices(g)) - set(partners)
-    for v, (a, b) in partners.items():
-        dist = distances_from(g, [v])
-        tracks = [{u for u in g.adj[x] if dist[u] == 2} for x in (a, b)]
-        far = sorted(u for u in range(g.n) if 2 < dist[u] < math.inf)
-        sub, _ = induced_subgraph(g, far)  # vertex i of sub is far[i]
-        reaches = [set().union(*(g.adj[far[i]] for i in s)) for s in brute_maximal_independent(sub)]
-        if all(any(track <= reach for track in tracks) for reach in reaches):
-            anchored.add(v)
-    return frozenset(anchored)
+    """The fringe vertices on which some weight of the enumerated
+    well-dominated space is nonzero."""
+    space = well_dominated_weight_space_oracle(g)
+    return frozenset(v for v in fringe_vertices(g) if any(v in row for row in space.sparse_rows))
 
 
 class TestFringe:
@@ -111,36 +103,15 @@ class TestAnchoredFringe:
         assert fringe_vertices(g) == frozenset({0})
         assert anchored_fringe_vertices(g) == frozenset()
 
-    def test_budget_error_carries_partial(self):
-        g = fringe_gap_graph()
-        with pytest.raises(BudgetExceededError) as err:
-            anchored_fringe_vertices(g, EnumerationBudget(max_sets=1))
-        assert str(err.value) == "more than 1 search nodes while classifying fringe vertex 0"
-        assert err.value.partial == {}
-        # a component's message names the vertex by its whole-graph label
-        shifted = Graph.from_edges(12, [(0, 1)] + [(u + 2, v + 2) for u, v in g.edges()])
-        with pytest.raises(BudgetExceededError, match="fringe vertex 2$"):
-            characterized_wwd_basis(shifted, EnumerationBudget(max_sets=1))
-        # and its partial keys the vertices decided before, pendant 2 here, the same way
-        pendant = Graph.from_edges(13, [(0, 1), (2, 12)] + [(u + 3, v + 3) for u, v in g.edges()])
-        with pytest.raises(BudgetExceededError, match="fringe vertex 3$") as err:
-            characterized_wwd_basis(pendant, EnumerationBudget(max_sets=1))
-        assert err.value.partial == {2: True}
-
-    # the gap graph's ear is unanchored; the graph6 graphs are the known WWD
-    # faults, whose ears have two non-empty tracks
+    # the gap graph's ear is forced to zero; the graph6 graphs are those on
+    # which the earlier far-zone search was wrong, the last with two coupled ears
     @given(eared_trees())
     @example(fringe_gap_graph())
     @example(parse_graph("HCAIbCg", "graph6"))
     @example(parse_graph("HK_R?Kg", "graph6"))
     @example(parse_graph("KhOOS?C?gHH?", "graph6"))
+    @example(parse_graph("IuO_OGB?W", "graph6"))
     def test_matches_definition(self, g):
-        assert anchored_fringe_vertices(g) == anchored_by_definition(g)
-
-    # far zones with cycles, ears on 4- and 5-cycles, track vertices with no
-    # far neighbour: the local test is exact on any graph, not only the family
-    @given(graphs(max_n=10))
-    def test_matches_definition_on_general_graphs(self, g):
         assert anchored_fringe_vertices(g) == anchored_by_definition(g)
 
 

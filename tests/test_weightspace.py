@@ -38,7 +38,7 @@ from welldom.weightspace import (
     well_dominated_weight_basis,
 )
 
-from conftest import eared_trees
+from conftest import eared_trees, family_graphs
 
 
 def relabel(g: Graph, perm: list[int]) -> Graph:
@@ -212,9 +212,7 @@ def path_corona(cells: int) -> Graph:
 
 
 class TestInvariantsAtScale:
-    # far beyond the oracle: the invariants that need no enumeration, with
-    # the default budget (the far-zone enumeration exceeded it on the
-    # 2,000-vertex tree)
+    # far beyond the oracle: the invariants that need no enumeration
     @staticmethod
     def check_invariants(g: Graph) -> None:
         (facts,) = component_facts(g)
@@ -293,3 +291,19 @@ class TestDimensionReport:
             assert report.chain_holds
             checked += 1
         assert checked >= 30
+
+
+class TestEveryFamilyGraph:
+    """Every connected graph without 4-, 5- and 6-cycles on at most 10 vertices."""
+
+    def test_counts(self):
+        assert [len(level) for level in family_graphs(10)] == [1, 1, 2, 3, 7, 16, 42, 109, 321, 971]
+
+    def test_bases_match_oracle(self):
+        for level in family_graphs(10):
+            for g in level:
+                wcw = characterized_wcw_basis(g).basis
+                wwd = characterized_wwd_basis(g).basis
+                assert subspace_equal(wcw, well_covered_weight_space_oracle(g)), g.edges()
+                assert subspace_equal(wwd, well_dominated_weight_space_oracle(g)), g.edges()
+                assert subspace_contains(wcw, wwd), g.edges()
