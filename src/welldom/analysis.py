@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .generators import GeneratorConfig, generate_family
-from .graphs import Graph, serialize_graph
+from .graphs import Graph, iter_bits, serialize_graph
 from .linalg import SubspaceBasis, subspace_contains, subspace_equal
 from .oracle import (
     DEFAULT_BUDGET,
@@ -335,9 +335,9 @@ def analyze(g: Graph, budget: EnumerationBudget = DEFAULT_BUDGET) -> AnalysisRep
         wcw = _direct_sum(facts, wcw_parts, g.n)
         wwd = _direct_sum(facts, wwd_parts, g.n)
         forms = tuple(form.value for form in wcw.component_forms)
-        characterization = CharacterizationSection(
-            True, None, forms, wcw.basis, wwd.basis, wcw.notes + wwd.notes
-        )
+        # both bases give a special-form component the same note; list it once
+        notes = tuple(dict.fromkeys(wcw.notes + wwd.notes))
+        characterization = CharacterizationSection(True, None, forms, wcw.basis, wwd.basis, notes)
         dimension_results = _dimension_check_results(facts, wcw_parts, wwd_parts)
     else:
         characterization = CharacterizationSection(
@@ -501,8 +501,8 @@ def _sweep_problems(
     problems: list[str] = []
     if not (min(dom.sizes()) <= min(ind.sizes()) <= max(ind.sizes()) <= max(dom.sizes())):
         problems.append("domination chain violated")
-    ind_weights = [sum(map(weights.__getitem__, s)) for s in ind.sets]
-    dom_weights = [sum(map(weights.__getitem__, s)) for s in dom.sets]
+    ind_weights = [sum(map(weights.__getitem__, iter_bits(m))) for m in ind.masks]
+    dom_weights = [sum(map(weights.__getitem__, iter_bits(m))) for m in dom.masks]
     if not (min(dom_weights) <= min(ind_weights) <= max(ind_weights) <= max(dom_weights)):
         problems.append("weighted domination chain violated")
     if facts is None:

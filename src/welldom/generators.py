@@ -3,7 +3,9 @@
 Three interleaved sources: random trees (cycle-free by construction), trees
 with pendant triangles attached at leaves (exercise the fringe machinery
 without creating cycles longer than 3), and sparse rejection-sampled graphs.
-Streams are fully determined by the config seed.
+Streams are fully determined by the config seed.  Every emitted graph passes
+one forbidden-cycle test: a sparse graph the sampler's own, a tree the guard
+that catches a generator bug.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterator
 
-from .graphs import Graph, cycle_lengths, excludes_cycles
+from .graphs import Graph, _iter_cycle_lengths, cycle_lengths
 from .oracle import BudgetExceededError
 
 SAMPLING_ATTEMPTS = 300
@@ -72,8 +74,10 @@ def sample_cycle_free(
 ) -> Graph:
     """Rejection-sample a graph on n vertices avoiding the forbidden lengths.
 
-    Raises a resource error when no acceptable sample shows up within the
-    attempt budget; the caller should lower the density or the order.
+    Each candidate is tested on its adjacency bitmasks; only the accepted
+    one becomes a ``Graph``.  Raises a resource error when no acceptable
+    sample shows up within the attempt budget; the caller should lower the
+    density or the order.
     """
     for _ in range(attempts):
         edges = [
@@ -82,9 +86,13 @@ def sample_cycle_free(
             for j in range(i + 1, n)
             if rng.random() < edge_probability
         ]
-        g = Graph.from_edges(n, edges)
-        if excludes_cycles(g, forbidden_cycles):
-            return g
+        abits = [0] * n
+        for i, j in edges:
+            abits[i] |= 1 << j
+            abits[j] |= 1 << i
+        degree = [bits.bit_count() for bits in abits]
+        if next(_iter_cycle_lengths(abits, degree, forbidden_cycles), None) is None:
+            return Graph.from_edges(n, edges)
     raise BudgetExceededError(
         f"no sample free of cycle lengths {sorted(forbidden_cycles)} within "
         f"{attempts} attempts at n={n}, p={edge_probability:.3f}; lower the "
@@ -106,13 +114,14 @@ def generate_family(cfg: GeneratorConfig) -> Iterator[Graph]:
         kinds.insert(1, "triangle_tree")
     for index in range(cfg.count):
         kind = kinds[index % len(kinds)]
+        if kind == "sparse":  # the sampler's acceptance test is the cycle test
+            n = rng.randint(1, cfg.max_n)
+            yield sample_cycle_free(rng, n, _sparse_probability(n), cfg.forbidden_cycles)
+            continue
         if kind == "tree":
             g = random_tree(rng, rng.randint(1, cfg.max_n))
-        elif kind == "triangle_tree":
-            g = random_triangle_tree(rng, cfg.max_n)
         else:
-            n = rng.randint(1, cfg.max_n)
-            g = sample_cycle_free(rng, n, _sparse_probability(n), cfg.forbidden_cycles)
+            g = random_triangle_tree(rng, cfg.max_n)
         bad = cycle_lengths(g, cfg.forbidden_cycles)
         if bad:
             raise RuntimeError(f"generator bug: emitted graph with cycle lengths {sorted(bad)}")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 
 class ParseError(ValueError):
@@ -312,7 +312,7 @@ def components(g: Graph) -> list[frozenset[int]]:
 def cycle_lengths(g: Graph, lengths: Iterable[int]) -> frozenset[int]:
     """The lengths among ``lengths`` at which some distinct vertices of g form
     a cycle subgraph (not necessarily induced)."""
-    return frozenset(_iter_cycle_lengths(g, lengths))
+    return frozenset(_iter_cycle_lengths(g.adjacency_bits, _degrees(g), lengths))
 
 
 def contains_cycle_of_length(g: Graph, k: int) -> bool:
@@ -320,11 +320,20 @@ def contains_cycle_of_length(g: Graph, k: int) -> bool:
 
 
 def excludes_cycles(g: Graph, lengths: Iterable[int]) -> bool:
-    return next(_iter_cycle_lengths(g, lengths), None) is None
+    return next(_iter_cycle_lengths(g.adjacency_bits, _degrees(g), lengths), None) is None
 
 
-def _iter_cycle_lengths(g: Graph, lengths: Iterable[int]) -> Iterator[int]:
+def _degrees(g: Graph) -> list[int]:
+    return [len(nbrs) for nbrs in g.adj]
+
+
+def _iter_cycle_lengths(
+    abits: Sequence[int], degree: list[int], lengths: Iterable[int]
+) -> Iterator[int]:
     """Yield each wanted length once, as a cycle of that length turns up.
+
+    The graph is given by its adjacency bitmasks and its vertex degrees;
+    the search updates ``degree`` in place.
 
     Each cycle is searched from its smallest vertex s, and three rules keep
     the search small without changing its answer:
@@ -343,9 +352,8 @@ def _iter_cycle_lengths(g: Graph, lengths: Iterable[int]) -> Iterator[int]:
     wanted = set(lengths)
     if any(k < 3 for k in wanted):
         raise ValueError(f"cycle length must be at least 3, got {min(wanted)}")
-    abits = g.adjacency_bits
-    degree = [len(nbrs) for nbrs in g.adj]
-    core = _peel(abits, degree, g.full_mask, [v for v in range(g.n) if degree[v] < 2])
+    n = len(abits)
+    core = _peel(abits, degree, (1 << n) - 1, [v for v in range(n) if degree[v] < 2])
     while wanted and core.bit_count() >= min(wanted):
         start = core & -core
         s = start.bit_length() - 1
@@ -371,7 +379,7 @@ def _iter_cycle_lengths(g: Graph, lengths: Iterable[int]) -> Iterator[int]:
         core = _peel(abits, degree, core, [s])
 
 
-def _peel(abits: tuple[int, ...], degree: list[int], core: int, doomed: list[int]) -> int:
+def _peel(abits: Sequence[int], degree: list[int], core: int, doomed: list[int]) -> int:
     """Remove ``doomed`` from the vertex mask ``core``, then every vertex whose
     degree inside it drops below 2, until none is left.  ``degree`` is kept
     up to date for the vertices that remain."""
@@ -385,7 +393,7 @@ def _peel(abits: tuple[int, ...], degree: list[int], core: int, doomed: list[int
     return core
 
 
-def _balls(abits: tuple[int, ...], s: int, allowed: int, radius: int) -> list[int]:
+def _balls(abits: Sequence[int], s: int, allowed: int, radius: int) -> list[int]:
     """``ball[r]``: the vertices of G[allowed] within distance r of s, r <= radius."""
     ball = [1 << s]
     frontier = ball[0]

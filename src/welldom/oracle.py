@@ -17,9 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator, Sequence
 
-from .graphs import Graph, set_of
+from .graphs import Graph, iter_bits, set_of
 from .linalg import SubspaceBasis, nullspace
 
 
@@ -59,17 +60,28 @@ class FamilyKind(Enum):
 
 @dataclass(frozen=True)
 class SetFamily:
-    """A complete family of vertex sets in canonical (ascending bitmask) order."""
+    """A complete family of vertex sets as bitmasks, in ascending order.
+
+    ``sets`` views the same family as frozensets, built on first read.
+    """
 
     kind: FamilyKind
     n: int
-    sets: tuple[frozenset[int], ...]
+    masks: tuple[int, ...]
 
     def __len__(self) -> int:
-        return len(self.sets)
+        return len(self.masks)
+
+    @cached_property
+    def sets(self) -> tuple[frozenset[int], ...]:
+        return tuple(set_of(m) for m in self.masks)
+
+    @cached_property
+    def _sizes(self) -> tuple[int, ...]:
+        return tuple(m.bit_count() for m in self.masks)
 
     def sizes(self) -> tuple[int, ...]:
-        return tuple(len(s) for s in self.sets)
+        return self._sizes
 
 
 def iter_set_masks(g: Graph, independent: bool) -> Iterator[int]:
@@ -148,7 +160,7 @@ def _enumerate(g: Graph, kind: FamilyKind, max_vertices: int, max_sets: int) -> 
                 f"more than {max_sets} {kind.value.replace('_', ' ')} sets", partial=masks
             )
     masks.sort()
-    return SetFamily(kind, g.n, tuple(set_of(m) for m in masks))
+    return SetFamily(kind, g.n, tuple(masks))
 
 
 def enumerate_maximal_independent_sets(
@@ -205,13 +217,13 @@ def weight_space_from_family(family: SetFamily) -> SubspaceBasis:
     Null space of the difference rows chi(S_i) - chi(S_0); a single-set family
     therefore yields the full space.
     """
-    if not family.sets:
+    if not family.masks:
         raise ValueError("weight space of an empty family is undefined")
-    first = family.sets[0]
+    first = family.masks[0]
     rows = []
-    for s in family.sets[1:]:
-        row = dict.fromkeys(s - first, 1)
-        row.update(dict.fromkeys(first - s, -1))
+    for s in family.masks[1:]:
+        row = dict.fromkeys(iter_bits(s & ~first), 1)
+        row.update(dict.fromkeys(iter_bits(first & ~s), -1))
         rows.append(row)
     return nullspace(rows, family.n)
 

@@ -81,9 +81,12 @@ def _basis(f: ComponentFacts, dominating: bool) -> CharacterizationOutcome:
             for v in f.piece_vectors[p]:
                 vec[v] = vec.get(v, 0) + x
         kept.append(vec)
-    zero_forced = sorted(f.fringe - f.anchored)
+    # the notes name vertices by their whole-graph labels
+    labels = f.labels
+    zero_forced = sorted(labels[v] for v in f.fringe - f.anchored)
     notes = [f"zero-forced fringe vertices: {zero_forced}"] if zero_forced else []
-    notes += [f"coupled ears: {sorted(v for p in row for v in f.fringe_pieces[p])}" for row in f.forced[1]]
+    notes += [f"coupled ears: {sorted(labels[v] for p in row for v in f.fringe_pieces[p])}"
+              for row in f.forced[1]]
     return CharacterizationOutcome(f.special_form, row_space(kept, n), tuple(notes))
 
 

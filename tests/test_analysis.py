@@ -119,6 +119,27 @@ def test_coupled_ears_are_noted_and_counted():
     )
 
 
+def shifted_past_an_edge(g: Graph) -> Graph:
+    """``g`` on vertices 2.., after a component that is the edge 0-1."""
+    return Graph.from_edges(g.n + 2, [(0, 1)] + [(u + 2, v + 2) for u, v in g.edges()])
+
+
+def test_notes_name_whole_graph_vertices_once_each():
+    # the edge component is complete_small in both bases, and its note is
+    # listed once; the other component's local vertex 0 is vertex 2
+    report = analyze(shifted_past_an_edge(fringe_gap_graph()))
+    assert report.structure.zero_forced_fringe == frozenset({2})
+    assert report.characterization.notes == (
+        "component at 0: complete_small: constant weights",
+        "component at 2: zero-forced fringe vertices: [2]",
+    )
+    report = analyze(shifted_past_an_edge(parse_graph("IuO_OGB?W", "graph6")))
+    assert report.characterization.notes == (
+        "component at 0: complete_small: constant weights",
+        "component at 2: coupled ears: [5, 11]",
+    )
+
+
 class TestAnalyzeReport:
     def test_clean_graph_passes_every_check(self):
         report = analyze(path_graph(4))
@@ -255,9 +276,8 @@ class TestJsonReport:
     def test_reports_are_pinned(self):
         """The JSON reports of the fixtures and the criterion-7 stream, byte for byte.
 
-        A change that means to alter a report (the WWD engine of ROADMAP
-        direction 1 will) updates this digest and records which reports
-        changed and why; any other change must leave it alone.
+        A change that means to alter a report updates this digest and records
+        which reports changed and why; any other change must leave it alone.
         """
         cfg = GeneratorConfig(max_n=12, forbidden_cycles=frozenset({4, 5, 6}), seed=77, count=380)
         graphs = [fixture.graph for fixture in builtin_fixtures()] + list(generate_family(cfg))
@@ -265,7 +285,7 @@ class TestJsonReport:
         for g in graphs:
             digest.update(json.dumps(analyze(g).to_json_dict()).encode() + b"\n")
         assert len(graphs) == 15 + 380
-        assert digest.hexdigest() == "7a474bd6bc3efeced88fc47e4e0bdf657090f9607ff9210610e0620bf0eace8c"
+        assert digest.hexdigest() == "edcbb1b925e8fdc879eba70cadcbff08b7b2e975136807f681336b290fe804d0"
 
 
 class TestPropertySweep:

@@ -4,13 +4,14 @@ import random
 import pytest
 
 from welldom.generators import (
+    SAMPLING_ATTEMPTS,
     GeneratorConfig,
     generate_family,
     random_tree,
     random_triangle_tree,
     sample_cycle_free,
 )
-from welldom.graphs import contains_cycle_of_length, excludes_cycles, serialize_graph
+from welldom.graphs import Graph, contains_cycle_of_length, excludes_cycles, serialize_graph
 from welldom.oracle import BudgetExceededError
 
 
@@ -30,6 +31,23 @@ class TestConfig:
     def test_forbidden_cycles_coerced(self):
         cfg = GeneratorConfig(forbidden_cycles=[4, 5, 4])
         assert cfg.forbidden_cycles == frozenset({4, 5})
+
+
+def graph_per_candidate(rng, n, p, forbidden):
+    """Reference sampler: a validated Graph and ``excludes_cycles`` per candidate."""
+    for _ in range(SAMPLING_ATTEMPTS):
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+        g = Graph.from_edges(n, edges)
+        if excludes_cycles(g, forbidden):
+            return g
+    raise BudgetExceededError("no sample")
+
+
+def outcome(sampler, *args):
+    try:
+        return sampler(*args)
+    except BudgetExceededError:
+        return "gave up"
 
 
 class TestBuildingBlocks:
@@ -53,6 +71,21 @@ class TestBuildingBlocks:
             g = sample_cycle_free(rng, 7, 0.3, frozenset({3, 4}))
             assert not contains_cycle_of_length(g, 3)
             assert not contains_cycle_of_length(g, 4)
+
+    @pytest.mark.parametrize("forbidden", [{3}, {4, 5}, {4, 5, 6}])
+    def test_sampler_matches_a_graph_per_candidate(self, forbidden):
+        # the sampler's bitmask test accepts the same candidate, after the
+        # same draws, as building a Graph for each and testing that; at
+        # n = 3 it gives up on a triangle, after the same draws too
+        forbidden = frozenset(forbidden)
+        for seed in range(48):
+            n = 1 + seed % 12
+            p = min(1.0, 2.6 / max(n - 1, 1))
+            rng, reference_rng = random.Random(seed), random.Random(seed)
+            assert outcome(sample_cycle_free, rng, n, p, forbidden) == outcome(
+                graph_per_candidate, reference_rng, n, p, forbidden
+            )
+            assert rng.getstate() == reference_rng.getstate()
 
     def test_sampler_gives_up_when_constraints_are_hopeless(self):
         # edge probability 1 forces K6, which always has triangles

@@ -5,6 +5,7 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from welldom.graphs import Graph, mask_of, set_of
+from welldom.linalg import SubspaceBasis, nullspace
 from welldom.named_graphs import (
     complete_bipartite_graph,
     cycle_graph,
@@ -136,7 +137,29 @@ class TestDominationNumbers:
         assert not is_well_dominated(complete_bipartite_graph(3, 3))
 
 
+class TestSetFamily:
+    @given(graphs(max_n=10))
+    def test_masks_sets_and_sizes_agree(self, g):
+        for family in (enumerate_maximal_independent_sets(g), enumerate_minimal_dominating_sets(g)):
+            assert list(family.masks) == sorted(set(family.masks))
+            assert family.sets == tuple(set_of(m) for m in family.masks)
+            assert family.sizes() == tuple(len(s) for s in family.sets)
+            assert len(family) == len(family.masks)
+
+
+def weight_space_from_frozensets(family) -> SubspaceBasis:
+    """The difference rows chi(S) - chi(S_0), built from frozensets."""
+    first = family.sets[0]
+    rows = [{**dict.fromkeys(s - first, 1), **dict.fromkeys(first - s, -1)} for s in family.sets[1:]]
+    return nullspace(rows, family.n)
+
+
 class TestWeightSpaces:
+    @given(graphs(max_n=12))
+    def test_mask_rows_match_frozenset_rows(self, g):
+        for family in (enumerate_maximal_independent_sets(g), enumerate_minimal_dominating_sets(g)):
+            assert weight_space_from_family(family) == weight_space_from_frozensets(family)
+
     @given(graphs(max_n=7))
     def test_basis_vectors_weigh_sets_equally(self, g):
         family = enumerate_minimal_dominating_sets(g)
