@@ -2,11 +2,11 @@
 
 analyze() is the entry point behind the CLI.  It builds each connected
 component's facts once (cycle profile, structural tables, special form),
-reads the cycle flags and tables off them, applies the closed-form engines
-per component (combining weight spaces as direct sums), runs the enumeration
-oracle when the graph fits the budget, and cross-checks everything that was
-computed two ways.  Preconditions that fail make a section inapplicable
-with a reason; they never raise.
+reads the cycle flags, the tables and the component answers (recognition
+and both weight-space bases) off them, combines the weight spaces as direct
+sums, runs the enumeration oracle when the graph fits the budget, and
+cross-checks everything that was computed two ways.  Preconditions that fail
+make a section inapplicable with a reason; they never raise.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .generators import GeneratorConfig, generate_family
 from .graphs import Graph, iter_bits, serialize_graph
@@ -30,6 +30,7 @@ from .oracle import (
 )
 from .structure import (
     CYCLE_LENGTHS,
+    CharacterizationOutcome,
     ComponentFacts,
     SimplicialPartition,
     StructureSummary,
@@ -38,14 +39,7 @@ from .structure import (
     outside_family,
     summarize,
 )
-from .weightspace import (
-    CharacterizationOutcome,
-    SpecialForm,
-    dimension_report,
-    recognition_from_facts,
-    wcw_basis_from_facts,
-    wwd_basis_from_facts,
-)
+from .weightspace import SpecialForm, dimension_report
 
 
 # -- component-wise wrappers -----------------------------------------------------
@@ -61,9 +55,9 @@ class GlobalCharacterization:
 
 
 def _direct_sum(
-    facts: Sequence[ComponentFacts], outcomes: Sequence[CharacterizationOutcome], n: int
+    parts: Iterable[tuple[ComponentFacts, CharacterizationOutcome]], n: int
 ) -> GlobalCharacterization:
-    """The component bases embedded side by side.
+    """The component bases, each given with its component, embedded side by side.
 
     Each component's labels are increasing, so its embedded RREF rows stay
     in RREF, and the rows of all components, sorted by embedded pivot, are
@@ -71,29 +65,26 @@ def _direct_sum(
     """
     rows: list[tuple[int, dict[int, Fraction]]] = []
     notes: list[str] = []
-    for f, outcome in zip(facts, outcomes):
+    forms: list[SpecialForm] = []
+    for f, outcome in parts:
         labels = f.labels
         for row, pivot in zip(outcome.basis.sparse_rows, outcome.basis.pivots):
             rows.append((labels[pivot], {labels[local]: value for local, value in row.items()}))
         notes.extend(f"component at {labels[0]}: {note}" for note in outcome.notes)
+        forms.append(outcome.special_form)
     rows.sort(key=lambda item: item[0])
     basis = SubspaceBasis(n, tuple(row for _, row in rows), tuple(pivot for pivot, _ in rows))
-    forms = tuple(outcome.special_form for outcome in outcomes)
-    return GlobalCharacterization(basis, forms, tuple(notes))
-
-
-def _characterized(facts: Sequence[ComponentFacts], engine, n: int) -> GlobalCharacterization:
-    return _direct_sum(facts, [engine(f) for f in facts], n)
+    return GlobalCharacterization(basis, tuple(forms), tuple(notes))
 
 
 def characterized_wcw_basis(g: Graph) -> GlobalCharacterization:
     """Equal-weight space of maximal independent sets, any number of components."""
-    return _characterized(family_facts(g, (4, 5, 6)), wcw_basis_from_facts, g.n)
+    return _direct_sum(((f, f.wcw) for f in family_facts(g, (4, 5, 6))), g.n)
 
 
 def characterized_wwd_basis(g: Graph) -> GlobalCharacterization:
     """Equal-weight space of minimal dominating sets, any number of components."""
-    return _characterized(family_facts(g, (4, 5, 6)), wwd_basis_from_facts, g.n)
+    return _direct_sum(((f, f.wwd) for f in family_facts(g, (4, 5, 6))), g.n)
 
 
 @dataclass(frozen=True)
@@ -104,10 +95,8 @@ class GlobalRecognition:
 
 
 def _recognized(facts: Sequence[ComponentFacts]) -> GlobalRecognition:
-    outcomes = [recognition_from_facts(f) for f in facts]
-    holds = all(outcome.holds for outcome in outcomes)
-    clauses = tuple(outcome.clause if outcome.holds else "unrecognized" for outcome in outcomes)
-    return GlobalRecognition(holds, holds, clauses)
+    holds = all(f.recognition is not None for f in facts)
+    return GlobalRecognition(holds, holds, tuple(f.recognition or "unrecognized" for f in facts))
 
 
 def recognized_status(g: Graph) -> GlobalRecognition:
@@ -280,21 +269,17 @@ def _whole_partition(facts: Sequence[ComponentFacts]) -> SimplicialPartition | N
 DIMENSION_CHECKS = ("wwd_dimension_equals_anchored_fringe", "wcw_dimension_equals_fringe_independence")
 
 
-def _dimension_check_results(
-    facts: Sequence[ComponentFacts],
-    wcw_parts: Sequence[CharacterizationOutcome],
-    wwd_parts: Sequence[CharacterizationOutcome],
-) -> list[CheckResult]:
+def _dimension_check_results(facts: Sequence[ComponentFacts]) -> list[CheckResult]:
     """The two dimension checks; a component whose forced rows couple ears
     states its coupling rank in the well-dominated check's detail."""
     failures: dict[str, list[str]] = {name: [] for name in DIMENSION_CHECKS}
     coupled: list[str] = []
     flagged: list[str] = []
-    for f, wcw, wwd in zip(facts, wcw_parts, wwd_parts):
+    for f in facts:
         if f.special_form is not SpecialForm.GENERAL:
             flagged.append(f"component at {f.labels[0]} is {f.special_form.value}")
             continue
-        r = dimension_report(f, wcw.basis, wwd.basis)
+        r = dimension_report(f)
         anchored = f"anchored fringe independence {r.anchored_independence}"
         if r.coupling_rank:
             anchored += f" minus coupling rank {r.coupling_rank}"
@@ -330,15 +315,13 @@ def analyze(g: Graph, budget: EnumerationBudget = DEFAULT_BUDGET) -> AnalysisRep
 
     characterization_reason = outside_family(facts, (4, 5, 6))
     if characterization_reason is None:
-        wcw_parts = [wcw_basis_from_facts(f) for f in facts]
-        wwd_parts = [wwd_basis_from_facts(f) for f in facts]
-        wcw = _direct_sum(facts, wcw_parts, g.n)
-        wwd = _direct_sum(facts, wwd_parts, g.n)
+        wcw = _direct_sum(((f, f.wcw) for f in facts), g.n)
+        wwd = _direct_sum(((f, f.wwd) for f in facts), g.n)
         forms = tuple(form.value for form in wcw.component_forms)
         # both bases give a special-form component the same note; list it once
         notes = tuple(dict.fromkeys(wcw.notes + wwd.notes))
         characterization = CharacterizationSection(True, None, forms, wcw.basis, wwd.basis, notes)
-        dimension_results = _dimension_check_results(facts, wcw_parts, wwd_parts)
+        dimension_results = _dimension_check_results(facts)
     else:
         characterization = CharacterizationSection(
             False, characterization_reason, (), None, None, ()
@@ -516,8 +499,8 @@ def _sweep_problems(
         problems.append(f"well-covered {wc} but well-dominated {wd}")
     if not characterized:
         return problems
-    wcw = _characterized(facts, wcw_basis_from_facts, ind.n).basis
-    wwd = _characterized(facts, wwd_basis_from_facts, ind.n).basis
+    wcw = _direct_sum(((f, f.wcw) for f in facts), ind.n).basis
+    wwd = _direct_sum(((f, f.wwd) for f in facts), ind.n).basis
     if not subspace_equal(wcw, weight_space_from_family(ind)):
         problems.append("characterized equal-weight space (independent) is wrong")
     if not subspace_equal(wwd, weight_space_from_family(dom)):

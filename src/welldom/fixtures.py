@@ -3,16 +3,17 @@
 Each fixture records what we know about the graph and how we know it: every
 expected value carries a source tag.  "definition" marks values immediate
 from the construction, "hand" marks values worked out by hand, "oracle"
-marks values frozen from an enumeration run.  check_fixture recomputes all
-of them, so a wrong freeze cannot survive `welldom fixtures --run`.
+marks values frozen from an enumeration run.  check_fixture reads every one
+of them off the fixture's ``analyze`` report and fails on every cross-check
+that report fails, so a wrong freeze cannot survive `welldom fixtures --run`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .analysis import OracleSection, characterized_wcw_basis, characterized_wwd_basis
-from .graphs import Graph, cycle_lengths, excludes_cycles
+from .analysis import analyze
+from .graphs import Graph, mask_of
 from .linalg import row_space, subspace_equal
 from .named_graphs import (
     complete_bipartite_graph,
@@ -29,11 +30,10 @@ from .named_graphs import (
 )
 from .oracle import (
     DEFAULT_BUDGET,
+    BudgetExceededError,
     EnumerationBudget,
-    enumerate_maximal_independent_sets,
     enumerate_minimal_dominating_sets,
 )
-from .structure import anchored_fringe_vertices, fringe_vertices
 
 SOURCE_TAGS = ("definition", "hand", "oracle")
 # expectation keys read straight off the oracle section
@@ -68,65 +68,57 @@ class FixtureResult:
 
 
 def check_fixture(fixture: Fixture, budget: EnumerationBudget = DEFAULT_BUDGET) -> FixtureResult:
-    """Recompute every expectation of the fixture and report mismatches."""
+    """Compare every expectation of the fixture with its analysis report.
+
+    Only a ``minimal_dominating_witness`` enumerates on its own; an oracle
+    family over budget raises BudgetExceededError, as the enumeration would.
+    """
     g = fixture.graph
+    report = analyze(g, budget)
+    oracle = report.oracle
+    if oracle.skip_reasons:
+        raise BudgetExceededError("; ".join(oracle.skip_reasons))
     failures: list[str] = []
-    ind = enumerate_maximal_independent_sets(g, budget)
-    dom = enumerate_minimal_dominating_sets(g, budget)
-    oracle = OracleSection.from_families(ind, dom)
-    in_family = g.n > 0 and excludes_cycles(g, (4, 5, 6))
 
     def expect(key: str, actual) -> None:
         wanted = fixture.expected[key]
         if actual != wanted:
             failures.append(f"{key}: expected {wanted!r}, got {actual!r}")
 
-    for key in fixture.expected:
+    for key, wanted in fixture.expected.items():
         if key == "edge_count":
-            expect(key, g.edge_count)
+            expect(key, report.edge_count)
         elif key == "connected":
-            expect(key, g.is_connected)
+            expect(key, report.connected)
         elif key == "cycles_present":
-            found = cycle_lengths(g, fixture.expected[key])
-            expect(key, {k: k in found for k in fixture.expected[key]})
+            expect(key, {k: report.cycles_present.get(k) for k in wanted})
         elif key in ORACLE_KEYS:
             expect(key, getattr(oracle, key))
         elif key == "maximal_independent_size":
-            sizes = set(ind.sizes())
-            if sizes != {fixture.expected[key]}:
+            if (oracle.independent_domination, oracle.independence) != (wanted, wanted):
                 failures.append(
-                    f"{key}: expected every set to have size {fixture.expected[key]}, "
-                    f"got sizes {sorted(sizes)}"
+                    f"{key}: expected every set to have size {wanted}, got sizes "
+                    f"{oracle.independent_domination} to {oracle.independence}"
                 )
         elif key == "minimal_dominating_witness":
-            witness = frozenset(fixture.expected[key])
-            if witness not in dom.sets:
-                failures.append(f"{key}: {sorted(witness)} is not a minimal dominating set here")
+            if mask_of(wanted) not in enumerate_minimal_dominating_sets(g, budget).masks:
+                failures.append(f"{key}: {sorted(wanted)} is not a minimal dominating set here")
         elif key in ("wcw_dimension", "wwd_dimension"):
             expect(key, (oracle.wcw if key == "wcw_dimension" else oracle.wwd).dimension)
         elif key == "wwd_space_rows":
-            described = row_space(fixture.expected[key], g.n)
+            described = row_space(wanted, g.n)
             if not subspace_equal(described, oracle.wwd):
                 failures.append(
                     f"{key}: described space (dim {described.dimension}) differs "
                     f"from the enumerated one (dim {oracle.wwd.dimension})"
                 )
         elif key == "fringe":
-            expect(key, sorted(fringe_vertices(g)))
+            expect(key, sorted(report.structure.fringe))
         elif key == "anchored_fringe":
-            expect(key, sorted(anchored_fringe_vertices(g)))
+            expect(key, sorted(report.structure.anchored_fringe))
         else:
             failures.append(f"unknown expectation key {key!r}")
-
-    # the closed-form engines must reproduce the enumerated spaces whenever
-    # the graph sits inside the short-cycle-free family
-    if in_family:
-        wcw = characterized_wcw_basis(g).basis
-        wwd = characterized_wwd_basis(g).basis
-        if not subspace_equal(wcw, oracle.wcw):
-            failures.append("characterized equal-weight space (independent) differs from oracle")
-        if not subspace_equal(wwd, oracle.wwd):
-            failures.append("characterized equal-weight space (dominating) differs from oracle")
+    failures.extend(f"check failed: {c.name}: {c.detail}" for c in report.failed_checks)
     return FixtureResult(fixture.name, tuple(failures))
 
 

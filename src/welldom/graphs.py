@@ -10,7 +10,7 @@ cycle, and the two text formats round-trip bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
@@ -44,15 +44,10 @@ def set_of(mask: int) -> frozenset[int]:
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph: no loops, no parallel edges.
-
-    ``names`` is an optional side table for reporting; it never takes part in
-    equality, so parse/serialize round-trips compare on structure alone.
-    """
+    """Simple undirected graph: no loops, no parallel edges."""
 
     n: int
     adj: tuple[frozenset[int], ...]
-    names: tuple[str, ...] | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 0:
@@ -67,15 +62,9 @@ class Graph:
                     raise ValueError(f"loop at vertex {v}")
                 if v not in self.adj[u]:
                     raise ValueError(f"asymmetric edge {v}-{u}")
-        if self.names is not None and len(self.names) != self.n:
-            raise ValueError("names table must have one entry per vertex")
 
     @staticmethod
-    def from_edges(
-        n: int,
-        edges: Iterable[tuple[int, int]],
-        names: Iterable[str] | None = None,
-    ) -> "Graph":
+    def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         adj: list[set[int]] = [set() for _ in range(n)]
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -84,7 +73,7 @@ class Graph:
                 raise ValueError(f"loop at vertex {u}")
             adj[u].add(v)
             adj[v].add(u)
-        return Graph(n, tuple(frozenset(s) for s in adj), tuple(names) if names is not None else None)
+        return Graph(n, tuple(frozenset(s) for s in adj))
 
     # -- cached bitmask views ------------------------------------------------
 
@@ -281,8 +270,7 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, dict[int
         for v in g.adj[u]
         if u < v and v in remap
     ]
-    names = tuple(g.names[v] for v in kept) if g.names is not None else None
-    return Graph.from_edges(len(kept), edges, names), remap
+    return Graph.from_edges(len(kept), edges), remap
 
 
 def components(g: Graph) -> list[frozenset[int]]:

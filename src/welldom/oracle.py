@@ -15,7 +15,6 @@ oracle enumerates: the closed-form engines take no budget.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, Sequence
@@ -53,11 +52,6 @@ class EnumerationBudget:
 DEFAULT_BUDGET = EnumerationBudget()
 
 
-class FamilyKind(Enum):
-    MAXIMAL_INDEPENDENT = "maximal_independent"
-    MINIMAL_DOMINATING = "minimal_dominating"
-
-
 @dataclass(frozen=True)
 class SetFamily:
     """A complete family of vertex sets as bitmasks, in ascending order.
@@ -65,7 +59,6 @@ class SetFamily:
     ``sets`` views the same family as frozensets, built on first read.
     """
 
-    kind: FamilyKind
     n: int
     masks: tuple[int, ...]
 
@@ -145,38 +138,33 @@ def iter_set_masks(g: Graph, independent: bool) -> Iterator[int]:
                 stack.append((chosen | 1 << u, dominated | nb[u], doubled, forbidden | branches))
 
 
-def _enumerate(g: Graph, kind: FamilyKind, max_vertices: int, max_sets: int) -> SetFamily:
-    independent = kind is FamilyKind.MAXIMAL_INDEPENDENT
+def _enumerate(g: Graph, independent: bool, max_vertices: int, max_sets: int) -> SetFamily:
+    kind = "independent" if independent else "dominating"
     if g.n > max_vertices:
         raise BudgetExceededError(
-            f"{g.n} vertices exceed the {'independent' if independent else 'dominating'}-set "
-            f"enumeration budget of {max_vertices}"
+            f"{g.n} vertices exceed the {kind}-set enumeration budget of {max_vertices}"
         )
     masks: list[int] = []
     for m in iter_set_masks(g, independent):
         masks.append(m)
         if len(masks) > max_sets:
             raise BudgetExceededError(
-                f"more than {max_sets} {kind.value.replace('_', ' ')} sets", partial=masks
+                f"more than {max_sets} {'maximal' if independent else 'minimal'} {kind} sets", partial=masks
             )
     masks.sort()
-    return SetFamily(kind, g.n, tuple(masks))
+    return SetFamily(g.n, tuple(masks))
 
 
 def enumerate_maximal_independent_sets(
     g: Graph, budget: EnumerationBudget = DEFAULT_BUDGET
 ) -> SetFamily:
-    return _enumerate(
-        g, FamilyKind.MAXIMAL_INDEPENDENT, budget.max_independent_vertices, budget.max_sets
-    )
+    return _enumerate(g, True, budget.max_independent_vertices, budget.max_sets)
 
 
 def enumerate_minimal_dominating_sets(
     g: Graph, budget: EnumerationBudget = DEFAULT_BUDGET
 ) -> SetFamily:
-    return _enumerate(
-        g, FamilyKind.MINIMAL_DOMINATING, budget.max_dominating_vertices, budget.max_sets
-    )
+    return _enumerate(g, False, budget.max_dominating_vertices, budget.max_sets)
 
 
 @dataclass(frozen=True)
@@ -245,7 +233,6 @@ __all__ = [
     "DEFAULT_BUDGET",
     "DominationNumbers",
     "EnumerationBudget",
-    "FamilyKind",
     "SetFamily",
     "domination_numbers",
     "enumerate_maximal_independent_sets",

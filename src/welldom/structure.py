@@ -30,6 +30,11 @@ the well-dominated weights are the combinations of piece vectors whose
 coefficients every forced row sums to 0.  That the rows catch every doubled
 set of ears is verified, not proven: the rule matches the enumeration oracle
 on every connected family graph with at most 13 vertices.
+
+The component's answers are properties of the record as well: ``recognition``
+(the clause that makes it well-covered, or None), and ``wcw`` and ``wwd``,
+its two weight-space bases with their notes.  Every whole-graph path reads
+them off the record, so each is computed at most once per component.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ from .graphs import (
     is_isomorphic_small,
     iter_bits,
 )
-from .linalg import nullspace
+from .linalg import SubspaceBasis, constants_space, nullspace, row_space
 from .named_graphs import cycle_graph, triangle_tripod_graph
 from .oracle import BudgetExceededError, DEFAULT_BUDGET, EnumerationBudget
 
@@ -248,14 +253,21 @@ CYCLE_LENGTHS = (3, 4, 5, 6, 7)
 
 
 @dataclass(frozen=True)
+class CharacterizationOutcome:
+    special_form: SpecialForm
+    basis: SubspaceBasis
+    notes: tuple[str, ...] = ()
+
+
+@dataclass(frozen=True)
 class ComponentFacts:
     """What the engines read about one connected component, computed once.
 
     ``labels[v]`` is the whole-graph label of the component's vertex v.  The
     simplicial vertices, the partition, the forced ear rows and what they
     force (which the independent-set engines never read) are computed on
-    first use, as are the piece vectors, which the two weight-space engines
-    share.
+    first use, as are the piece vectors, which the two weight-space bases
+    share, and the answers: ``recognition``, ``wcw`` and ``wwd``.
     """
 
     graph: Graph
@@ -321,6 +333,56 @@ class ComponentFacts:
                 vector_of[u][v] = 1
         return tuple(vectors)
 
+    @cached_property
+    def recognition(self) -> str | None:
+        """Why the component is well-covered, and so well-dominated, when it
+        has no 4- or 5-cycle: "cycle7", "triangle_tripod" or
+        "simplicial_partition"; None when it is neither."""
+        if self.special_form in (SpecialForm.CYCLE7, SpecialForm.TRIANGLE_TRIPOD):
+            return self.special_form.value
+        return None if self.partition is None else "simplicial_partition"
+
+    @cached_property
+    def wcw(self) -> CharacterizationOutcome:
+        """The canonical basis of the weights under which every maximal
+        independent set weighs the same, without 4-, 5- and 6-cycles.
+
+        The 7-cycle, the triangle tripod and the complete graphs on up to
+        three vertices carry exactly the constant weights; every other
+        component is spanned by its piece vectors.
+        """
+        n = self.graph.n
+        if self.special_form is not SpecialForm.GENERAL:
+            note = f"{self.special_form.value}: constant weights"
+            return CharacterizationOutcome(self.special_form, constants_space(n), (note,))
+        return CharacterizationOutcome(self.special_form, row_space(self.piece_vectors, n))
+
+    @cached_property
+    def wwd(self) -> CharacterizationOutcome:
+        """The canonical basis of the weights under which every minimal
+        dominating set weighs the same, without 4-, 5- and 6-cycles.
+
+        A special form carries the constants, as for ``wcw``; otherwise the
+        basis spans the combinations of the piece vectors given by
+        ``coefficients``.  The notes name the zero-forced fringe vertices and
+        each coupled row's ears by their whole-graph labels.
+        """
+        if self.special_form is not SpecialForm.GENERAL:
+            return self.wcw
+        kept = []
+        for coefficients in self.coefficients:
+            vec: dict[int, int | Fraction] = {}
+            for p, x in coefficients.items():
+                for v in self.piece_vectors[p]:
+                    vec[v] = vec.get(v, 0) + x
+            kept.append(vec)
+        labels = self.labels
+        zero_forced = sorted(labels[v] for v in self.fringe - self.anchored)
+        notes = [f"zero-forced fringe vertices: {zero_forced}"] if zero_forced else []
+        notes += [f"coupled ears: {sorted(labels[v] for p in row for v in self.fringe_pieces[p])}"
+                  for row in self.forced[1]]
+        return CharacterizationOutcome(self.special_form, row_space(kept, self.graph.n), tuple(notes))
+
 
 def induced_pieces(g: Graph, vertices: frozenset[int]) -> tuple[tuple[int, ...], ...]:
     """The connected components of G[vertices], each as a sorted tuple of g's vertices."""
@@ -332,14 +394,7 @@ def induced_pieces(g: Graph, vertices: frozenset[int]) -> tuple[tuple[int, ...],
 def component_facts(g: Graph) -> tuple[ComponentFacts, ...]:
     """The facts of every connected component of ``g``, by smallest vertex."""
     comps = components(g)
-    if len(comps) == 1:
-        # the labels are the identity, so ``g`` itself names every vertex as
-        # its component would
-        subs = [g]
-    else:
-        # each component keeps its whole-graph labels as vertex names, for messages
-        named = g if g.names is not None else Graph(g.n, g.adj, tuple(map(str, range(g.n))))
-        subs = [induced_subgraph(named, comp)[0] for comp in comps]
+    subs = [g] if len(comps) == 1 else [induced_subgraph(g, comp)[0] for comp in comps]
     out = []
     for comp, sub in zip(comps, subs):
         partners = ear_partners(sub)
@@ -423,6 +478,7 @@ def structure_summary(g: Graph) -> StructureSummary:
 
 __all__ = [
     "CYCLE_LENGTHS",
+    "CharacterizationOutcome",
     "ComponentFacts",
     "NotApplicableError",
     "SimplicialPartition",

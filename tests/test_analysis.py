@@ -6,7 +6,6 @@ from collections import Counter
 
 import pytest
 
-from welldom import analysis
 from welldom.analysis import (
     analyze,
     characterized_wcw_basis,
@@ -27,7 +26,8 @@ from welldom.named_graphs import (
     triangle_with_pendants,
 )
 from welldom.oracle import EnumerationBudget, well_dominated_weight_space_oracle
-from welldom.weightspace import RecognitionOutcome, SpecialForm
+from welldom.structure import ComponentFacts
+from welldom.weightspace import SpecialForm
 
 ALL_CHECKS = (
     "domination_chain",
@@ -311,9 +311,7 @@ class TestPropertySweep:
 
     def test_failure_and_skip_labels_replay_the_graph(self, monkeypatch):
         # recognition that never holds fails on every well-covered graph
-        monkeypatch.setattr(
-            analysis, "recognition_from_facts", lambda facts: RecognitionOutcome(False, None, None)
-        )
+        monkeypatch.setattr(ComponentFacts, "recognition", property(lambda facts: None))
         cfg = GeneratorConfig(max_n=8, forbidden_cycles=frozenset({4, 5}), seed=3, count=20)
         report = run_property_sweep(cfg, EnumerationBudget(max_independent_vertices=6))
         family = list(generate_family(cfg))

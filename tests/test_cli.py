@@ -6,7 +6,6 @@ from pathlib import Path
 
 import pytest
 
-from welldom import analysis
 from welldom.cli import cli_main, resolve_budget
 from welldom.graphs import Graph, serialize_graph
 from welldom.linalg import nullspace
@@ -18,7 +17,7 @@ from welldom.named_graphs import (
     triangle_with_pendants,
 )
 from welldom.oracle import DEFAULT_BUDGET
-from welldom.weightspace import CharacterizationOutcome
+from welldom.structure import CharacterizationOutcome, ComponentFacts
 
 
 @pytest.fixture
@@ -59,7 +58,7 @@ class TestAnalyze:
         def whole_space(facts):
             return CharacterizationOutcome(facts.special_form, nullspace([], facts.graph.n))
 
-        monkeypatch.setattr(analysis, "wwd_basis_from_facts", whole_space)
+        monkeypatch.setattr(ComponentFacts, "wwd", property(whole_space))
         assert cli_main(["analyze", graph_file(path_graph(4))]) == 1
         err = capsys.readouterr().err
         assert "check failed: wwd_matches_oracle" in err
@@ -118,7 +117,7 @@ class TestWeightSpaceCommands:
             def broken(facts):
                 raise error("engine fault")
 
-            monkeypatch.setattr(analysis, "wcw_basis_from_facts", broken)
+            monkeypatch.setattr(ComponentFacts, "wcw", property(broken))
             assert cli_main(["wcw", graph_file(path_graph(4))]) == 4
             assert capsys.readouterr().err == f"internal error: {error.__name__}: engine fault\n"
 

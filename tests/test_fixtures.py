@@ -1,7 +1,13 @@
+import sys
+from collections import Counter
+
 import pytest
 
 from welldom.fixtures import Fixture, builtin_fixtures, check_fixture, run_builtin_checks
+from welldom.graphs import components
+from welldom.linalg import nullspace
 from welldom.named_graphs import path_graph
+from welldom.structure import CharacterizationOutcome, ComponentFacts
 
 
 class TestFixtureValidation:
@@ -45,6 +51,47 @@ class TestFixtureValidation:
         )
         result = check_fixture(fixture)
         assert not result.ok and "not a minimal dominating set" in result.failures[0]
+
+    def test_failed_analysis_check_is_a_failure(self, monkeypatch):
+        # a wrong dominating-set engine: every weight passes
+        def whole_space(facts):
+            return CharacterizationOutcome(facts.special_form, nullspace([], facts.graph.n))
+
+        monkeypatch.setattr(ComponentFacts, "wwd", property(whole_space))
+        by_name = {f.name: f for f in builtin_fixtures()}
+        result = check_fixture(by_name["fringe_gap"])
+        assert [line for line in result.failures if line.startswith("check failed: ")] == [
+            "check failed: wwd_matches_oracle: dimensions 10 vs 0",
+            "check failed: wwd_contained_in_wcw: dimensions 10 <= 1",
+            "check failed: wwd_dimension_equals_anchored_fringe: "
+            "component at 0: dimension 10 vs anchored fringe independence 0",
+        ]
+
+    def test_component_facts_are_built_once(self, monkeypatch):
+        # wrap the functions wherever a welldom module refers to them
+        counts: Counter = Counter()
+        modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "welldom"]
+        for module_name, attr in (
+            ("welldom.structure", "component_facts"),
+            ("welldom.graphs", "cycle_lengths"),
+            ("welldom.graphs", "excludes_cycles"),
+        ):
+            original = getattr(sys.modules[module_name], attr)
+
+            def counted(*args, _original=original, _attr=attr, **kwargs):
+                counts[_attr] += 1
+                return _original(*args, **kwargs)
+
+            for module in modules:
+                for key, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, key, counted)
+        for fixture in builtin_fixtures():
+            counts.clear()
+            assert check_fixture(fixture).ok
+            # one cycle profile per component, taken while building its facts
+            components_found = len(components(fixture.graph))
+            assert counts == Counter(component_facts=1, cycle_lengths=components_found), fixture.name
 
 
 class TestBuiltinCorpus:

@@ -179,10 +179,10 @@ class TestWeightSpaces:
         assert space.contains_vector([1] * 7)
 
     def test_empty_family_rejected(self):
-        from welldom.oracle import FamilyKind, SetFamily
+        from welldom.oracle import SetFamily
 
         with pytest.raises(ValueError):
-            weight_space_from_family(SetFamily(FamilyKind.MAXIMAL_INDEPENDENT, 3, ()))
+            weight_space_from_family(SetFamily(3, ()))
 
 
 class TestExtremalWeights:
