@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .generators import GeneratorConfig, generate_family
-from .graphs import Graph, iter_bits, serialize_graph
+from .graphs import Graph, serialize_graph
 from .linalg import SubspaceBasis, subspace_contains, subspace_equal
 from .oracle import (
     DEFAULT_BUDGET,
@@ -476,6 +476,29 @@ def _replay_label(cfg: GeneratorConfig, index: int, g: Graph) -> str:
     return f"graph {index} (seed {cfg.seed}, n={g.n}, m={g.edge_count}, {text})"
 
 
+def _subset_sums(weights: list[int]) -> list[list[int]]:
+    """For each chunk of six vertices, the weight of each of its 64 subsets."""
+    tables = []
+    for start in range(0, len(weights), 6):
+        table = [0]
+        for w in weights[start:start + 6]:
+            table += [s + w for s in table]
+        tables.append(table)
+    return tables
+
+
+def _weigh(masks: Sequence[int], tables: list[list[int]]) -> list[int]:
+    """The weight of each vertex mask, read off the subset sums chunk by chunk."""
+    out = []
+    for m in masks:
+        total = 0
+        for table in tables:
+            total += table[m & 63]
+            m >>= 6
+        out.append(total)
+    return out
+
+
 def _sweep_problems(
     ind: SetFamily, dom: SetFamily, weights: list[int],
     facts: Sequence[ComponentFacts] | None, characterized: bool,
@@ -484,8 +507,9 @@ def _sweep_problems(
     problems: list[str] = []
     if not (min(dom.sizes()) <= min(ind.sizes()) <= max(ind.sizes()) <= max(dom.sizes())):
         problems.append("domination chain violated")
-    ind_weights = [sum(map(weights.__getitem__, iter_bits(m))) for m in ind.masks]
-    dom_weights = [sum(map(weights.__getitem__, iter_bits(m))) for m in dom.masks]
+    tables = _subset_sums(weights)
+    ind_weights = _weigh(ind.masks, tables)
+    dom_weights = _weigh(dom.masks, tables)
     if not (min(dom_weights) <= min(ind_weights) <= max(ind_weights) <= max(dom_weights)):
         problems.append("weighted domination chain violated")
     if facts is None:

@@ -299,8 +299,15 @@ def components(g: Graph) -> list[frozenset[int]]:
 
 def cycle_lengths(g: Graph, lengths: Iterable[int]) -> frozenset[int]:
     """The lengths among ``lengths`` at which some distinct vertices of g form
-    a cycle subgraph (not necessarily induced)."""
-    return frozenset(_iter_cycle_lengths(g.adjacency_bits, _degrees(g), lengths))
+    a cycle subgraph (not necessarily induced).
+
+    Every cycle lies in one block (2-connected component) of the 2-core, so
+    the search runs block by block, and a block with b vertices is searched
+    only for the wanted lengths up to b, and only for the even ones when it
+    is bipartite.  This bounds K_{a,a}: its one block is bipartite, so no
+    search for an odd length starts.
+    """
+    return frozenset(_block_cycle_lengths(g, lengths))
 
 
 def contains_cycle_of_length(g: Graph, k: int) -> bool:
@@ -308,11 +315,82 @@ def contains_cycle_of_length(g: Graph, k: int) -> bool:
 
 
 def excludes_cycles(g: Graph, lengths: Iterable[int]) -> bool:
-    return next(_iter_cycle_lengths(g.adjacency_bits, _degrees(g), lengths), None) is None
+    return next(_block_cycle_lengths(g, lengths), None) is None
 
 
-def _degrees(g: Graph) -> list[int]:
-    return [len(nbrs) for nbrs in g.adj]
+def _block_cycle_lengths(g: Graph, lengths: Iterable[int]) -> Iterator[int]:
+    """Yield each wanted length once, as a cycle of that length turns up in
+    some block of g's 2-core; each block is searched by ``_iter_cycle_lengths``."""
+    wanted = _checked_lengths(lengths)
+    abits = g.adjacency_bits
+    degree = [len(nbrs) for nbrs in g.adj]
+    core = _peel(abits, degree, g.full_mask, [v for v in range(g.n) if degree[v] < 2])
+    for block, bipartite in _blocks(abits, core):
+        if not wanted:
+            return
+        here = {k for k in wanted if k <= block.bit_count() and not (bipartite and k % 2)}
+        if not here:
+            continue
+        members = list(iter_bits(block))
+        local = {v: i for i, v in enumerate(members)}
+        sub = [mask_of(local[u] for u in iter_bits(abits[v] & block)) for v in members]
+        for k in _iter_cycle_lengths(sub, [bits.bit_count() for bits in sub], here):
+            wanted.discard(k)
+            yield k
+
+
+def _checked_lengths(lengths: Iterable[int]) -> set[int]:
+    wanted = set(lengths)
+    if any(k < 3 for k in wanted):
+        raise ValueError(f"cycle length must be at least 3, got {min(wanted)}")
+    return wanted
+
+
+def _blocks(abits: Sequence[int], core: int) -> Iterator[tuple[int, bool]]:
+    """The blocks of G[core] as vertex masks, each with whether it is bipartite.
+
+    One iterative depth-first search: a child u of v closes a block (v and
+    the vertices found since u) when no back edge from u's subtree climbs
+    above v.  Each vertex of a block but its top one reaches its parent by a
+    tree edge of the block, and so do its back edges.  The depth parity
+    2-colours the tree edges, so the block is bipartite iff none of these
+    back edges spans an even number of levels, which would close an odd cycle.
+    """
+    depth = [-1] * len(abits)
+    low = [0] * len(abits)
+    odd_back = 0  # the vertices with a back edge that closes an odd cycle
+    for root in iter_bits(core):
+        if depth[root] >= 0:
+            continue
+        depth[root] = low[root] = 0
+        trail = [root]  # the vertices found, not yet in a block
+        stack = [(root, abits[root] & core)]
+        while stack:
+            v, todo = stack[-1]
+            if todo:
+                bit = todo & -todo
+                stack[-1] = (v, todo ^ bit)
+                u = bit.bit_length() - 1
+                d = depth[u]
+                if d < 0:
+                    depth[u] = low[u] = depth[v] + 1
+                    trail.append(u)
+                    stack.append((u, abits[u] & core))
+                elif d < depth[v]:  # to an ancestor: the parent, or a back edge
+                    low[v] = min(low[v], d)
+                    if not (depth[v] - d) & 1:
+                        odd_back |= 1 << v
+                continue
+            stack.pop()
+            if not stack:
+                continue
+            p = stack[-1][0]
+            low[p] = min(low[p], low[v])
+            if low[v] >= depth[p]:
+                block = 1 << v
+                while (w := trail.pop()) != v:
+                    block |= 1 << w
+                yield block | 1 << p, not block & odd_back
 
 
 def _iter_cycle_lengths(
@@ -337,9 +415,7 @@ def _iter_cycle_lengths(
       at most top // 2 from s along it;
     - the search stops once every wanted length has been found.
     """
-    wanted = set(lengths)
-    if any(k < 3 for k in wanted):
-        raise ValueError(f"cycle length must be at least 3, got {min(wanted)}")
+    wanted = _checked_lengths(lengths)
     n = len(abits)
     core = _peel(abits, degree, (1 << n) - 1, [v for v in range(n) if degree[v] < 2])
     while wanted and core.bit_count() >= min(wanted):

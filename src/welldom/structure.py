@@ -53,6 +53,7 @@ from .graphs import (
     is_complete,
     is_isomorphic_small,
     iter_bits,
+    set_of,
 )
 from .linalg import SubspaceBasis, constants_space, nullspace, row_space
 from .named_graphs import cycle_graph, triangle_tripod_graph
@@ -92,45 +93,34 @@ class SimplicialPartition:
 
 
 def simplicial_partition(g: Graph) -> SimplicialPartition | None:
-    """Exact-cover search for a simplicial partition, or None.
+    """The partition of V into closed neighborhoods of simplicial vertices, or None.
 
-    Branches on the lowest uncovered vertex; candidate cells are closed
-    neighborhoods of simplicial vertices that avoid everything covered so far,
-    tried in ascending order of their centers.  The search keeps its own
-    stack, so its depth (one level per cell) is not bounded by Python's.
+    No search is needed.  A simplicial x lies in some cell N[c], so x = c or
+    x ~ c, and two adjacent simplicial vertices have the same closed
+    neighborhood: N[x] is itself a cell.  So a partition exists iff the
+    distinct N[x], x simplicial, are pairwise disjoint and cover V, and then
+    it is unique.  Each cell's center is its smallest simplicial vertex, and
+    the cells come in order of their smallest vertex.
     """
-    return _partition_search(g, simplicial_vertices(g))
+    return _partition(g, simplicial_vertices(g))
 
 
-def _partition_search(g: Graph, simplicial: frozenset[int]) -> SimplicialPartition | None:
+def _partition(g: Graph, simplicial: frozenset[int]) -> SimplicialPartition | None:
     """``simplicial_partition`` given the simplicial vertices of g."""
-    simp = sorted(simplicial)
-    cells = {x: g.closed_bits[x] for x in simp}
-    full = g.full_mask
-
-    def candidates(covered: int):
-        undone = ~covered & full
-        v_bit = undone & -undone
-        return (x for x in simp if cells[x] & v_bit and not cells[x] & covered)
-
-    chosen: list[int] = []
+    nb = g.closed_bits
     covered = 0
-    untried = [candidates(covered)]  # untried[d]: the remaining branches at depth d
-    while covered != full:
-        x = next(untried[-1], None)
-        if x is None:
-            untried.pop()
-            if not chosen:
-                return None
-            covered &= ~cells[chosen.pop()]
-        else:
-            chosen.append(x)
-            covered |= cells[x]
-            untried.append(candidates(covered))
-    return SimplicialPartition(
-        tuple(chosen),
-        tuple(frozenset(iter_bits(cells[x])) for x in chosen),
-    )
+    centers = []
+    for x in sorted(simplicial):
+        if covered >> x & 1:  # x is in the cell of a smaller simplicial neighbour: N[x] is that cell
+            continue
+        if nb[x] & covered:
+            return None
+        covered |= nb[x]
+        centers.append(x)
+    if covered != g.full_mask:
+        return None
+    centers.sort(key=lambda c: nb[c] & -nb[c])
+    return SimplicialPartition(tuple(centers), tuple(set_of(nb[c]) for c in centers))
 
 
 def ear_partners(g: Graph) -> dict[int, tuple[int, int]]:
@@ -264,19 +254,24 @@ class ComponentFacts:
     """What the engines read about one connected component, computed once.
 
     ``labels[v]`` is the whole-graph label of the component's vertex v.  The
-    simplicial vertices, the partition, the forced ear rows and what they
-    force (which the independent-set engines never read) are computed on
-    first use, as are the piece vectors, which the two weight-space bases
-    share, and the answers: ``recognition``, ``wcw`` and ``wwd``.
+    cycle profile (which the property sweep never reads), the simplicial
+    vertices, the partition, the forced ear rows and what they force (which
+    the independent-set engines never read) are computed on first use, as
+    are the piece vectors, which the two weight-space bases share, and the
+    answers: ``recognition``, ``wcw`` and ``wwd``.
     """
 
     graph: Graph
     labels: tuple[int, ...]
-    cycles: frozenset[int]  # the lengths of CYCLE_LENGTHS that occur
     special_form: SpecialForm
     fringe: frozenset[int]
     ear_partners: dict[int, tuple[int, int]]
     confined: dict[int, frozenset[int]]  # keyed by the vertices outside the fringe
+
+    @cached_property
+    def cycles(self) -> frozenset[int]:
+        """The lengths of CYCLE_LENGTHS that occur."""
+        return cycle_lengths(self.graph, CYCLE_LENGTHS)
 
     @cached_property
     def simplicial(self) -> frozenset[int]:
@@ -288,7 +283,7 @@ class ComponentFacts:
 
     @cached_property
     def partition(self) -> SimplicialPartition | None:
-        return _partition_search(self.graph, self.simplicial)
+        return _partition(self.graph, self.simplicial)
 
     @cached_property
     def forced(self) -> tuple[frozenset[int], tuple[tuple[int, ...], ...]]:
@@ -403,7 +398,6 @@ def component_facts(g: Graph) -> tuple[ComponentFacts, ...]:
             ComponentFacts(
                 graph=sub,
                 labels=tuple(sorted(comp)),
-                cycles=cycle_lengths(sub, CYCLE_LENGTHS),
                 special_form=special_form_of(sub),
                 fringe=fringe,
                 ear_partners=partners,

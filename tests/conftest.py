@@ -29,6 +29,37 @@ def graphs(draw, max_n: int = 8, min_n: int = 0) -> Graph:
 
 
 @st.composite
+def gnp_graphs(draw, max_n: int = 12) -> Graph:
+    """G(n, p): each pair of vertices is an edge with probability p."""
+    n = draw(st.integers(0, max_n))
+    p = draw(st.floats(0, 1))
+    rng = draw(st.randoms(use_true_random=False))
+    return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
+
+
+@st.composite
+def glued_graphs(draw, max_n: int = 9) -> Graph:
+    """Small random graphs glued into one, each to a vertex already there:
+    it shares its vertex 0 with that vertex, or hangs from it by an edge.
+    The shared vertices are cut vertices and the edges bridges, so the
+    result has several blocks."""
+    n, edges = 1, []
+    while n < max_n and draw(st.booleans()):
+        part = draw(graphs(max_n=min(5, max_n - n + 1), min_n=2))
+        at = draw(st.integers(0, n - 1))
+        if draw(st.booleans()):
+            names = [at] + list(range(n, n + part.n - 1))
+        elif n + part.n <= max_n:
+            names = list(range(n, n + part.n))
+            edges.append((at, n))
+        else:
+            break
+        edges += [(names[u], names[v]) for u, v in part.edges()]
+        n = max(n, max(names) + 1)
+    return Graph.from_edges(n, edges)
+
+
+@st.composite
 def eared_trees(draw, max_n: int = 12) -> Graph:
     """A tree on at least 3 vertices with pendant triangles hung on some
     vertices and ears on some vertex-disjoint tree edges.
@@ -127,6 +158,41 @@ def reference_set_masks(g: Graph, independent: bool):
             child = chosen | 1 << u
             if independent or irredundant(child):
                 stack.append((child, dominated | nb[u], forbidden | branches))
+
+
+def reference_partition(g: Graph, simplicial: frozenset[int]):
+    """The exact-cover search the linear partition rule replaced, as
+    (centers, cells) or None.
+
+    Branches on the lowest uncovered vertex; candidate cells are closed
+    neighborhoods of simplicial vertices that avoid everything covered so
+    far, tried in ascending order of their centers.  Exponential in the
+    worst case, so only for small graphs.
+    """
+    simp = sorted(simplicial)
+    cells = {x: g.closed_bits[x] for x in simp}
+    full = g.full_mask
+
+    def candidates(covered: int):
+        undone = ~covered & full
+        v_bit = undone & -undone
+        return (x for x in simp if cells[x] & v_bit and not cells[x] & covered)
+
+    chosen: list[int] = []
+    covered = 0
+    untried = [candidates(covered)]  # untried[d]: the remaining branches at depth d
+    while covered != full:
+        x = next(untried[-1], None)
+        if x is None:
+            untried.pop()
+            if not chosen:
+                return None
+            covered &= ~cells[chosen.pop()]
+        else:
+            chosen.append(x)
+            covered |= cells[x]
+            untried.append(candidates(covered))
+    return tuple(chosen), tuple(frozenset(iter_bits(cells[x])) for x in chosen)
 
 
 def _refined_colours(g: Graph) -> tuple[int, ...]:

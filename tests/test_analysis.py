@@ -5,8 +5,12 @@ import sys
 from collections import Counter
 
 import pytest
+import hypothesis.strategies as st
+from hypothesis import given
 
 from welldom.analysis import (
+    _subset_sums,
+    _weigh,
     analyze,
     characterized_wcw_basis,
     characterized_wwd_basis,
@@ -16,11 +20,10 @@ from welldom.analysis import (
 from welldom.cli import cli_main
 from welldom.fixtures import builtin_fixtures
 from welldom.generators import GeneratorConfig, generate_family
-from welldom.graphs import Graph, induced_subgraph, parse_graph
+from welldom.graphs import Graph, induced_subgraph, iter_bits, parse_graph
 from welldom.linalg import row_space, subspace_equal
 from welldom.named_graphs import (
     complete_bipartite_graph,
-    complete_graph,
     fringe_gap_graph,
     path_graph,
     triangle_with_pendants,
@@ -308,6 +311,13 @@ class TestPropertySweep:
         report = run_property_sweep(cfg)
         assert report.ok, report.failures
         assert report.family_instances == 0
+
+    @given(st.lists(st.integers(0, 144), max_size=24).flatmap(
+        lambda weights: st.tuples(st.just(weights), st.lists(st.integers(0, (1 << len(weights)) - 1)))))
+    def test_subset_sums_weigh_each_mask(self, weights_and_masks):
+        weights, masks = weights_and_masks
+        expected = [sum(weights[v] for v in iter_bits(m)) for m in masks]
+        assert _weigh(masks, _subset_sums(weights)) == expected
 
     def test_failure_and_skip_labels_replay_the_graph(self, monkeypatch):
         # recognition that never holds fails on every well-covered graph

@@ -8,6 +8,7 @@ import hypothesis.strategies as st
 from welldom.graphs import (
     Graph,
     ParseError,
+    _blocks,
     components,
     contains_cycle_of_length,
     cycle_lengths,
@@ -18,8 +19,10 @@ from welldom.graphs import (
     is_isomorphic_small,
     parse_graph,
     serialize_graph,
+    set_of,
 )
 from welldom.named_graphs import (
+    complete_bipartite_graph,
     complete_graph,
     cycle_graph,
     path_graph,
@@ -27,7 +30,7 @@ from welldom.named_graphs import (
     triangle_tripod_graph,
 )
 
-from conftest import brute_has_cycle, eared_trees, graphs
+from conftest import brute_has_cycle, eared_trees, glued_graphs, graphs
 
 
 class TestGraphBasics:
@@ -146,16 +149,35 @@ TRIANGLE_ON_TAIL = Graph.from_edges(11, [(i, i + 1) for i in range(9)] + [(8, 10
 SHARED_ROOT = Graph.from_edges(9, [(i, (i + 1) % 7) for i in range(7)] + [(0, 7), (7, 8), (0, 8)])
 
 
+def with_triangle(g: Graph, at: int) -> Graph:
+    """g with a triangle hung at vertex ``at`` through two new vertices."""
+    n = g.n
+    return Graph.from_edges(n + 2, g.edges() + [(at, n), (at, n + 1), (n, n + 1)])
+
+
+def odd_cycles_at_a_cut_vertex(a: int, b: int) -> Graph:
+    """An a-cycle and a b-cycle sharing only vertex 0."""
+    first = [(i, (i + 1) % a) for i in range(a)]
+    second = [(0, a)] + [(a + i, a + i + 1) for i in range(b - 2)] + [(a + b - 2, 0)]
+    return Graph.from_edges(a + b - 1, first + second)
+
+
 class TestCycleDetection:
     @given(graphs(max_n=7), st.integers(3, 7))
     def test_matches_brute_force(self, g, k):
         assert contains_cycle_of_length(g, k) == brute_has_cycle(g, k)
 
-    @given(st.one_of(graphs(max_n=9), eared_trees(max_n=9)), st.sets(st.integers(3, 7)))
+    # K_{3,3} with a triangle at its first root is not bipartite, but its
+    # big block is; two odd cycles at a cut vertex are two blocks
+    @given(st.one_of(graphs(max_n=9), eared_trees(max_n=9), glued_graphs(max_n=9)), st.sets(st.integers(3, 7)))
     @example(cycle_graph(8), set(range(3, 8)))
     @example(SEVEN_CYCLE_WITH_TAIL, set(range(3, 8)))
     @example(TRIANGLE_ON_TAIL, set(range(3, 8)))
     @example(SHARED_ROOT, set(range(3, 8)))
+    @example(with_triangle(complete_bipartite_graph(3, 3), 0), set(range(3, 8)))
+    @example(odd_cycles_at_a_cut_vertex(3, 5), set(range(3, 8)))
+    @example(odd_cycles_at_a_cut_vertex(5, 5), set(range(3, 8)))
+    @example(odd_cycles_at_a_cut_vertex(3, 7), set(range(3, 8)))
     def test_profile_matches_brute_force(self, g, lengths):
         present = {k for k in lengths if brute_has_cycle(g, k)}
         assert cycle_lengths(g, lengths) == present
@@ -168,6 +190,22 @@ class TestCycleDetection:
         assert cycle_lengths(SHARED_ROOT, range(3, 8)) == {3, 7}
         assert cycle_lengths(complete_graph(5), ()) == frozenset()
         assert cycle_lengths(complete_graph(5), (3, 6)) == {3}  # 6 > n
+
+    @given(st.one_of(graphs(max_n=10), glued_graphs(max_n=10)))
+    @example(with_triangle(complete_bipartite_graph(3, 3), 0))
+    @example(odd_cycles_at_a_cut_vertex(3, 5))
+    def test_blocks_match_networkx(self, g):
+        # the blocks of the whole graph and whether each is bipartite; the
+        # search only ever asks for those of the 2-core
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges())
+        expected = {(frozenset(c), nx.is_bipartite(h.subgraph(c))) for c in nx.biconnected_components(h)}
+        assert {(set_of(block), bipartite) for block, bipartite in _blocks(g.adjacency_bits, g.full_mask)} == expected
+
+    def test_large_complete_bipartite_profile(self):
+        # one bipartite block: no search for an odd length starts
+        assert cycle_lengths(complete_bipartite_graph(40, 40), range(3, 8)) == {4, 6}
 
     def test_cycle_graph_has_only_its_length(self):
         g = cycle_graph(6)

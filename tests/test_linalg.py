@@ -6,7 +6,6 @@ import hypothesis.strategies as st
 
 from welldom import linalg
 from welldom.linalg import (
-    SubspaceBasis,
     constants_space,
     dense_row,
     fraction_str,

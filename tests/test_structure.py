@@ -1,4 +1,7 @@
+import time
+
 import pytest
+import hypothesis.strategies as st
 from hypothesis import example, given
 
 from welldom.analysis import recognized_status
@@ -29,7 +32,7 @@ from welldom.structure import (
     structure_summary,
 )
 
-from conftest import eared_trees, graphs
+from conftest import eared_trees, family_graphs, gnp_graphs, graphs, reference_partition
 
 
 def anchored_by_definition(g: Graph) -> frozenset[int]:
@@ -126,6 +129,21 @@ class TestIndependenceNumber:
             independence_number(Graph.from_edges(30, []))
 
 
+def caterpillar(k: int) -> Graph:
+    """The spine 0..k-1 with two pendants k + i and 2k + i at spine vertex i."""
+    spine = [(i, i + 1) for i in range(k - 1)]
+    return Graph.from_edges(3 * k, spine + [(i, k + i) for i in range(k)] + [(i, 2 * k + i) for i in range(k)])
+
+
+FAMILY = [g for level in family_graphs(10) for g in level]
+
+
+def assert_partition_matches_reference(g: Graph) -> None:
+    part = simplicial_partition(g)
+    expected = reference_partition(g, simplicial_vertices(g))
+    assert (None if part is None else (part.centers, part.cells)) == expected
+
+
 class TestSimplicial:
     def test_simplicial_vertices(self):
         assert simplicial_vertices(path_graph(3)) == frozenset({0, 2})
@@ -155,8 +173,41 @@ class TestSimplicial:
         if part is not None:
             assert part.is_valid_for(g)
 
+    def test_partition_matches_search_on_family_graphs(self):
+        for g in FAMILY:
+            assert_partition_matches_reference(g)
+
+    # the path 3-0-2-1: the cell {0, 3} comes first, though its center is 3
+    @given(gnp_graphs(max_n=12))
+    @example(Graph.from_edges(4, [(0, 3), (0, 2), (1, 2)]))
+    def test_partition_matches_search_on_random_graphs(self, g):
+        assert_partition_matches_reference(g)
+
+    def test_caterpillar_is_rejected_at_once(self):
+        # the search covered each spine vertex by its first pendant before
+        # finding vertex 2k uncovered, then backtracked through 2^k choices
+        g = caterpillar(40)
+        started = time.perf_counter()
+        assert not recognized_status(g).well_covered
+        assert time.perf_counter() - started < 1.0
+        assert simplicial_partition(g) is None
+        # one pendant per spine vertex is a corona, which has its partition
+        corona = Graph.from_edges(80, [(i, i + 1) for i in range(39)] + [(i, 40 + i) for i in range(40)])
+        assert simplicial_partition(corona).centers == tuple(range(40, 80))
+
+    @given(st.one_of(eared_trees(), st.sampled_from(FAMILY)), st.randoms(use_true_random=False))
+    def test_recognition_ignores_the_labels(self, g, rng):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        h = Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+        assert recognized_status(h) == recognized_status(g)
+        part, image = simplicial_partition(g), simplicial_partition(h)
+        assert (part is None) == (image is None)
+        if part is not None:
+            assert set(image.cells) == {frozenset(perm[v] for v in cell) for cell in part.cells}
+
     def test_partition_deeper_than_the_recursion_limit(self):
-        # the 1200-cell path corona: 1200 cells, one search level each
+        # the 1200-cell path corona
         cells = 1200
         edges = [(i, i + 1) for i in range(cells - 1)] + [(i, cells + i) for i in range(cells)]
         g = Graph.from_edges(2 * cells, edges)
