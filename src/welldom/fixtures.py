@@ -1,11 +1,13 @@
 """Builtin example graphs with frozen expectations.
 
 Each fixture records what we know about the graph and how we know it: every
-expected value carries a source tag.  "definition" marks values immediate
-from the construction, "hand" marks values worked out by hand, "oracle"
-marks values frozen from an enumeration run.  check_fixture reads every one
-of them off the fixture's ``analyze`` report and fails on every cross-check
-that report fails, so a wrong freeze cannot survive `welldom fixtures --run`.
+expectation is one record, its value with its source tag, as in
+``"domination": (2, "hand")``.  "definition" marks values immediate from the
+construction, "hand" marks values worked out by hand, "oracle" marks values
+frozen from an enumeration run.  check_fixture reads every one of them off
+the fixture's ``analyze`` report, which enumerates each oracle family once;
+no fixture check enumerates on its own.  It fails on every cross-check that
+report fails, so a wrong freeze cannot survive `welldom fixtures --run`.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .analysis import analyze
-from .graphs import Graph, mask_of
+from .graphs import Graph, iter_bits, mask_of
 from .linalg import row_space, subspace_equal
 from .named_graphs import (
     complete_bipartite_graph,
@@ -28,12 +30,7 @@ from .named_graphs import (
     triple_five_cycles_with_triangle,
     two_triangles_bridged,
 )
-from .oracle import (
-    DEFAULT_BUDGET,
-    BudgetExceededError,
-    EnumerationBudget,
-    enumerate_minimal_dominating_sets,
-)
+from .oracle import DEFAULT_BUDGET, BudgetExceededError, EnumerationBudget
 
 SOURCE_TAGS = ("definition", "hand", "oracle")
 # expectation keys read straight off the oracle section
@@ -45,14 +42,10 @@ ORACLE_KEYS = ("well_covered", "well_dominated", "domination", "upper_domination
 class Fixture:
     name: str
     graph: Graph
-    expected: dict
-    sources: dict  # expected key -> tag in SOURCE_TAGS
+    expected: dict  # expectation key -> (value, tag in SOURCE_TAGS)
 
     def __post_init__(self) -> None:
-        if set(self.sources) != set(self.expected):
-            missing = set(self.expected) ^ set(self.sources)
-            raise ValueError(f"fixture {self.name}: untagged or orphan keys {sorted(missing)}")
-        bad = {tag for tag in self.sources.values() if tag not in SOURCE_TAGS}
+        bad = {tag for _, tag in self.expected.values() if tag not in SOURCE_TAGS}
         if bad:
             raise ValueError(f"fixture {self.name}: unknown source tags {sorted(bad)}")
 
@@ -67,11 +60,25 @@ class FixtureResult:
         return not self.failures
 
 
+def is_minimal_dominating(g: Graph, chosen: int) -> bool:
+    """Whether the vertex mask ``chosen`` is a minimal dominating set of g: its
+    closed neighbourhoods cover every vertex, and each member has a private
+    neighbour, one that no other member dominates."""
+    if chosen & ~g.full_mask:
+        return False
+    nb = g.closed_bits
+    once = twice = 0
+    for v in iter_bits(chosen):
+        twice |= once & nb[v]
+        once |= nb[v]
+    return once == g.full_mask and all(nb[v] & ~twice for v in iter_bits(chosen))
+
+
 def check_fixture(fixture: Fixture, budget: EnumerationBudget = DEFAULT_BUDGET) -> FixtureResult:
     """Compare every expectation of the fixture with its analysis report.
 
-    Only a ``minimal_dominating_witness`` enumerates on its own; an oracle
-    family over budget raises BudgetExceededError, as the enumeration would.
+    An oracle family over budget raises BudgetExceededError, as the
+    enumeration would.
     """
     g = fixture.graph
     report = analyze(g, budget)
@@ -80,31 +87,24 @@ def check_fixture(fixture: Fixture, budget: EnumerationBudget = DEFAULT_BUDGET) 
         raise BudgetExceededError("; ".join(oracle.skip_reasons))
     failures: list[str] = []
 
-    def expect(key: str, actual) -> None:
-        wanted = fixture.expected[key]
+    def expect(key: str, wanted, actual) -> None:
         if actual != wanted:
             failures.append(f"{key}: expected {wanted!r}, got {actual!r}")
 
-    for key, wanted in fixture.expected.items():
+    for key, (wanted, _) in fixture.expected.items():
         if key == "edge_count":
-            expect(key, report.edge_count)
+            expect(key, wanted, report.edge_count)
         elif key == "connected":
-            expect(key, report.connected)
+            expect(key, wanted, report.connected)
         elif key == "cycles_present":
-            expect(key, {k: report.cycles_present.get(k) for k in wanted})
+            expect(key, wanted, {k: report.cycles_present.get(k) for k in wanted})
         elif key in ORACLE_KEYS:
-            expect(key, getattr(oracle, key))
-        elif key == "maximal_independent_size":
-            if (oracle.independent_domination, oracle.independence) != (wanted, wanted):
-                failures.append(
-                    f"{key}: expected every set to have size {wanted}, got sizes "
-                    f"{oracle.independent_domination} to {oracle.independence}"
-                )
+            expect(key, wanted, getattr(oracle, key))
         elif key == "minimal_dominating_witness":
-            if mask_of(wanted) not in enumerate_minimal_dominating_sets(g, budget).masks:
+            if not is_minimal_dominating(g, mask_of(wanted)):
                 failures.append(f"{key}: {sorted(wanted)} is not a minimal dominating set here")
         elif key in ("wcw_dimension", "wwd_dimension"):
-            expect(key, (oracle.wcw if key == "wcw_dimension" else oracle.wwd).dimension)
+            expect(key, wanted, (oracle.wcw if key == "wcw_dimension" else oracle.wwd).dimension)
         elif key == "wwd_space_rows":
             described = row_space(wanted, g.n)
             if not subspace_equal(described, oracle.wwd):
@@ -113,9 +113,9 @@ def check_fixture(fixture: Fixture, budget: EnumerationBudget = DEFAULT_BUDGET) 
                     f"from the enumerated one (dim {oracle.wwd.dimension})"
                 )
         elif key == "fringe":
-            expect(key, sorted(report.structure.fringe))
+            expect(key, wanted, sorted(report.structure.fringe))
         elif key == "anchored_fringe":
-            expect(key, sorted(report.structure.anchored_fringe))
+            expect(key, wanted, sorted(report.structure.anchored_fringe))
         else:
             failures.append(f"unknown expectation key {key!r}")
     failures.extend(f"check failed: {c.name}: {c.detail}" for c in report.failed_checks)
@@ -128,382 +128,227 @@ def run_builtin_checks(budget: EnumerationBudget = DEFAULT_BUDGET) -> list[Fixtu
 
 def builtin_fixtures() -> list[Fixture]:
     """The example corpus used by the CLI and the test suite."""
-    fixtures = [
+    return [
         Fixture(
             "single_vertex",
             complete_graph(1),
             expected={
-                "connected": True,
-                "well_covered": True,
-                "well_dominated": True,
-                "domination": 1,
-                "independence": 1,
-                "wcw_dimension": 1,
-                "wwd_dimension": 1,
-            },
-            sources={
-                "connected": "definition",
-                "well_covered": "definition",
-                "well_dominated": "definition",
-                "domination": "definition",
-                "independence": "definition",
-                "wcw_dimension": "hand",
-                "wwd_dimension": "hand",
+                "connected": (True, "definition"),
+                "well_covered": (True, "definition"),
+                "well_dominated": (True, "definition"),
+                "domination": (1, "definition"),
+                "independence": (1, "definition"),
+                "wcw_dimension": (1, "hand"),
+                "wwd_dimension": (1, "hand"),
             },
         ),
         Fixture(
             "edge",
             complete_graph(2),
             expected={
-                "well_covered": True,
-                "well_dominated": True,
-                "domination": 1,
-                "upper_domination": 1,
-                "wcw_dimension": 1,
-                "wwd_dimension": 1,
-            },
-            sources={
-                "well_covered": "definition",
-                "well_dominated": "definition",
-                "domination": "definition",
-                "upper_domination": "definition",
-                "wcw_dimension": "hand",
-                "wwd_dimension": "hand",
+                "well_covered": (True, "definition"),
+                "well_dominated": (True, "definition"),
+                "domination": (1, "definition"),
+                "upper_domination": (1, "definition"),
+                "wcw_dimension": (1, "hand"),
+                "wwd_dimension": (1, "hand"),
             },
         ),
         Fixture(
             "triangle",
             complete_graph(3),
             expected={
-                "well_covered": True,
-                "well_dominated": True,
-                "domination": 1,
-                "upper_domination": 1,
-                "wcw_dimension": 1,
-                "wwd_dimension": 1,
-                "fringe": [0, 1, 2],
-                "anchored_fringe": [0, 1, 2],
-            },
-            sources={
-                "well_covered": "definition",
-                "well_dominated": "definition",
-                "domination": "definition",
-                "upper_domination": "definition",
-                "wcw_dimension": "hand",
-                "wwd_dimension": "hand",
-                "fringe": "definition",
-                "anchored_fringe": "hand",
+                "well_covered": (True, "definition"),
+                "well_dominated": (True, "definition"),
+                "domination": (1, "definition"),
+                "upper_domination": (1, "definition"),
+                "wcw_dimension": (1, "hand"),
+                "wwd_dimension": (1, "hand"),
+                "fringe": ([0, 1, 2], "definition"),
+                "anchored_fringe": ([0, 1, 2], "hand"),
             },
         ),
         Fixture(
             "path4",
             path_graph(4),
             expected={
-                "well_covered": True,
-                "well_dominated": True,
-                "domination": 2,
-                "upper_domination": 2,
-                "independence": 2,
-                "wcw_dimension": 2,
-                "wwd_dimension": 2,
-                "fringe": [0, 3],
-                "anchored_fringe": [0, 3],
-            },
-            sources={
-                "well_covered": "hand",
-                "well_dominated": "hand",
-                "domination": "hand",
-                "upper_domination": "hand",
-                "independence": "hand",
-                "wcw_dimension": "hand",
-                "wwd_dimension": "hand",
-                "fringe": "definition",
-                "anchored_fringe": "definition",
+                "well_covered": (True, "hand"),
+                "well_dominated": (True, "hand"),
+                "domination": (2, "hand"),
+                "upper_domination": (2, "hand"),
+                "independence": (2, "hand"),
+                "wcw_dimension": (2, "hand"),
+                "wwd_dimension": (2, "hand"),
+                "fringe": ([0, 3], "definition"),
+                "anchored_fringe": ([0, 3], "definition"),
             },
         ),
         Fixture(
             "path5",
             path_graph(5),
             expected={
-                "well_covered": False,
-                "well_dominated": False,
-                "domination": 2,
-                "upper_domination": 3,
-                "independent_domination": 2,
-                "independence": 3,
-                "wcw_dimension": 2,
-                "wwd_dimension": 2,
-                "fringe": [0, 4],
-                "anchored_fringe": [0, 4],
-            },
-            sources={
-                "well_covered": "hand",
-                "well_dominated": "hand",
-                "domination": "hand",
-                "upper_domination": "hand",
-                "independent_domination": "hand",
-                "independence": "hand",
-                "wcw_dimension": "hand",
-                "wwd_dimension": "hand",
-                "fringe": "definition",
-                "anchored_fringe": "definition",
+                "well_covered": (False, "hand"),
+                "well_dominated": (False, "hand"),
+                "domination": (2, "hand"),
+                "upper_domination": (3, "hand"),
+                "independent_domination": (2, "hand"),
+                "independence": (3, "hand"),
+                "wcw_dimension": (2, "hand"),
+                "wwd_dimension": (2, "hand"),
+                "fringe": ([0, 4], "definition"),
+                "anchored_fringe": ([0, 4], "definition"),
             },
         ),
         Fixture(
             "star_1_3",
             star_graph(3),
             expected={
-                "well_covered": False,
-                "well_dominated": False,
-                "domination": 1,
-                "upper_domination": 3,
-                "independent_domination": 1,
-                "independence": 3,
-                "wcw_dimension": 3,
-                "wwd_dimension": 3,
-                "fringe": [1, 2, 3],
-                "anchored_fringe": [1, 2, 3],
-            },
-            sources={
-                "well_covered": "hand",
-                "well_dominated": "hand",
-                "domination": "definition",
-                "upper_domination": "hand",
-                "independent_domination": "definition",
-                "independence": "definition",
-                "wcw_dimension": "hand",
-                "wwd_dimension": "hand",
-                "fringe": "definition",
-                "anchored_fringe": "definition",
+                "well_covered": (False, "hand"),
+                "well_dominated": (False, "hand"),
+                "domination": (1, "definition"),
+                "upper_domination": (3, "hand"),
+                "independent_domination": (1, "definition"),
+                "independence": (3, "definition"),
+                "wcw_dimension": (3, "hand"),
+                "wwd_dimension": (3, "hand"),
+                "fringe": ([1, 2, 3], "definition"),
+                "anchored_fringe": ([1, 2, 3], "definition"),
             },
         ),
         Fixture(
             "cycle7",
             cycle_graph(7),
             expected={
-                "well_covered": True,
-                "well_dominated": True,
-                "domination": 3,
-                "upper_domination": 3,
-                "independent_domination": 3,
-                "independence": 3,
-                "wcw_dimension": 1,
-                "wwd_dimension": 1,
-                "fringe": [],
-                "cycles_present": {4: False, 5: False, 6: False, 7: True},
-            },
-            sources={
-                "well_covered": "hand",
-                "well_dominated": "hand",
-                "domination": "hand",
-                "upper_domination": "hand",
-                "independent_domination": "hand",
-                "independence": "hand",
-                "wcw_dimension": "hand",
-                "wwd_dimension": "hand",
-                "fringe": "definition",
-                "cycles_present": "definition",
+                "well_covered": (True, "hand"),
+                "well_dominated": (True, "hand"),
+                "domination": (3, "hand"),
+                "upper_domination": (3, "hand"),
+                "independent_domination": (3, "hand"),
+                "independence": (3, "hand"),
+                "wcw_dimension": (1, "hand"),
+                "wwd_dimension": (1, "hand"),
+                "fringe": ([], "definition"),
+                "cycles_present": ({4: False, 5: False, 6: False, 7: True}, "definition"),
             },
         ),
         Fixture(
             "triangle_tripod",
             triangle_tripod_graph(),
             expected={
-                "edge_count": 12,
-                "connected": True,
-                "cycles_present": {3: True, 4: False, 5: False, 6: False},
-                "well_covered": True,
-                "well_dominated": True,
-                "domination": 4,
-                "upper_domination": 4,
-                "independent_domination": 4,
-                "independence": 4,
-                "wcw_dimension": 1,
-                "wwd_dimension": 1,
-                "fringe": [],
-            },
-            sources={
-                "edge_count": "definition",
-                "connected": "definition",
-                "cycles_present": "hand",
-                "well_covered": "hand",
-                "well_dominated": "hand",
-                "domination": "hand",
-                "upper_domination": "hand",
-                "independent_domination": "oracle",
-                "independence": "oracle",
-                "wcw_dimension": "oracle",
-                "wwd_dimension": "oracle",
-                "fringe": "definition",
+                "edge_count": (12, "definition"),
+                "connected": (True, "definition"),
+                "cycles_present": ({3: True, 4: False, 5: False, 6: False}, "hand"),
+                "well_covered": (True, "hand"),
+                "well_dominated": (True, "hand"),
+                "domination": (4, "hand"),
+                "upper_domination": (4, "hand"),
+                "independent_domination": (4, "oracle"),
+                "independence": (4, "oracle"),
+                "wcw_dimension": (1, "oracle"),
+                "wwd_dimension": (1, "oracle"),
+                "fringe": ([], "definition"),
             },
         ),
         Fixture(
             "complete_bipartite_3_3",
             complete_bipartite_graph(3, 3),
             expected={
-                "cycles_present": {4: True},
-                "well_covered": True,
-                "well_dominated": False,
-                "domination": 2,
-                "maximal_independent_size": 3,
-                "minimal_dominating_witness": [0, 3],
-                "wcw_dimension": 5,
-                "wwd_dimension": 0,
-            },
-            sources={
-                "cycles_present": "definition",
-                "well_covered": "hand",
-                "well_dominated": "hand",
-                "domination": "hand",
-                "maximal_independent_size": "hand",
-                "minimal_dominating_witness": "hand",
-                "wcw_dimension": "hand",
-                "wwd_dimension": "hand",
+                "cycles_present": ({4: True}, "definition"),
+                "well_covered": (True, "hand"),
+                "well_dominated": (False, "hand"),
+                "domination": (2, "hand"),
+                "independent_domination": (3, "hand"),
+                "independence": (3, "hand"),
+                "minimal_dominating_witness": ([0, 3], "hand"),
+                "wcw_dimension": (5, "hand"),
+                "wwd_dimension": (0, "hand"),
             },
         ),
         Fixture(
             "five_cycles_triangle",
             triple_five_cycles_with_triangle(),
             expected={
-                "connected": True,
-                "cycles_present": {3: True, 4: False, 5: True},
-                "well_covered": True,
-                "well_dominated": False,
-                "maximal_independent_size": 6,
-                "minimal_dominating_witness": [0, 1, 4, 7, 8, 12, 13],
-            },
-            sources={
-                "connected": "definition",
-                "cycles_present": "definition",
-                "well_covered": "hand",
-                "well_dominated": "hand",
-                "maximal_independent_size": "hand",
-                "minimal_dominating_witness": "hand",
+                "connected": (True, "definition"),
+                "cycles_present": ({3: True, 4: False, 5: True}, "definition"),
+                "well_covered": (True, "hand"),
+                "well_dominated": (False, "hand"),
+                "independent_domination": (6, "hand"),
+                "independence": (6, "hand"),
+                "minimal_dominating_witness": ([0, 1, 4, 7, 8, 12, 13], "hand"),
             },
         ),
         Fixture(
             "two_six_cycles",
             double_six_cycle(),
             expected={
-                "connected": True,
-                "cycles_present": {4: False, 5: False, 6: True},
-                "fringe": [],
-                "wwd_dimension": 2,
+                "connected": (True, "definition"),
+                "cycles_present": ({4: False, 5: False, 6: True}, "definition"),
+                "fringe": ([], "definition"),
+                "wwd_dimension": (2, "hand"),
                 # spanning vectors: one per cycle; vertices 2, 5 and 8 weigh
                 # nothing, the opposite cycle halves carry opposite signs
-                "wwd_space_rows": [
-                    [1, 1, 0, -1, -1, 0, 0, 0, 0, 0, 0],
-                    [0, 0, 0, 0, 0, 0, 1, 1, 0, -1, -1],
-                ],
-            },
-            sources={
-                "connected": "definition",
-                "cycles_present": "definition",
-                "fringe": "definition",
-                "wwd_dimension": "hand",
-                "wwd_space_rows": "hand",
+                "wwd_space_rows": ([[1, 1, 0, -1, -1, 0, 0, 0, 0, 0, 0],
+                                    [0, 0, 0, 0, 0, 0, 1, 1, 0, -1, -1]], "hand"),
             },
         ),
         Fixture(
             "paw",
             triangle_with_pendants(1),
             expected={
-                "well_covered": False,
-                "well_dominated": False,
-                "domination": 1,
-                "upper_domination": 2,
-                "independence": 2,
-                "wcw_dimension": 2,
-                "wwd_dimension": 2,
-                "fringe": [1, 2, 3],
-                "anchored_fringe": [1, 2, 3],
-            },
-            sources={
-                "well_covered": "hand",
-                "well_dominated": "hand",
-                "domination": "definition",
-                "upper_domination": "hand",
-                "independence": "hand",
-                "wcw_dimension": "hand",
-                "wwd_dimension": "hand",
-                "fringe": "definition",
-                "anchored_fringe": "hand",
+                "well_covered": (False, "hand"),
+                "well_dominated": (False, "hand"),
+                "domination": (1, "definition"),
+                "upper_domination": (2, "hand"),
+                "independence": (2, "hand"),
+                "wcw_dimension": (2, "hand"),
+                "wwd_dimension": (2, "hand"),
+                "fringe": ([1, 2, 3], "definition"),
+                "anchored_fringe": ([1, 2, 3], "hand"),
             },
         ),
         Fixture(
             "triangle_three_pendants",
             triangle_with_pendants(3),
             expected={
-                "well_covered": True,
-                "well_dominated": True,
-                "domination": 3,
-                "upper_domination": 3,
-                "independence": 3,
-                "wcw_dimension": 3,
-                "wwd_dimension": 3,
-                "fringe": [3, 4, 5],
-                "anchored_fringe": [3, 4, 5],
-            },
-            sources={
-                "well_covered": "hand",
-                "well_dominated": "hand",
-                "domination": "hand",
-                "upper_domination": "hand",
-                "independence": "hand",
-                "wcw_dimension": "hand",
-                "wwd_dimension": "hand",
-                "fringe": "definition",
-                "anchored_fringe": "definition",
+                "well_covered": (True, "hand"),
+                "well_dominated": (True, "hand"),
+                "domination": (3, "hand"),
+                "upper_domination": (3, "hand"),
+                "independence": (3, "hand"),
+                "wcw_dimension": (3, "hand"),
+                "wwd_dimension": (3, "hand"),
+                "fringe": ([3, 4, 5], "definition"),
+                "anchored_fringe": ([3, 4, 5], "definition"),
             },
         ),
         Fixture(
             "two_triangles_bridge",
             two_triangles_bridged(),
             expected={
-                "well_covered": True,
-                "well_dominated": True,
-                "domination": 2,
-                "upper_domination": 2,
-                "independence": 2,
-                "wcw_dimension": 2,
-                "wwd_dimension": 2,
-                "fringe": [0, 1, 4, 5],
-                "anchored_fringe": [0, 1, 4, 5],
-            },
-            sources={
-                "well_covered": "hand",
-                "well_dominated": "hand",
-                "domination": "hand",
-                "upper_domination": "hand",
-                "independence": "hand",
-                "wcw_dimension": "hand",
-                "wwd_dimension": "hand",
-                "fringe": "definition",
-                "anchored_fringe": "hand",
+                "well_covered": (True, "hand"),
+                "well_dominated": (True, "hand"),
+                "domination": (2, "hand"),
+                "upper_domination": (2, "hand"),
+                "independence": (2, "hand"),
+                "wcw_dimension": (2, "hand"),
+                "wwd_dimension": (2, "hand"),
+                "fringe": ([0, 1, 4, 5], "definition"),
+                "anchored_fringe": ([0, 1, 4, 5], "hand"),
             },
         ),
         Fixture(
             "fringe_gap",
             fringe_gap_graph(),
             expected={
-                "connected": True,
-                "cycles_present": {3: True, 4: False, 5: False, 6: False},
-                "fringe": [0],
-                "anchored_fringe": [],
-                "wcw_dimension": 1,
-                "wwd_dimension": 0,
-            },
-            sources={
-                "connected": "definition",
-                "cycles_present": "hand",
-                "fringe": "hand",
-                "anchored_fringe": "hand",
-                "wcw_dimension": "hand",
-                "wwd_dimension": "hand",
+                "connected": (True, "definition"),
+                "cycles_present": ({3: True, 4: False, 5: False, 6: False}, "hand"),
+                "fringe": ([0], "hand"),
+                "anchored_fringe": ([], "hand"),
+                "wcw_dimension": (1, "hand"),
+                "wwd_dimension": (0, "hand"),
             },
         ),
     ]
-    return fixtures
 
 
 __all__ = [
@@ -512,5 +357,6 @@ __all__ = [
     "SOURCE_TAGS",
     "builtin_fixtures",
     "check_fixture",
+    "is_minimal_dominating",
     "run_builtin_checks",
 ]

@@ -314,10 +314,6 @@ def contains_cycle_of_length(g: Graph, k: int) -> bool:
     return k in cycle_lengths(g, (k,))
 
 
-def excludes_cycles(g: Graph, lengths: Iterable[int]) -> bool:
-    return next(_block_cycle_lengths(g, lengths), None) is None
-
-
 def _block_cycle_lengths(g: Graph, lengths: Iterable[int]) -> Iterator[int]:
     """Yield each wanted length once, as a cycle of that length turns up in
     some block of g's 2-core; each block is searched by ``_iter_cycle_lengths``."""
@@ -520,7 +516,6 @@ __all__ = [
     "contains_cycle_of_length",
     "cycle_lengths",
     "distances_from",
-    "excludes_cycles",
     "induced_subgraph",
     "is_complete",
     "is_isomorphic_small",

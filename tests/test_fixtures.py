@@ -2,43 +2,74 @@ import sys
 from collections import Counter
 
 import pytest
+from hypothesis import given
 
-from welldom.fixtures import Fixture, builtin_fixtures, check_fixture, run_builtin_checks
+from welldom.fixtures import (
+    Fixture,
+    builtin_fixtures,
+    check_fixture,
+    is_minimal_dominating,
+    run_builtin_checks,
+)
 from welldom.graphs import components
 from welldom.linalg import nullspace
 from welldom.named_graphs import path_graph
+from welldom.oracle import enumerate_minimal_dominating_sets
 from welldom.structure import CharacterizationOutcome, ComponentFacts
+
+from conftest import family_graphs, graphs
+
+
+def count_calls(monkeypatch, names) -> Counter:
+    """Count the calls of the named functions, each given as (module, name),
+    wherever a welldom module refers to them."""
+    counts: Counter = Counter()
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "welldom"]
+    for module_name, attr in names:
+        original = getattr(sys.modules[module_name], attr)
+
+        def counted(*args, _original=original, _attr=attr, **kwargs):
+            counts[_attr] += 1
+            return _original(*args, **kwargs)
+
+        for module in modules:
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counted)
+    return counts
+
+
+def assert_rule_matches_oracle(g) -> None:
+    # ascending masks on both sides: the rule accepts exactly the oracle's sets
+    passing = [m for m in range(1 << g.n) if is_minimal_dominating(g, m)]
+    assert passing == sorted(enumerate_minimal_dominating_sets(g).masks), g.edges()
+
+
+class TestMinimalDominatingRule:
+    def test_matches_oracle_on_family_graphs(self):
+        for level in family_graphs(8):
+            for g in level:
+                assert_rule_matches_oracle(g)
+
+    @given(graphs(max_n=8))
+    def test_matches_oracle_on_random_graphs(self, g):
+        assert_rule_matches_oracle(g)
+        assert not is_minimal_dominating(g, g.full_mask + 1)  # a vertex outside g
 
 
 class TestFixtureValidation:
-    def test_source_tags_must_cover_expected_keys(self):
-        with pytest.raises(ValueError, match="untagged or orphan"):
-            Fixture("bad", path_graph(2), expected={"edge_count": 1}, sources={})
-
     def test_source_tags_must_be_known(self):
         with pytest.raises(ValueError, match="unknown source tags"):
-            Fixture(
-                "bad",
-                path_graph(2),
-                expected={"edge_count": 1},
-                sources={"edge_count": "guessed"},
-            )
+            Fixture("bad", path_graph(2), expected={"edge_count": (1, "guessed")})
 
     def test_unknown_expectation_key_is_a_failure(self):
-        fixture = Fixture(
-            "odd", path_graph(2), expected={"girth": 0}, sources={"girth": "hand"}
-        )
+        fixture = Fixture("odd", path_graph(2), expected={"girth": (0, "hand")})
         result = check_fixture(fixture)
         assert not result.ok
         assert "unknown expectation key 'girth'" in result.failures[0]
 
     def test_wrong_frozen_value_is_caught(self):
-        fixture = Fixture(
-            "off_by_one",
-            path_graph(3),
-            expected={"edge_count": 3},
-            sources={"edge_count": "definition"},
-        )
+        fixture = Fixture("off_by_one", path_graph(3), expected={"edge_count": (3, "definition")})
         result = check_fixture(fixture)
         assert result.failures == ("edge_count: expected 3, got 2",)
 
@@ -46,8 +77,7 @@ class TestFixtureValidation:
         fixture = Fixture(
             "bad_witness",
             path_graph(4),
-            expected={"minimal_dominating_witness": [0, 1, 2, 3]},
-            sources={"minimal_dominating_witness": "hand"},
+            expected={"minimal_dominating_witness": ([0, 1, 2, 3], "hand")},
         )
         result = check_fixture(fixture)
         assert not result.ok and "not a minimal dominating set" in result.failures[0]
@@ -68,30 +98,24 @@ class TestFixtureValidation:
         ]
 
     def test_component_facts_are_built_once(self, monkeypatch):
-        # wrap the functions wherever a welldom module refers to them
-        counts: Counter = Counter()
-        modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "welldom"]
-        for module_name, attr in (
-            ("welldom.structure", "component_facts"),
-            ("welldom.graphs", "cycle_lengths"),
-            ("welldom.graphs", "excludes_cycles"),
-        ):
-            original = getattr(sys.modules[module_name], attr)
-
-            def counted(*args, _original=original, _attr=attr, **kwargs):
-                counts[_attr] += 1
-                return _original(*args, **kwargs)
-
-            for module in modules:
-                for key, value in list(vars(module).items()):
-                    if value is original:
-                        monkeypatch.setattr(module, key, counted)
+        counts = count_calls(
+            monkeypatch, [("welldom.structure", "component_facts"), ("welldom.graphs", "cycle_lengths")]
+        )
         for fixture in builtin_fixtures():
             counts.clear()
             assert check_fixture(fixture).ok
             # one cycle profile per component, taken while building its facts
             components_found = len(components(fixture.graph))
             assert counts == Counter(component_facts=1, cycle_lengths=components_found), fixture.name
+
+    def test_each_oracle_family_is_enumerated_once(self, monkeypatch):
+        # by analyze; a witness is checked without a second enumeration
+        names = ["enumerate_maximal_independent_sets", "enumerate_minimal_dominating_sets"]
+        counts = count_calls(monkeypatch, [("welldom.oracle", name) for name in names])
+        for fixture in builtin_fixtures():
+            counts.clear()
+            assert check_fixture(fixture).ok
+            assert counts == Counter(names), fixture.name
 
 
 class TestBuiltinCorpus:
@@ -106,8 +130,8 @@ class TestBuiltinCorpus:
 
     def test_corpus_covers_both_outcomes(self):
         by_name = {f.name: f for f in builtin_fixtures()}
-        covered = [f.expected.get("well_covered") for f in by_name.values()]
-        assert True in covered and False in covered
+        covered = {f.expected["well_covered"][0] for f in by_name.values() if "well_covered" in f.expected}
+        assert covered == {True, False}
         # at least one fixture exercises the anchored/unanchored split
         assert "fringe_gap" in by_name
-        assert by_name["fringe_gap"].expected["anchored_fringe"] == []
+        assert by_name["fringe_gap"].expected["anchored_fringe"] == ([], "hand")

@@ -11,7 +11,7 @@ from welldom.generators import (
     random_triangle_tree,
     sample_cycle_free,
 )
-from welldom.graphs import Graph, contains_cycle_of_length, excludes_cycles, serialize_graph
+from welldom.graphs import Graph, contains_cycle_of_length, cycle_lengths, serialize_graph
 from welldom.oracle import BudgetExceededError
 
 
@@ -34,11 +34,11 @@ class TestConfig:
 
 
 def graph_per_candidate(rng, n, p, forbidden):
-    """Reference sampler: a validated Graph and ``excludes_cycles`` per candidate."""
+    """Reference sampler: a validated Graph and ``cycle_lengths`` per candidate."""
     for _ in range(SAMPLING_ATTEMPTS):
         edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
         g = Graph.from_edges(n, edges)
-        if excludes_cycles(g, forbidden):
+        if not cycle_lengths(g, forbidden):
             return g
     raise BudgetExceededError("no sample")
 
@@ -63,7 +63,7 @@ class TestBuildingBlocks:
             g = random_triangle_tree(rng, 9)
             assert 1 <= g.n <= 9
             assert g.is_connected
-            assert excludes_cycles(g, (4, 5, 6, 7))
+            assert not cycle_lengths(g, (4, 5, 6, 7))
 
     def test_sampler_respects_forbidden_lengths(self):
         rng = random.Random(2)
@@ -127,7 +127,7 @@ class TestFamilyStream:
         cfg = GeneratorConfig(max_n=9, forbidden_cycles=frozenset({4, 5, 6}), seed=12, count=60)
         for g in generate_family(cfg):
             assert g.n <= 9
-            assert excludes_cycles(g, (4, 5, 6))
+            assert not cycle_lengths(g, (4, 5, 6))
 
     def test_triangles_do_appear_when_allowed(self):
         cfg = GeneratorConfig(max_n=9, forbidden_cycles=frozenset({4, 5}), seed=13, count=60)
