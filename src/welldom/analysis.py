@@ -24,6 +24,8 @@ from .oracle import (
     BudgetExceededError,
     EnumerationBudget,
     SetFamily,
+    _subset_sums,
+    _weigh,
     enumerate_maximal_independent_sets,
     enumerate_minimal_dominating_sets,
     weight_space_from_family,
@@ -474,29 +476,6 @@ def _replay_label(cfg: GeneratorConfig, index: int, g: Graph) -> str:
     # graph6 covers at most 62 vertices; larger graphs list their edges
     text = f"graph6 {serialize_graph(g, 'graph6').strip()}" if g.n <= 62 else f"edges {g.edges()}"
     return f"graph {index} (seed {cfg.seed}, n={g.n}, m={g.edge_count}, {text})"
-
-
-def _subset_sums(weights: list[int]) -> list[list[int]]:
-    """For each chunk of six vertices, the weight of each of its 64 subsets."""
-    tables = []
-    for start in range(0, len(weights), 6):
-        table = [0]
-        for w in weights[start:start + 6]:
-            table += [s + w for s in table]
-        tables.append(table)
-    return tables
-
-
-def _weigh(masks: Sequence[int], tables: list[list[int]]) -> list[int]:
-    """The weight of each vertex mask, read off the subset sums chunk by chunk."""
-    out = []
-    for m in masks:
-        total = 0
-        for table in tables:
-            total += table[m & 63]
-            m >>= 6
-        out.append(total)
-    return out
 
 
 def _sweep_problems(

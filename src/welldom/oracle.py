@@ -10,6 +10,11 @@ it could have left without a private neighbor.  Budgets keep it honest: a
 vertex gate per family, and ``max_sets`` on the number of finished sets of
 either family.  Exceeding one raises, never truncates silently.  Only the
 oracle enumerates: the closed-form engines take no budget.
+
+A weight space is read off a family without reducing all its difference
+rows: the rows independent mod 2 are reduced, and one exact probe weighing
+of every set, with the 6-bit subset-sum tables the sweep also weighs with,
+confirms that no other row cuts the space further.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Iterator, Sequence
 
 from .graphs import Graph, iter_bits, set_of
@@ -199,21 +205,96 @@ def set_weight(weights: Sequence[Fraction], s: frozenset[int]) -> Fraction:
     return sum((weights[v] for v in s), Fraction(0))
 
 
+def _subset_sums(weights: Sequence[int]) -> list[list[int]]:
+    """For each chunk of six vertices, the weight of each of its 64 subsets."""
+    tables = []
+    for start in range(0, len(weights), 6):
+        table = [0]
+        for w in weights[start:start + 6]:
+            table += [s + w for s in table]
+        tables.append(table)
+    return tables
+
+
+def _weigh(masks: Sequence[int], tables: list[list[int]]) -> list[int]:
+    """The weight of each vertex mask, read off the subset sums chunk by chunk."""
+    out = []
+    for m in masks:
+        total = 0
+        for table in tables:
+            total += table[m & 63]
+            m >>= 6
+        out.append(total)
+    return out
+
+
+def _difference_row(s: int, first: int) -> dict[int, int]:
+    """The sparse row chi(S) - chi(S_0) of the masks ``s`` and ``first``."""
+    row = dict.fromkeys(iter_bits(s & ~first), 1)
+    row.update(dict.fromkeys(iter_bits(first & ~s), -1))
+    return row
+
+
+def _probe(space: SubspaceBasis) -> list[int]:
+    """One integer weight per vertex that carries every basis vector as a digit.
+
+    Vector i, scaled to integers, is shifted by i*w bits, with 2^w > 2n max|v|.
+    A set's weight minus S_0's then has the digits v_i(S) - v_i(S_0), each of
+    size at most n max|v| < 2^w / 2, so it is zero iff every digit is.
+    """
+    vectors = []
+    for row in space.sparse_rows:
+        scale = lcm(*(x.denominator for x in row.values()))
+        vectors.append({c: x.numerator * (scale // x.denominator) for c, x in row.items()})
+    largest = max(abs(x) for vector in vectors for x in vector.values())
+    w = (2 * space.ambient_dim * largest).bit_length()
+    probe = [0] * space.ambient_dim
+    for i, vector in enumerate(vectors):
+        for c, x in vector.items():
+            probe[c] += x << i * w
+    return probe
+
+
 def weight_space_from_family(family: SetFamily) -> SubspaceBasis:
     """Weights that are constant across the family, as a canonical basis.
 
-    Null space of the difference rows chi(S_i) - chi(S_0); a single-set family
-    therefore yields the full space.
+    The null space N(F) of the difference rows chi(S) - chi(S_0), reduced
+    from the few rows that count.  A xor basis keeps a set's row only when
+    its mask S ^ S_0 is independent mod 2 of the rows kept before.  Rows
+    independent mod 2 are independent over Q (some square minor is odd), so
+    at most n rows are kept and their null space N(R) contains N(F).  One
+    probe weighing of every set (``_probe``) then decides exactly whether
+    each basis vector weighs every set alike: if so, N(R) = N(F); otherwise
+    the first set that differs adds a row outside the span of R and the
+    reduction is repeated, at most n times.  A single-set family therefore
+    yields the full space.
     """
     if not family.masks:
         raise ValueError("weight space of an empty family is undefined")
-    first = family.masks[0]
-    rows = []
-    for s in family.masks[1:]:
-        row = dict.fromkeys(iter_bits(s & ~first), 1)
-        row.update(dict.fromkeys(iter_bits(first & ~s), -1))
-        rows.append(row)
-    return nullspace(rows, family.n)
+    n, masks = family.n, family.masks
+    first = masks[0]
+    xor_basis = [0] * (n + 1)  # bit length -> a kept difference mask of that length
+    kept: list[int] = []
+    for s in masks[1:]:
+        x = s ^ first
+        while x:
+            lead = x.bit_length()
+            if not xor_basis[lead]:
+                xor_basis[lead] = x
+                kept.append(s)
+                break
+            x ^= xor_basis[lead]
+        if len(kept) == n:
+            break
+    while True:
+        space = nullspace([_difference_row(s, first) for s in kept], n)
+        if len(kept) in (n, len(masks) - 1):
+            return space
+        weights = _weigh(masks, _subset_sums(_probe(space)))
+        unequal = next((s for s, weight in zip(masks, weights) if weight != weights[0]), None)
+        if unequal is None:
+            return space
+        kept.append(unequal)
 
 
 def well_covered_weight_space_oracle(

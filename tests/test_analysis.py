@@ -9,8 +9,6 @@ import hypothesis.strategies as st
 from hypothesis import given
 
 from welldom.analysis import (
-    _subset_sums,
-    _weigh,
     analyze,
     characterized_wcw_basis,
     characterized_wwd_basis,
@@ -28,7 +26,7 @@ from welldom.named_graphs import (
     path_graph,
     triangle_with_pendants,
 )
-from welldom.oracle import EnumerationBudget, well_dominated_weight_space_oracle
+from welldom.oracle import EnumerationBudget, _subset_sums, _weigh, well_dominated_weight_space_oracle
 from welldom.structure import ComponentFacts
 from welldom.weightspace import SpecialForm
 
@@ -212,8 +210,9 @@ class TestAnalyzeReport:
         assert counts["cycle_lengths"] == 1  # one profile for the one component
         assert counts["forced_ear_rows"] == 1
         assert counts["is_isomorphic_small"] <= 1
-        # one null space per oracle space, each one reduction; one reduction
-        # per closed-form basis of the one component
+        # one null space per oracle space, each one reduction of the rows
+        # picked mod 2, which the probe accepts without a second round; one
+        # reduction per closed-form basis of the one component
         assert counts["weight_space_from_family"] == 2
         assert counts["nullspace"] == 2
         assert counts["rref"] == 2 + 2

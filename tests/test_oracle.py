@@ -4,11 +4,14 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+from welldom import oracle
 from welldom.graphs import Graph, mask_of, set_of
 from welldom.linalg import SubspaceBasis, nullspace
 from welldom.named_graphs import (
     complete_bipartite_graph,
+    complete_graph,
     cycle_graph,
+    fringe_gap_graph,
     path_graph,
     star_graph,
     triangle_tripod_graph,
@@ -16,6 +19,7 @@ from welldom.named_graphs import (
 from welldom.oracle import (
     BudgetExceededError,
     EnumerationBudget,
+    SetFamily,
     domination_numbers,
     enumerate_maximal_independent_sets,
     enumerate_minimal_dominating_sets,
@@ -31,6 +35,7 @@ from welldom.oracle import (
 from conftest import (
     brute_maximal_independent,
     brute_minimal_dominating,
+    family_graphs,
     graphs,
     reference_set_masks,
 )
@@ -154,6 +159,27 @@ def weight_space_from_frozensets(family) -> SubspaceBasis:
     return nullspace(rows, family.n)
 
 
+def disjoint_union(*parts: Graph) -> Graph:
+    edges, offset = [], 0
+    for g in parts:
+        edges += [(u + offset, v + offset) for u, v in g.edges()]
+        offset += g.n
+    return Graph.from_edges(offset, edges)
+
+
+def record_nullspace_rows(monkeypatch) -> list[int]:
+    """The number of rows of each ``nullspace`` call the oracle makes, in order."""
+    calls: list[int] = []
+
+    def counted(rows, ambient_dim):
+        rows = list(rows)
+        calls.append(len(rows))
+        return nullspace(rows, ambient_dim)
+
+    monkeypatch.setattr(oracle, "nullspace", counted)
+    return calls
+
+
 class TestWeightSpaces:
     @given(graphs(max_n=12))
     def test_mask_rows_match_frozenset_rows(self, g):
@@ -179,10 +205,50 @@ class TestWeightSpaces:
         assert space.contains_vector([1] * 7)
 
     def test_empty_family_rejected(self):
-        from welldom.oracle import SetFamily
-
         with pytest.raises(ValueError):
             weight_space_from_family(SetFamily(3, ()))
+
+    def test_every_family_on_three_points_matches_the_reference(self, monkeypatch):
+        calls = record_nullspace_rows(monkeypatch)
+        rechecked = []
+        for n in range(4):
+            for chosen in range(1, 1 << (1 << n)):
+                family = SetFamily(n, tuple(m for m in range(1 << n) if chosen >> m & 1))
+                calls.clear()
+                assert weight_space_from_family(family) == weight_space_from_frozensets(family)
+                if len(calls) > 1:
+                    rechecked.append(family.masks)
+        # their difference rows are independent over Q but not mod 2, so the
+        # probe finds a set the rows picked mod 2 miss
+        assert len(rechecked) == 2
+        assert (0b000, 0b011, 0b101, 0b110) in rechecked
+        assert weight_space_from_family(SetFamily(3, (0b000, 0b011, 0b101, 0b110))).dimension == 0
+
+    @given(st.integers(0, 10).flatmap(
+        lambda n: st.tuples(st.just(n), st.sets(st.integers(0, (1 << n) - 1), min_size=1))))
+    def test_arbitrary_mask_families_match_the_reference(self, n_and_masks):
+        n, masks = n_and_masks
+        family = SetFamily(n, tuple(sorted(masks)))
+        assert weight_space_from_family(family) == weight_space_from_frozensets(family)
+
+    @pytest.mark.parametrize("g", [
+        cycle_graph(20),
+        disjoint_union(*[cycle_graph(5)] * 4),
+        disjoint_union(*[complete_graph(3)] * 6, complete_graph(2)),
+    ], ids=["C20", "4xC5", "6xK3+K2"])
+    def test_gate_sized_families_match_the_reference(self, g):
+        for family in (enumerate_maximal_independent_sets(g), enumerate_minimal_dominating_sets(g)):
+            assert weight_space_from_family(family) == weight_space_from_frozensets(family)
+
+    def test_only_the_rows_that_count_are_reduced(self, monkeypatch):
+        # one reduction of n - dim rows: the rows picked mod 2 are the pivots,
+        # and no set sends the probe back for another round
+        calls = record_nullspace_rows(monkeypatch)
+        for g in (fringe_gap_graph(), *(g for level in family_graphs(8) for g in level)):
+            for family in (enumerate_maximal_independent_sets(g), enumerate_minimal_dominating_sets(g)):
+                calls.clear()
+                space = weight_space_from_family(family)
+                assert calls == [g.n - space.dimension]
 
 
 class TestExtremalWeights:
