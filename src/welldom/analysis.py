@@ -63,17 +63,20 @@ def _direct_sum(
 
     Each component's labels are increasing, so its embedded RREF rows stay
     in RREF, and the rows of all components, sorted by embedded pivot, are
-    the RREF of the direct sum.
+    the RREF of the direct sum.  A component spanning all n vertices is
+    labelled by the identity, and its basis is the sum as it stands.
     """
     rows: list[tuple[int, dict[int, Fraction]]] = []
     notes: list[str] = []
     forms: list[SpecialForm] = []
     for f, outcome in parts:
         labels = f.labels
-        for row, pivot in zip(outcome.basis.sparse_rows, outcome.basis.pivots):
-            rows.append((labels[pivot], {labels[local]: value for local, value in row.items()}))
         notes.extend(f"component at {labels[0]}: {note}" for note in outcome.notes)
         forms.append(outcome.special_form)
+        if len(labels) == n:
+            return GlobalCharacterization(outcome.basis, tuple(forms), tuple(notes))
+        for row, pivot in zip(outcome.basis.sparse_rows, outcome.basis.pivots):
+            rows.append((labels[pivot], {labels[local]: value for local, value in row.items()}))
     rows.sort(key=lambda item: item[0])
     basis = SubspaceBasis(n, tuple(row for _, row in rows), tuple(pivot for pivot, _ in rows))
     return GlobalCharacterization(basis, tuple(forms), tuple(notes))

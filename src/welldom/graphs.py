@@ -138,6 +138,9 @@ def serialize_graph(g: Graph, format: str = "edgelist") -> str:
     raise ValueError(f"unknown graph format {format!r}")
 
 
+MAX_EDGELIST_VERTICES = 100_000  # refused before any table is built: a 12-byte header must not take gigabytes
+
+
 def _parse_edgelist(text: str) -> Graph:
     n: int | None = None
     edges: list[tuple[int, int]] = []
@@ -155,6 +158,8 @@ def _parse_edgelist(text: str) -> Graph:
                 raise ParseError(f"vertex count {tokens[0]!r} is not an integer", line=lineno) from None
             if n < 0:
                 raise ParseError(f"vertex count {n} is negative", line=lineno)
+            if n > MAX_EDGELIST_VERTICES:
+                raise ParseError(f"vertex count {n} exceeds the limit of {MAX_EDGELIST_VERTICES}", line=lineno)
             continue
         if len(tokens) != 2:
             raise ParseError(f"expected 'u v', got {line!r}", line=lineno)
@@ -511,6 +516,7 @@ def is_isomorphic_small(g: Graph, h: Graph, *, max_vertices: int = 12) -> bool:
 
 __all__ = [
     "Graph",
+    "MAX_EDGELIST_VERTICES",
     "ParseError",
     "components",
     "contains_cycle_of_length",

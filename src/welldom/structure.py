@@ -42,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 from .graphs import (
@@ -362,8 +362,8 @@ class ComponentFacts:
         ``coefficients``.  The notes name the zero-forced fringe vertices and
         each coupled row's ears by their whole-graph labels.
         """
-        if self.special_form is not SpecialForm.GENERAL:
-            return self.wcw
+        if self.special_form is not SpecialForm.GENERAL or self.forced == (frozenset(), ()):
+            return self.wcw  # with no forced row every piece vector is kept, and no note applies
         kept = []
         for coefficients in self.coefficients:
             vec: dict[int, int | Fraction] = {}
@@ -386,8 +386,14 @@ def induced_pieces(g: Graph, vertices: frozenset[int]) -> tuple[tuple[int, ...],
     return tuple(tuple(sorted(kept[i] for i in comp)) for comp in components(sub))
 
 
+@lru_cache(maxsize=1)
 def component_facts(g: Graph) -> tuple[ComponentFacts, ...]:
-    """The facts of every connected component of ``g``, by smallest vertex."""
+    """The facts of every connected component of ``g``, by smallest vertex.
+
+    The last graph's records are kept, so consecutive calls on one graph (or
+    an equal one) share them and their cached answers.  The records are
+    never mutated: their dicts are read-only by convention.
+    """
     comps = components(g)
     subs = [g] if len(comps) == 1 else [induced_subgraph(g, comp)[0] for comp in comps]
     out = []

@@ -8,16 +8,46 @@ correct.
 
 from __future__ import annotations
 
+import sys
+from collections import Counter
 from functools import cache
 from itertools import combinations, permutations
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import settings
 
 from welldom.graphs import Graph, distances_from, is_isomorphic_small, iter_bits
+from welldom.structure import component_facts
 
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
+
+
+@pytest.fixture(autouse=True)
+def fresh_component_facts():
+    """Start every test with no graph's records kept, so that none built
+    under another test's monkeypatch is served to this one."""
+    component_facts.cache_clear()
+
+
+def count_calls(monkeypatch, names) -> Counter:
+    """Count the calls of the named functions, each given as (module, name),
+    wherever a welldom module refers to them."""
+    counts: Counter = Counter()
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "welldom"]
+    for module_name, attr in names:
+        original = getattr(sys.modules[module_name], attr)
+
+        def counted(*args, _original=original, _attr=attr, **kwargs):
+            counts[_attr] += 1
+            return _original(*args, **kwargs)
+
+        for module in modules:
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counted)
+    return counts
 
 
 @st.composite

@@ -1,7 +1,6 @@
 import hashlib
 import json
 import re
-import sys
 from collections import Counter
 
 import pytest
@@ -29,6 +28,8 @@ from welldom.named_graphs import (
 from welldom.oracle import EnumerationBudget, _subset_sums, _weigh, well_dominated_weight_space_oracle
 from welldom.structure import ComponentFacts
 from welldom.weightspace import SpecialForm
+
+from conftest import count_calls
 
 ALL_CHECKS = (
     "domination_chain",
@@ -184,10 +185,7 @@ class TestAnalyzeReport:
         assert report.characterization.wcw.dimension == 25
 
     def test_each_fact_and_basis_is_built_once(self, monkeypatch):
-        # wrap the functions wherever a welldom module refers to them
-        counts: Counter = Counter()
-        modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "welldom"]
-        for module_name, attr in (
+        counts = count_calls(monkeypatch, [
             ("welldom.graphs", "cycle_lengths"),
             ("welldom.graphs", "is_isomorphic_small"),
             ("welldom.structure", "forced_ear_rows"),
@@ -195,17 +193,7 @@ class TestAnalyzeReport:
             ("welldom.linalg", "nullspace"),
             ("welldom.linalg", "rref"),
             ("welldom.oracle", "weight_space_from_family"),
-        ):
-            original = getattr(sys.modules[module_name], attr)
-
-            def counted(*args, _original=original, _attr=attr, **kwargs):
-                counts[_attr] += 1
-                return _original(*args, **kwargs)
-
-            for module in modules:
-                for key, value in list(vars(module).items()):
-                    if value is original:
-                        monkeypatch.setattr(module, key, counted)
+        ])
         analyze(fringe_gap_graph())
         assert counts["cycle_lengths"] == 1  # one profile for the one component
         assert counts["forced_ear_rows"] == 1
@@ -218,11 +206,20 @@ class TestAnalyzeReport:
         assert counts["rref"] == 2 + 2
         # one table, shared by the summary and the simplicial partition search
         assert counts["simplicial_vertices"] == 1
+        # the engines on an equal graph read the records analyze built
         counts.clear()
         characterized_wcw_basis(fringe_gap_graph())
         characterized_wwd_basis(fringe_gap_graph())
+        assert counts == Counter()
+        # on another graph both bases share one build of the records
+        g = fringe_gap_graph()
+        g = Graph.from_edges(g.n + 1, g.edges() + [(9, g.n)])  # a pendant at the far vertex
+        characterized_wcw_basis(g)
+        characterized_wwd_basis(g)
+        assert counts["cycle_lengths"] == 1
         assert counts["simplicial_vertices"] == 0
         assert counts["forced_ear_rows"] == 1  # only the dominating engine reads them
+        assert counts["rref"] == 2  # a row forces the ear 0 to zero, so the two bases differ
         # one set of rows per component, also where the rows couple two ears
         counts.clear()
         coupled = parse_graph("IuO_OGB?W", "graph6")

@@ -217,6 +217,13 @@ class TestUsageErrors:
         assert cli_main(["analyze", str(bad)]) == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_huge_vertex_count_is_refused(self, tmp_path, capsys):
+        # twelve bytes that would otherwise build 10^11 adjacency sets
+        huge = tmp_path / "huge.edges"
+        huge.write_text("99999999999\n")
+        assert cli_main(["wcw", str(huge)]) == 2
+        assert "line 1: vertex count 99999999999 exceeds the limit of 100000" in capsys.readouterr().err
+
     def test_help_exits_zero(self, capsys):
         assert cli_main(["--help"]) == 0
         assert "welldom" in capsys.readouterr().out

@@ -1,4 +1,3 @@
-import sys
 from collections import Counter
 
 import pytest
@@ -17,26 +16,7 @@ from welldom.named_graphs import path_graph
 from welldom.oracle import enumerate_minimal_dominating_sets
 from welldom.structure import CharacterizationOutcome, ComponentFacts
 
-from conftest import family_graphs, graphs
-
-
-def count_calls(monkeypatch, names) -> Counter:
-    """Count the calls of the named functions, each given as (module, name),
-    wherever a welldom module refers to them."""
-    counts: Counter = Counter()
-    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "welldom"]
-    for module_name, attr in names:
-        original = getattr(sys.modules[module_name], attr)
-
-        def counted(*args, _original=original, _attr=attr, **kwargs):
-            counts[_attr] += 1
-            return _original(*args, **kwargs)
-
-        for module in modules:
-            for key, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, key, counted)
-    return counts
+from conftest import count_calls, family_graphs, graphs
 
 
 def assert_rule_matches_oracle(g) -> None:

@@ -7,6 +7,7 @@ import hypothesis.strategies as st
 
 from welldom.graphs import (
     Graph,
+    MAX_EDGELIST_VERTICES,
     ParseError,
     _blocks,
     components,
@@ -74,6 +75,12 @@ class TestEdgeListFormat:
     def test_missing_count(self):
         with pytest.raises(ParseError):
             parse_graph("0 1\n")
+
+    def test_vertex_count_ceiling(self):
+        assert parse_graph(f"{MAX_EDGELIST_VERTICES}\n").n == MAX_EDGELIST_VERTICES
+        with pytest.raises(ParseError, match="exceeds the limit") as err:
+            parse_graph(f"{MAX_EDGELIST_VERTICES + 1}\n")
+        assert err.value.line == 1
 
 
 class TestGraph6Format:

@@ -4,7 +4,14 @@ import pytest
 import hypothesis.strategies as st
 from hypothesis import example, given
 
-from welldom.analysis import characterized_wcw_basis, characterized_wwd_basis, recognized_status
+from welldom.analysis import (
+    analyze,
+    characterized_wcw_basis,
+    characterized_wwd_basis,
+    recognized_status,
+    run_property_sweep,
+)
+from welldom.generators import GeneratorConfig
 from welldom.graphs import Graph, cycle_lengths, parse_graph
 from welldom.linalg import row_space
 from welldom.named_graphs import (
@@ -25,6 +32,7 @@ from welldom.oracle import (
 from welldom.structure import (
     NotApplicableError,
     anchored_fringe_vertices,
+    component_facts,
     confined_neighbors,
     ear_partners,
     fringe_vertices,
@@ -251,3 +259,53 @@ class TestStructureSummary:
     def test_gap_graph_zero_forced(self):
         summary = structure_summary(fringe_gap_graph())
         assert summary.zero_forced_fringe == frozenset({0})
+
+
+def answers(facts) -> list:
+    """The records with the answers read off them; the bases only where
+    they apply, without 4-, 5- and 6-cycles."""
+    return [(f, f.recognition) + (() if f.cycles & {4, 5, 6} else (f.wcw, f.wwd)) for f in facts]
+
+
+def tables(facts) -> list:
+    """Copies of the records' dicts (their values are immutable)."""
+    return [(dict(f.ear_partners), dict(f.confined)) for f in facts]
+
+
+class TestLastRecordsKept:
+    """component_facts keeps the last graph's records: it must serve them
+    only for an equal graph, and no engine may change them."""
+
+    @given(eared_trees(max_n=10), st.data())
+    def test_interleaved_calls_match_fresh_builds(self, a, data):
+        # an eared tree has a non-edge; adding it may close a cycle of any length
+        missing = [(u, v) for u in range(a.n) for v in range(u + 1, a.n) if not a.has_edge(u, v)]
+        grown = Graph.from_edges(a.n, a.edges() + [data.draw(st.sampled_from(missing))])
+        trio = (a, Graph.from_edges(a.n, a.edges()), grown)
+        for i in data.draw(st.lists(st.sampled_from(range(3)), min_size=2, max_size=8)):
+            assert answers(component_facts(trio[i])) == answers(component_facts.__wrapped__(trio[i]))
+
+    @given(eared_trees(max_n=10))
+    def test_engines_leave_the_records_unchanged(self, g):
+        facts = component_facts(g)
+        before = tables(facts)
+        analyze(g)
+        recognized_status(g)
+        characterized_wcw_basis(g)
+        characterized_wwd_basis(g)
+        assert component_facts(g) is facts
+        assert tables(facts) == before
+
+    def test_sweep_leaves_the_records_unchanged(self, monkeypatch):
+        built = []
+
+        def recorded(g):
+            facts = component_facts(g)
+            built.append((facts, tables(facts)))
+            return facts
+
+        monkeypatch.setattr("welldom.analysis.component_facts", recorded)
+        cfg = GeneratorConfig(max_n=10, forbidden_cycles=frozenset({4, 5, 6}), seed=3, count=40)
+        assert run_property_sweep(cfg).ok
+        assert len(built) == 40
+        assert all(tables(facts) == before for facts, before in built)

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given
 
-from welldom.analysis import characterized_wcw_basis, characterized_wwd_basis
+from welldom.analysis import characterized_wcw_basis, characterized_wwd_basis, recognized_status
 from welldom.generators import GeneratorConfig, generate_family
 from welldom.graphs import Graph, induced_subgraph
 from welldom.linalg import constants_space, row_space, subspace_contains, subspace_equal
@@ -38,7 +38,7 @@ from welldom.weightspace import (
     well_dominated_weight_basis,
 )
 
-from conftest import eared_trees, family_graphs
+from conftest import count_calls, eared_trees, family_graphs
 from family_oracle_check import oracle_mismatches
 
 
@@ -231,6 +231,15 @@ class TestInvariantsAtScale:
     def test_twelve_hundred_cell_path_corona(self):
         self.check_invariants(path_corona(1200))
 
+    def test_path_corona_takes_one_reduction(self, monkeypatch):
+        # recognition reduces nothing, and with no ear the dominating basis is the independent one
+        g = path_corona(30)
+        counts = count_calls(monkeypatch, [("welldom.linalg", "rref")])
+        recognized_status(g)
+        characterized_wcw_basis(g)
+        characterized_wwd_basis(g)
+        assert counts["rref"] == 1
+
 
 class TestDimensionReport:
     def test_adjacent_anchored_pair_shares_one_weight(self):
@@ -298,6 +307,17 @@ class TestEveryFamilyGraph:
 
     def test_counts(self):
         assert [len(level) for level in family_graphs(10)] == [1, 1, 2, 3, 7, 16, 42, 109, 321, 971]
+
+    def test_wwd_is_the_span_of_the_piece_vectors_without_forced_rows(self):
+        checked = 0
+        for level in family_graphs(10):
+            for g in level:
+                (f,) = component_facts(g)
+                if f.special_form is SpecialForm.GENERAL and f.forced == (frozenset(), ()):
+                    assert f.wwd.basis == row_space(f.piece_vectors, g.n), g.edges()
+                    assert f.wwd.notes == ()
+                    checked += 1
+        assert checked == 1043  # of the 1,473 graphs
 
     def test_bases_match_oracle(self):
         failures = [(g.edges(), f) for level in family_graphs(10) for g in level for f in oracle_mismatches(g)]
