@@ -5,8 +5,12 @@ component's facts once (cycle profile, structural tables, special form),
 reads the cycle flags, the tables and the component answers (recognition
 and both weight-space bases) off them, combines the weight spaces as direct
 sums, runs the enumeration oracle when the graph fits the budget, and
-cross-checks everything that was computed two ways.  Preconditions that fail
-make a section inapplicable with a reason; they never raise.
+checks the closed-form answers against the enumerated families.  The oracle
+certifies each characterized basis (one probe weighing and the rank mod 2
+of the difference rows) instead of reducing the family again; a basis it
+cannot certify is reduced from the family as before, so a wrong one still
+fails its check.  Preconditions that fail make a section inapplicable with
+a reason; they never raise.
 """
 
 from __future__ import annotations
@@ -163,9 +167,14 @@ class OracleSection(_JsonSection):
 
     @classmethod
     def from_families(
-        cls, ind: SetFamily | None, dom: SetFamily | None, skip_reasons: tuple[str, ...] = ()
+        cls, ind: SetFamily | None, dom: SetFamily | None, skip_reasons: tuple[str, ...] = (),
+        candidates: tuple[SubspaceBasis | None, SubspaceBasis | None] = (None, None),
     ) -> OracleSection:
-        """Everything the oracle reads off the two families; None where one is missing."""
+        """Everything the oracle reads off the two families; None where one is missing.
+
+        ``candidates`` are closed-form bases of the two weight spaces, which
+        ``weight_space_from_family`` certifies instead of reducing again.
+        """
         ind_sizes = ind.sizes() if ind is not None else ()
         dom_sizes = dom.sizes() if dom is not None else ()
         return cls(
@@ -180,8 +189,8 @@ class OracleSection(_JsonSection):
             upper_domination=max(dom_sizes) if dom_sizes else None,
             well_covered=None if ind is None else len(set(ind_sizes)) <= 1,
             well_dominated=None if dom is None else len(set(dom_sizes)) <= 1,
-            wcw=None if ind is None else weight_space_from_family(ind),
-            wwd=None if dom is None else weight_space_from_family(dom),
+            wcw=None if ind is None else weight_space_from_family(ind, candidates[0]),
+            wwd=None if dom is None else weight_space_from_family(dom, candidates[1]),
         )
 
 
@@ -246,7 +255,9 @@ class AnalysisReport:
 # -- report assembly ---------------------------------------------------------------
 
 
-def _oracle_section(g: Graph, budget: EnumerationBudget) -> OracleSection:
+def _oracle_section(
+    g: Graph, budget: EnumerationBudget, characterization: CharacterizationSection
+) -> OracleSection:
     skip_reasons: list[str] = []
     ind: SetFamily | None = None
     dom: SetFamily | None = None
@@ -258,7 +269,8 @@ def _oracle_section(g: Graph, budget: EnumerationBudget) -> OracleSection:
         dom = enumerate_minimal_dominating_sets(g, budget)
     except BudgetExceededError as exc:
         skip_reasons.append(f"minimal dominating sets: {exc}")
-    return OracleSection.from_families(ind, dom, tuple(skip_reasons))
+    candidates = (characterization.wcw, characterization.wwd)
+    return OracleSection.from_families(ind, dom, tuple(skip_reasons), candidates)
 
 
 def _whole_partition(facts: Sequence[ComponentFacts]) -> SimplicialPartition | None:
@@ -333,7 +345,7 @@ def analyze(g: Graph, budget: EnumerationBudget = DEFAULT_BUDGET) -> AnalysisRep
         )
         dimension_results = [CheckResult(name, "skip", characterization_reason) for name in DIMENSION_CHECKS]
 
-    oracle = _oracle_section(g, budget)
+    oracle = _oracle_section(g, budget, characterization)
     checks = _build_checks(characterization, recognition, oracle) + dimension_results
     return AnalysisReport(
         vertex_count=g.n,
@@ -507,9 +519,9 @@ def _sweep_problems(
         return problems
     wcw = _direct_sum(((f, f.wcw) for f in facts), ind.n).basis
     wwd = _direct_sum(((f, f.wwd) for f in facts), ind.n).basis
-    if not subspace_equal(wcw, weight_space_from_family(ind)):
+    if not subspace_equal(wcw, weight_space_from_family(ind, wcw)):
         problems.append("characterized equal-weight space (independent) is wrong")
-    if not subspace_equal(wwd, weight_space_from_family(dom)):
+    if not subspace_equal(wwd, weight_space_from_family(dom, wwd)):
         problems.append("characterized equal-weight space (dominating) is wrong")
     if not subspace_contains(wcw, wwd):
         problems.append("dominating weight space not inside independent one")

@@ -14,7 +14,9 @@ oracle enumerates: the closed-form engines take no budget.
 A weight space is read off a family without reducing all its difference
 rows: the rows independent mod 2 are reduced, and one exact probe weighing
 of every set, with the 6-bit subset-sum tables the sweep also weighs with,
-confirms that no other row cuts the space further.
+confirms that no other row cuts the space further.  A closed-form basis
+handed in as a candidate is certified by that weighing and the rank mod 2
+alone, with no reduction.
 """
 
 from __future__ import annotations
@@ -255,7 +257,16 @@ def _probe(space: SubspaceBasis) -> list[int]:
     return probe
 
 
-def weight_space_from_family(family: SetFamily) -> SubspaceBasis:
+def _unequal_set(masks: Sequence[int], space: SubspaceBasis) -> int | None:
+    """The first set that some basis vector of ``space`` weighs unlike the
+    first set, by one probe weighing of every set; None when there is none."""
+    weights = _weigh(masks, _subset_sums(_probe(space)))
+    return next((s for s, weight in zip(masks, weights) if weight != weights[0]), None)
+
+
+def weight_space_from_family(
+    family: SetFamily, candidate: SubspaceBasis | None = None
+) -> SubspaceBasis:
     """Weights that are constant across the family, as a canonical basis.
 
     The null space N(F) of the difference rows chi(S) - chi(S_0), reduced
@@ -268,10 +279,18 @@ def weight_space_from_family(family: SetFamily) -> SubspaceBasis:
     the first set that differs adds a row outside the span of R and the
     reduction is repeated, at most n times.  A single-set family therefore
     yields the full space.
+
+    A ``candidate`` basis (a closed-form answer) is certified instead of
+    reduced again: if its dimension is n minus the rank mod 2 of the rows
+    and the probe weighs every set alike under it, then it lies in N(F),
+    whose dimension is at most its own, so it is N(F) and is returned
+    itself.  Otherwise the reduction runs as without one.
     """
     if not family.masks:
         raise ValueError("weight space of an empty family is undefined")
     n, masks = family.n, family.masks
+    if candidate is not None and candidate.ambient_dim != n:
+        raise ValueError(f"candidate of ambient dimension {candidate.ambient_dim} for {n} points")
     first = masks[0]
     xor_basis = [0] * (n + 1)  # bit length -> a kept difference mask of that length
     kept: list[int] = []
@@ -286,12 +305,15 @@ def weight_space_from_family(family: SetFamily) -> SubspaceBasis:
             x ^= xor_basis[lead]
         if len(kept) == n:
             break
+    if candidate is not None and candidate.dimension == n - len(kept):
+        # the zero space has no vector to weigh, and a single set weighs alike under any
+        if not candidate.dimension or len(masks) == 1 or _unequal_set(masks, candidate) is None:
+            return candidate
     while True:
         space = nullspace([_difference_row(s, first) for s in kept], n)
         if len(kept) in (n, len(masks) - 1):
             return space
-        weights = _weigh(masks, _subset_sums(_probe(space)))
-        unequal = next((s for s, weight in zip(masks, weights) if weight != weights[0]), None)
+        unequal = _unequal_set(masks, space)
         if unequal is None:
             return space
         kept.append(unequal)

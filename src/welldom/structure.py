@@ -319,12 +319,16 @@ class ComponentFacts:
         and on every non-fringe vertex whose confined set meets C.
 
         They span the equal-weight space (see the module docstring) and are
-        independent, each being the only one nonzero on its piece.
+        independent, each being the only one nonzero on its piece.  A
+        confined neighbor outside the fringe has degree 3 or more, so it
+        closes a 4-cycle with its vertex: such a component is refused.
         """
         vectors = [dict.fromkeys(piece, 1) for piece in self.fringe_pieces]
         vector_of = {u: vec for piece, vec in zip(self.fringe_pieces, vectors) for u in piece}
         for v, near in self.confined.items():
             for u in near:
+                if u not in vector_of:
+                    raise NotApplicableError("not applicable: contains a 4-cycle")
                 vector_of[u][v] = 1
         return tuple(vectors)
 

@@ -8,6 +8,7 @@ import hypothesis.strategies as st
 from hypothesis import given
 
 from welldom.analysis import (
+    OracleSection,
     analyze,
     characterized_wcw_basis,
     characterized_wwd_basis,
@@ -25,7 +26,14 @@ from welldom.named_graphs import (
     path_graph,
     triangle_with_pendants,
 )
-from welldom.oracle import EnumerationBudget, _subset_sums, _weigh, well_dominated_weight_space_oracle
+from welldom.oracle import (
+    EnumerationBudget,
+    _subset_sums,
+    _weigh,
+    enumerate_maximal_independent_sets,
+    enumerate_minimal_dominating_sets,
+    well_dominated_weight_space_oracle,
+)
 from welldom.structure import ComponentFacts
 from welldom.weightspace import SpecialForm
 
@@ -198,12 +206,11 @@ class TestAnalyzeReport:
         assert counts["cycle_lengths"] == 1  # one profile for the one component
         assert counts["forced_ear_rows"] == 1
         assert counts["is_isomorphic_small"] <= 1
-        # one null space per oracle space, each one reduction of the rows
-        # picked mod 2, which the probe accepts without a second round; one
-        # reduction per closed-form basis of the one component
+        # the oracle certifies both closed-form bases with no reduction of
+        # its own; one reduction per closed-form basis of the one component
         assert counts["weight_space_from_family"] == 2
-        assert counts["nullspace"] == 2
-        assert counts["rref"] == 2 + 2
+        assert counts["nullspace"] == 0
+        assert counts["rref"] == 2
         # one table, shared by the summary and the simplicial partition search
         assert counts["simplicial_vertices"] == 1
         # the engines on an equal graph read the records analyze built
@@ -225,6 +232,18 @@ class TestAnalyzeReport:
         coupled = parse_graph("IuO_OGB?W", "graph6")
         analyze(Graph.from_edges(12, [(0, 1)] + [(u + 2, v + 2) for u, v in coupled.edges()]))
         assert counts["forced_ear_rows"] == 2
+
+    def test_certified_oracle_section_equals_the_reduced_one(self):
+        # analyze hands the oracle its closed-form bases to certify; the
+        # section must be what the oracle reads off the families alone
+        cfg = GeneratorConfig(max_n=12, forbidden_cycles=frozenset({4, 5, 6}), seed=77, count=380)
+        graphs = [fixture.graph for fixture in builtin_fixtures()] + list(generate_family(cfg))
+        for g in graphs:
+            reduced = OracleSection.from_families(
+                enumerate_maximal_independent_sets(g), enumerate_minimal_dominating_sets(g)
+            )
+            assert analyze(g).oracle == reduced, g.edges()
+        assert len(graphs) == 15 + 380
 
     def test_empty_graph(self):
         report = analyze(Graph.from_edges(0, []))

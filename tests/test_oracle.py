@@ -5,8 +5,9 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from welldom import oracle
+from welldom.analysis import characterized_wcw_basis, characterized_wwd_basis
 from welldom.graphs import Graph, mask_of, set_of
-from welldom.linalg import SubspaceBasis, nullspace
+from welldom.linalg import SubspaceBasis, constants_space, nullspace, row_space
 from welldom.named_graphs import (
     complete_bipartite_graph,
     complete_graph,
@@ -159,6 +160,24 @@ def weight_space_from_frozensets(family) -> SubspaceBasis:
     return nullspace(rows, family.n)
 
 
+def rank_mod_2(family) -> int:
+    """The rank over GF(2) of the masks S ^ S_0."""
+    basis: dict[int, int] = {}  # bit length -> a kept mask of that length
+    for s in family.masks[1:]:
+        x = s ^ family.masks[0]
+        while x and x.bit_length() in basis:
+            x ^= basis[x.bit_length()]
+        if x:
+            basis[x.bit_length()] = x
+    return len(basis)
+
+
+# any nonempty family of subsets of at most 10 points
+mask_families = st.integers(0, 10).flatmap(
+    lambda n: st.sets(st.integers(0, (1 << n) - 1), min_size=1).map(
+        lambda masks: SetFamily(n, tuple(sorted(masks)))))
+
+
 def disjoint_union(*parts: Graph) -> Graph:
     edges, offset = [], 0
     for g in parts:
@@ -224,12 +243,44 @@ class TestWeightSpaces:
         assert (0b000, 0b011, 0b101, 0b110) in rechecked
         assert weight_space_from_family(SetFamily(3, (0b000, 0b011, 0b101, 0b110))).dimension == 0
 
-    @given(st.integers(0, 10).flatmap(
-        lambda n: st.tuples(st.just(n), st.sets(st.integers(0, (1 << n) - 1), min_size=1))))
-    def test_arbitrary_mask_families_match_the_reference(self, n_and_masks):
-        n, masks = n_and_masks
-        family = SetFamily(n, tuple(sorted(masks)))
+    @given(mask_families)
+    def test_arbitrary_mask_families_match_the_reference(self, family):
         assert weight_space_from_family(family) == weight_space_from_frozensets(family)
+
+    @given(mask_families, st.randoms(use_true_random=False))
+    def test_candidates_are_certified_or_reduced_again(self, family, rng):
+        # a wrong candidate fails the probe or the dimension test and the
+        # family is reduced; a right one comes back itself when the rank
+        # mod 2 is the rank over Q
+        n = family.n
+        truth = weight_space_from_frozensets(family)
+        candidates = [truth, constants_space(n)]
+        if truth.dimension:
+            rows = list(truth.sparse_rows)
+            rows[rng.randrange(len(rows))] = {rng.randrange(n): 1}
+            candidates.append(row_space(rows, n))
+        for dimension in range(n + 1):
+            rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(dimension)]
+            candidates.append(row_space(rows, n))
+        for candidate in candidates:
+            assert weight_space_from_family(family, candidate) == truth
+        if truth.dimension == n - rank_mod_2(family):
+            assert weight_space_from_family(family, truth) is truth
+
+    def test_candidate_of_another_ambient_dimension_rejected(self):
+        with pytest.raises(ValueError, match="ambient dimension 4 for 3 points"):
+            weight_space_from_family(SetFamily(3, (0b001, 0b010)), constants_space(4))
+
+    def test_engine_bases_of_every_family_graph_are_certified(self, monkeypatch):
+        calls = record_nullspace_rows(monkeypatch)
+        for level in family_graphs(10):
+            for g in level:
+                wcw = characterized_wcw_basis(g).basis
+                wwd = characterized_wwd_basis(g).basis
+                calls.clear()
+                assert weight_space_from_family(enumerate_maximal_independent_sets(g), wcw) is wcw
+                assert weight_space_from_family(enumerate_minimal_dominating_sets(g), wwd) is wwd
+                assert calls == [], g.edges()  # certified without a reduction
 
     @pytest.mark.parametrize("g", [
         cycle_graph(20),

@@ -41,6 +41,7 @@ from welldom.structure import (
     simplicial_vertices,
     structure_summary,
 )
+from welldom.weightspace import dimension_report
 
 from conftest import eared_trees, family_graphs, glued_graphs, gnp_graphs, graphs, reference_partition
 
@@ -259,6 +260,15 @@ class TestStructureSummary:
     def test_gap_graph_zero_forced(self):
         summary = structure_summary(fringe_gap_graph())
         assert summary.zero_forced_fringe == frozenset({0})
+
+
+def test_records_with_a_4_cycle_refuse_the_bases():
+    # K4 minus the edge 2-3: vertex 1 is a confined neighbor of 0 outside the
+    # fringe {2, 3}, and of degree 3 it closes the 4-cycle 0-2-1-3
+    (f,) = component_facts(Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 3), (1, 2)]))
+    for read in (lambda: f.wcw, lambda: f.wwd, lambda: dimension_report(f)):
+        with pytest.raises(NotApplicableError, match="not applicable: contains a 4-cycle"):
+            read()
 
 
 def answers(facts) -> list:
