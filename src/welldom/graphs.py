@@ -2,9 +2,15 @@
 
 Vertices are dense 0-based indices.  Adjacency is stored as a tuple of
 frozensets; bitmask views (bit i of a mask <-> vertex i) are cached for the
-enumeration-heavy callers.  Everything here is exact: distances are BFS
-integers, the cycle search prunes only paths that cannot close a wanted
-cycle, and the two text formats round-trip bit for bit.
+enumeration-heavy callers.  A view holds one n-bit int per vertex, which is
+quadratic memory, so only code that never sees more than 62 vertices reads
+one: the oracle and the independence number behind their vertex gates, and
+the fixtures' witness check.  The closed-form engines read the sets; the
+cycle profile builds masks only inside each block, relabelled 0..b-1.
+
+Everything here is exact: distances are BFS integers, the cycle search
+prunes only paths that cannot close a wanted cycle, and the two text
+formats round-trip bit for bit.
 """
 
 from __future__ import annotations
@@ -321,20 +327,19 @@ def contains_cycle_of_length(g: Graph, k: int) -> bool:
 
 def _block_cycle_lengths(g: Graph, lengths: Iterable[int]) -> Iterator[int]:
     """Yield each wanted length once, as a cycle of that length turns up in
-    some block of g's 2-core; each block is searched by ``_iter_cycle_lengths``."""
+    some block of g's 2-core; each block is relabelled 0..b-1 and searched
+    on its own bitmasks by ``_iter_cycle_lengths``."""
     wanted = _checked_lengths(lengths)
-    abits = g.adjacency_bits
-    degree = [len(nbrs) for nbrs in g.adj]
-    core = _peel(abits, degree, g.full_mask, [v for v in range(g.n) if degree[v] < 2])
-    for block, bipartite in _blocks(abits, core):
+    adj = g.adj
+    for block, bipartite in _blocks(adj, _two_core(adj)):
         if not wanted:
             return
-        here = {k for k in wanted if k <= block.bit_count() and not (bipartite and k % 2)}
+        here = {k for k in wanted if k <= len(block) and not (bipartite and k % 2)}
         if not here:
             continue
-        members = list(iter_bits(block))
+        members = sorted(block)
         local = {v: i for i, v in enumerate(members)}
-        sub = [mask_of(local[u] for u in iter_bits(abits[v] & block)) for v in members]
+        sub = [mask_of(local[u] for u in adj[v] if u in local) for v in members]
         for k in _iter_cycle_lengths(sub, [bits.bit_count() for bits in sub], here):
             wanted.discard(k)
             yield k
@@ -347,8 +352,24 @@ def _checked_lengths(lengths: Iterable[int]) -> set[int]:
     return wanted
 
 
-def _blocks(abits: Sequence[int], core: int) -> Iterator[tuple[int, bool]]:
-    """The blocks of G[core] as vertex masks, each with whether it is bipartite.
+def _two_core(adj: Sequence[frozenset[int]]) -> set[int]:
+    """The vertices left once every vertex of degree < 2 is removed, until none is left."""
+    degree = [len(nbrs) for nbrs in adj]
+    core = set(range(len(adj)))
+    doomed = [v for v, d in enumerate(degree) if d < 2]
+    while doomed:
+        v = doomed.pop()
+        core.discard(v)
+        for u in adj[v]:
+            if u in core:
+                degree[u] -= 1
+                if degree[u] == 1:
+                    doomed.append(u)
+    return core
+
+
+def _blocks(adj: Sequence[frozenset[int]], core: set[int]) -> Iterator[tuple[set[int], bool]]:
+    """The blocks of G[core] as vertex sets, each with whether it is bipartite.
 
     One iterative depth-first search: a child u of v closes a block (v and
     the vertices found since u) when no back edge from u's subtree climbs
@@ -357,41 +378,43 @@ def _blocks(abits: Sequence[int], core: int) -> Iterator[tuple[int, bool]]:
     2-colours the tree edges, so the block is bipartite iff none of these
     back edges spans an even number of levels, which would close an odd cycle.
     """
-    depth = [-1] * len(abits)
-    low = [0] * len(abits)
-    odd_back = 0  # the vertices with a back edge that closes an odd cycle
-    for root in iter_bits(core):
+    depth = [-1] * len(adj)
+    low = [0] * len(adj)
+    odd_back: set[int] = set()  # the vertices with a back edge that closes an odd cycle
+    for root in sorted(core):
         if depth[root] >= 0:
             continue
         depth[root] = low[root] = 0
         trail = [root]  # the vertices found, not yet in a block
-        stack = [(root, abits[root] & core)]
+        stack = [(root, iter(adj[root]))]
         while stack:
             v, todo = stack[-1]
-            if todo:
-                bit = todo & -todo
-                stack[-1] = (v, todo ^ bit)
-                u = bit.bit_length() - 1
+            for u in todo:
+                if u not in core:
+                    continue
                 d = depth[u]
                 if d < 0:
                     depth[u] = low[u] = depth[v] + 1
                     trail.append(u)
-                    stack.append((u, abits[u] & core))
-                elif d < depth[v]:  # to an ancestor: the parent, or a back edge
+                    stack.append((u, iter(adj[u])))
+                    break
+                if d < depth[v]:  # to an ancestor: the parent, or a back edge
                     low[v] = min(low[v], d)
                     if not (depth[v] - d) & 1:
-                        odd_back |= 1 << v
-                continue
-            stack.pop()
-            if not stack:
-                continue
-            p = stack[-1][0]
-            low[p] = min(low[p], low[v])
-            if low[v] >= depth[p]:
-                block = 1 << v
-                while (w := trail.pop()) != v:
-                    block |= 1 << w
-                yield block | 1 << p, not block & odd_back
+                        odd_back.add(v)
+            else:  # every neighbour of v is seen: v is done
+                stack.pop()
+                if not stack:
+                    continue
+                p = stack[-1][0]
+                low[p] = min(low[p], low[v])
+                if low[v] >= depth[p]:
+                    block = {v}
+                    while (w := trail.pop()) != v:
+                        block.add(w)
+                    bipartite = odd_back.isdisjoint(block)
+                    block.add(p)
+                    yield block, bipartite
 
 
 def _iter_cycle_lengths(

@@ -61,7 +61,10 @@ def _eliminate(row: dict[int, int], pivot: int, by: dict[int, int]) -> None:
 
 
 def _make_primitive(row: dict[int, int], lead: int) -> None:
-    """Divide ``row`` in place by the gcd of its entries, signed so that ``row[lead]`` > 0."""
+    """Divide ``row`` in place by the gcd of its entries, signed so that
+    ``row[lead]`` > 0.  A row that leads with 1 is primitive already."""
+    if row[lead] == 1:
+        return
     g = gcd(*row.values())
     if row[lead] < 0:
         g = -g
@@ -109,10 +112,19 @@ def rref(
         basis[pivot] = row
     pivots = tuple(sorted(basis))
     out = []
+    # each entry x / lead is one shared Fraction per distinct pair in this call
+    shared: dict[int, dict[int, Fraction]] = {}  # lead -> x -> Fraction(x, lead)
     for pivot in pivots:
         row = basis[pivot]
         lead = row[pivot]
-        out.append({c: Fraction(x, lead) for c, x in row.items()})
+        quotients = shared.setdefault(lead, {})
+        entries = {}
+        for c, x in row.items():
+            q = quotients.get(x)
+            if q is None:
+                q = quotients[x] = Fraction(x, lead)
+            entries[c] = q
+        out.append(entries)
     return tuple(out), pivots
 
 

@@ -53,7 +53,6 @@ from .graphs import (
     is_complete,
     is_isomorphic_small,
     iter_bits,
-    set_of,
 )
 from .linalg import SubspaceBasis, constants_space, nullspace, row_space
 from .named_graphs import cycle_graph, triangle_tripod_graph
@@ -61,14 +60,13 @@ from .oracle import BudgetExceededError, DEFAULT_BUDGET, EnumerationBudget
 
 
 def simplicial_vertices(g: Graph) -> frozenset[int]:
-    """Vertices whose neighborhood is a clique (isolated vertices included)."""
-    abits = g.adjacency_bits
-    nb = g.closed_bits
-    out = []
-    for v in range(g.n):
-        if all(not (abits[v] & ~nb[u]) for u in g.adj[v]):
-            out.append(v)
-    return frozenset(out)
+    """Vertices whose neighborhood is a clique (isolated vertices included):
+    each neighbour u sees the other len(N(v)) - 1 neighbours."""
+    adj = g.adj
+    return frozenset(
+        v for v, nbrs in enumerate(adj)
+        if all(len(nbrs & adj[u]) == len(nbrs) - 1 for u in nbrs)
+    )
 
 
 @dataclass(frozen=True)
@@ -107,20 +105,20 @@ def simplicial_partition(g: Graph) -> SimplicialPartition | None:
 
 def _partition(g: Graph, simplicial: frozenset[int]) -> SimplicialPartition | None:
     """``simplicial_partition`` given the simplicial vertices of g."""
-    nb = g.closed_bits
-    covered = 0
-    centers = []
+    covered: set[int] = set()
+    cells: dict[int, frozenset[int]] = {}  # center -> N[center]
     for x in sorted(simplicial):
-        if covered >> x & 1:  # x is in the cell of a smaller simplicial neighbour: N[x] is that cell
+        if x in covered:  # x is in the cell of a smaller simplicial neighbour: N[x] is that cell
             continue
-        if nb[x] & covered:
+        cell = g.adj[x] | {x}
+        if not covered.isdisjoint(cell):
             return None
-        covered |= nb[x]
-        centers.append(x)
-    if covered != g.full_mask:
+        covered |= cell
+        cells[x] = cell
+    if len(covered) != g.n:
         return None
-    centers.sort(key=lambda c: nb[c] & -nb[c])
-    return SimplicialPartition(tuple(centers), tuple(set_of(nb[c]) for c in centers))
+    centers = sorted(cells, key=lambda c: min(cells[c]))
+    return SimplicialPartition(tuple(centers), tuple(cells[c] for c in centers))
 
 
 def ear_partners(g: Graph) -> dict[int, tuple[int, int]]:
@@ -145,9 +143,8 @@ def _fringe(g: Graph, partners: dict[int, tuple[int, int]]) -> frozenset[int]:
 
 def confined_neighbors(g: Graph, v: int) -> frozenset[int]:
     """Neighbors u of v with N(u) contained in N[v]."""
-    abits = g.adjacency_bits
-    nb_v = g.closed_bits[v]
-    return frozenset(u for u in g.adj[v] if not abits[u] & ~nb_v)
+    closed = g.adj[v] | {v}
+    return frozenset(u for u in g.adj[v] if g.adj[u] <= closed)
 
 
 def forced_ear_rows(g: Graph, partners: dict[int, tuple[int, int]]) -> tuple[tuple[int, ...], ...]:
@@ -160,27 +157,26 @@ def forced_ear_rows(g: Graph, partners: dict[int, tuple[int, int]]) -> tuple[tup
     vertex of B, and its row is e and every other ear whose partners both
     lie in F.
     """
-    nb = g.closed_bits
-    abits = g.adjacency_bits
-    ears_at: dict[int, list[tuple[int, int]]] = {}  # u -> (bit of the other partner, ear)
+    adj = g.adj
+    ears_at: dict[int, list[tuple[int, int]]] = {}  # u -> (the other partner, ear)
     for e, (a, b) in partners.items():
-        ears_at.setdefault(a, []).append((1 << b, e))
-        ears_at.setdefault(b, []).append((1 << a, e))
+        ears_at.setdefault(a, []).append((b, e))
+        ears_at.setdefault(b, []).append((a, e))
     rows = set()
     for e, (a, b) in partners.items():
-        ends = 1 << a | 1 << b
-        for x in iter_bits(abits[a] & ~nb[b]):
-            for y in iter_bits(abits[b] & ~nb[a]):
-                avoid = (nb[x] | nb[y] | 1 << e) & ~ends
-                forced = ends
-                for z in iter_bits(avoid):
-                    out = nb[z] & ~avoid
+        ends = {a, b}
+        for x in adj[a] - adj[b] - ends:
+            for y in adj[b] - adj[a] - ends:
+                avoid = (adj[x] | adj[y] | {x, y, e}) - ends
+                forced = set(ends)
+                for z in avoid:
+                    out = adj[z] - avoid  # z's closed neighbours outside B, z being in B
                     if not out:
                         break
-                    if not out & (out - 1):
+                    if len(out) == 1:
                         forced |= out
                 else:  # e itself is among the ears, both its partners being forced
-                    ears = {ear for u in iter_bits(forced) for bit, ear in ears_at.get(u, ()) if bit & forced}
+                    ears = {ear for u in forced for other, ear in ears_at.get(u, ()) if other in forced}
                     rows.add(tuple(sorted(ears)))
     return tuple(sorted(rows))
 
@@ -254,11 +250,12 @@ class ComponentFacts:
     """What the engines read about one connected component, computed once.
 
     ``labels[v]`` is the whole-graph label of the component's vertex v.  The
-    cycle profile (which the property sweep never reads), the simplicial
-    vertices, the partition, the forced ear rows and what they force (which
-    the independent-set engines never read) are computed on first use, as
-    are the piece vectors, which the two weight-space bases share, and the
-    answers: ``recognition``, ``wcw`` and ``wwd``.
+    cycle profile (which the property sweep never reads), the confined sets
+    (which recognition never reads), the simplicial vertices, the partition,
+    the forced ear rows and what they force (which the independent-set
+    engines never read) are computed on first use, as are the piece
+    vectors, which the two weight-space bases share, and the answers:
+    ``recognition``, ``wcw`` and ``wwd``.
     """
 
     graph: Graph
@@ -266,7 +263,11 @@ class ComponentFacts:
     special_form: SpecialForm
     fringe: frozenset[int]
     ear_partners: dict[int, tuple[int, int]]
-    confined: dict[int, frozenset[int]]  # keyed by the vertices outside the fringe
+
+    @cached_property
+    def confined(self) -> dict[int, frozenset[int]]:
+        """The confined neighbors of each vertex outside the fringe."""
+        return {v: confined_neighbors(self.graph, v) for v in range(self.graph.n) if v not in self.fringe}
 
     @cached_property
     def cycles(self) -> frozenset[int]:
@@ -384,19 +385,34 @@ class ComponentFacts:
 
 
 def induced_pieces(g: Graph, vertices: frozenset[int]) -> tuple[tuple[int, ...], ...]:
-    """The connected components of G[vertices], each as a sorted tuple of g's vertices."""
-    sub, _ = induced_subgraph(g, vertices)
-    kept = sorted(vertices)  # vertex i of sub is kept[i]
-    return tuple(tuple(sorted(kept[i] for i in comp)) for comp in components(sub))
+    """The connected components of G[vertices], each as a sorted tuple of g's
+    vertices, by smallest member: a search of g's adjacency kept to ``vertices``."""
+    seen: set[int] = set()
+    pieces = []
+    for start in sorted(vertices):
+        if start in seen:
+            continue
+        seen.add(start)
+        piece, stack = [start], [start]
+        while stack:
+            for u in g.adj[stack.pop()]:
+                if u in vertices and u not in seen:
+                    seen.add(u)
+                    piece.append(u)
+                    stack.append(u)
+        pieces.append(tuple(sorted(piece)))
+    return tuple(pieces)
 
 
 @lru_cache(maxsize=1)
 def component_facts(g: Graph) -> tuple[ComponentFacts, ...]:
     """The facts of every connected component of ``g``, by smallest vertex.
 
-    The last graph's records are kept, so consecutive calls on one graph (or
-    an equal one) share them and their cached answers.  The records are
-    never mutated: their dicts are read-only by convention.
+    A record is built with its component's fringe, ear partners and special
+    form; every other table is computed on first read.  The last graph's
+    records are kept, so consecutive calls on one graph (or an equal one)
+    share them and their cached answers.  The records are never mutated:
+    their dicts are read-only by convention.
     """
     comps = components(g)
     subs = [g] if len(comps) == 1 else [induced_subgraph(g, comp)[0] for comp in comps]
@@ -411,7 +427,6 @@ def component_facts(g: Graph) -> tuple[ComponentFacts, ...]:
                 special_form=special_form_of(sub),
                 fringe=fringe,
                 ear_partners=partners,
-                confined={v: confined_neighbors(sub, v) for v in range(sub.n) if v not in fringe},
             )
         )
     return tuple(out)

@@ -8,6 +8,7 @@ correct.
 
 from __future__ import annotations
 
+import random
 import sys
 from collections import Counter
 from functools import cache
@@ -223,6 +224,45 @@ def reference_partition(g: Graph, simplicial: frozenset[int]):
             covered |= cells[x]
             untried.append(candidates(covered))
     return tuple(chosen), tuple(frozenset(iter_bits(cells[x])) for x in chosen)
+
+
+def reference_forced_ear_rows(g: Graph, partners: dict[int, tuple[int, int]]):
+    """``forced_ear_rows`` as it was computed on bitmasks, before the sets of
+    ``g.adj``: B, F and each row are vertex masks.  The two must agree."""
+    nb = g.closed_bits
+    abits = g.adjacency_bits
+    ears_at: dict[int, list[tuple[int, int]]] = {}  # u -> (bit of the other partner, ear)
+    for e, (a, b) in partners.items():
+        ears_at.setdefault(a, []).append((1 << b, e))
+        ears_at.setdefault(b, []).append((1 << a, e))
+    rows = set()
+    for e, (a, b) in partners.items():
+        ends = 1 << a | 1 << b
+        for x in iter_bits(abits[a] & ~nb[b]):
+            for y in iter_bits(abits[b] & ~nb[a]):
+                avoid = (nb[x] | nb[y] | 1 << e) & ~ends
+                forced = ends
+                for z in iter_bits(avoid):
+                    out = nb[z] & ~avoid
+                    if not out:
+                        break
+                    if not out & (out - 1):
+                        forced |= out
+                else:
+                    ears = {ear for u in iter_bits(forced) for bit, ear in ears_at.get(u, ()) if bit & forced}
+                    rows.add(tuple(sorted(ears)))
+    return tuple(sorted(rows))
+
+
+def random_eared_tree(tree_n: int, ears: int, seed: int = 1) -> Graph:
+    """A random recursive tree on ``tree_n`` vertices from ``random.Random(seed)``,
+    with one new vertex joined to both ends of each of ``ears`` distinct tree
+    edges.  Every cycle is a triangle."""
+    rng = random.Random(seed)
+    edges = [(rng.randrange(v), v) for v in range(1, tree_n)]
+    for i, (u, v) in enumerate(rng.sample(edges, ears)):
+        edges += [(u, tree_n + i), (v, tree_n + i)]
+    return Graph.from_edges(tree_n + ears, edges)
 
 
 def _refined_colours(g: Graph) -> tuple[int, ...]:

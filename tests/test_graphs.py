@@ -19,7 +19,6 @@ from welldom.graphs import (
     is_isomorphic_small,
     parse_graph,
     serialize_graph,
-    set_of,
 )
 from welldom.named_graphs import (
     complete_bipartite_graph,
@@ -206,7 +205,7 @@ class TestCycleDetection:
         h.add_nodes_from(range(g.n))
         h.add_edges_from(g.edges())
         expected = {(frozenset(c), nx.is_bipartite(h.subgraph(c))) for c in nx.biconnected_components(h)}
-        assert {(set_of(block), bipartite) for block, bipartite in _blocks(g.adjacency_bits, g.full_mask)} == expected
+        assert {(frozenset(block), bipartite) for block, bipartite in _blocks(g.adj, set(range(g.n)))} == expected
 
     def test_large_complete_bipartite_profile(self):
         # one bipartite block: no search for an odd length starts

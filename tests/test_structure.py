@@ -35,6 +35,7 @@ from welldom.structure import (
     component_facts,
     confined_neighbors,
     ear_partners,
+    forced_ear_rows,
     fringe_vertices,
     independence_number,
     simplicial_partition,
@@ -43,7 +44,16 @@ from welldom.structure import (
 )
 from welldom.weightspace import dimension_report
 
-from conftest import eared_trees, family_graphs, glued_graphs, gnp_graphs, graphs, reference_partition
+from conftest import (
+    eared_trees,
+    family_graphs,
+    glued_graphs,
+    gnp_graphs,
+    graphs,
+    random_eared_tree,
+    reference_forced_ear_rows,
+    reference_partition,
+)
 
 
 def anchored_by_definition(g: Graph) -> frozenset[int]:
@@ -127,6 +137,25 @@ class TestAnchoredFringe:
     @example(parse_graph("IuO_OGB?W", "graph6"))
     def test_matches_definition(self, g):
         assert anchored_fringe_vertices(g) == anchored_by_definition(g)
+
+
+class TestForcedEarRows:
+    # the rows built from the adjacency sets against the rows on bitmasks
+    def test_match_bitmask_rows_on_family_graphs(self):
+        with_rows = 0
+        for g in FAMILY:
+            rows = forced_ear_rows(g, ear_partners(g))
+            assert rows == reference_forced_ear_rows(g, ear_partners(g))
+            with_rows += bool(rows)
+        assert with_rows > 100
+
+    @pytest.mark.parametrize("tree_n, ears, seed", [(12, 3, 0), (40, 10, 1), (160, 40, 2), (400, 100, 3),
+                                                    (800, 200, 4), (1600, 400, 5)])
+    def test_match_bitmask_rows_on_eared_trees(self, tree_n, ears, seed):
+        g = random_eared_tree(tree_n, ears, seed)
+        rows = forced_ear_rows(g, ear_partners(g))
+        assert rows == reference_forced_ear_rows(g, ear_partners(g))
+        assert rows or tree_n < 100
 
 
 class TestIndependenceNumber:

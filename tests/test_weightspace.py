@@ -1,9 +1,7 @@
-import random
-
 import pytest
 from hypothesis import given
 
-from welldom.analysis import characterized_wcw_basis, characterized_wwd_basis, recognized_status
+from welldom.analysis import analyze, characterized_wcw_basis, characterized_wwd_basis, recognized_status
 from welldom.generators import GeneratorConfig, generate_family
 from welldom.graphs import Graph, induced_subgraph
 from welldom.linalg import constants_space, row_space, subspace_contains, subspace_equal
@@ -38,7 +36,7 @@ from welldom.weightspace import (
     well_dominated_weight_basis,
 )
 
-from conftest import count_calls, eared_trees, family_graphs
+from conftest import count_calls, eared_trees, family_graphs, random_eared_tree
 from family_oracle_check import oracle_mismatches
 
 
@@ -196,16 +194,6 @@ class TestPieceVectors:
         assert characterized_wcw_basis(g).basis == row_space(pieces, g.n)
 
 
-def eared_tree(tree_n: int, ears: int) -> Graph:
-    """A random recursive tree on ``tree_n`` vertices, with one new vertex
-    joined to both ends of each of ``ears`` distinct tree edges."""
-    rng = random.Random(1)
-    edges = [(rng.randrange(v), v) for v in range(1, tree_n)]
-    for i, (u, v) in enumerate(rng.sample(edges, ears)):
-        edges += [(u, tree_n + i), (v, tree_n + i)]
-    return Graph.from_edges(tree_n + ears, edges)
-
-
 def path_corona(cells: int) -> Graph:
     """A path on ``cells`` vertices, each with one pendant."""
     edges = [(i, i + 1) for i in range(cells - 1)] + [(i, cells + i) for i in range(cells)]
@@ -223,13 +211,35 @@ class TestInvariantsAtScale:
         assert subspace_contains(wcw, wwd)
 
     def test_two_thousand_vertex_eared_tree(self):
-        self.check_invariants(eared_tree(1700, 300))
+        self.check_invariants(random_eared_tree(1700, 300))
 
     def test_eight_thousand_vertex_eared_tree(self):
-        self.check_invariants(eared_tree(6800, 1200))
+        self.check_invariants(random_eared_tree(6800, 1200))
 
     def test_twelve_hundred_cell_path_corona(self):
         self.check_invariants(path_corona(1200))
+
+    @pytest.mark.parametrize("build", [lambda: path_corona(100), lambda: random_eared_tree(4000, 1000, seed=7)],
+                             ids=["corona-200", "eared-5000"])
+    def test_closed_form_engines_read_no_masks_above_the_gate(self, monkeypatch, build):
+        # one n-bit int per vertex is quadratic memory: past the 62-vertex
+        # gate of the oracle and the graph6 form, no engine may build one
+        def guarded(prop):
+            def get(g):
+                if g.n > 62:
+                    raise AssertionError(f"{prop.attrname} read on {g.n} vertices")
+                return prop.func(g)
+            return property(get)
+
+        for name in ("adjacency_bits", "closed_bits"):
+            monkeypatch.setattr(Graph, name, guarded(vars(Graph)[name]))
+        g = build()
+        assert recognized_status(g).component_clauses
+        characterized_wcw_basis(g)
+        characterized_wwd_basis(g)
+        assert dimension_checks(g).fringe_independence_matches
+        anchored_fringe_vertices(g)
+        assert not analyze(g).failed_checks
 
     def test_path_corona_takes_one_reduction(self, monkeypatch):
         # recognition reduces nothing, and with no ear the dominating basis is the independent one
