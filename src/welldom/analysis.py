@@ -82,7 +82,7 @@ def _direct_sum(
         for row, pivot in zip(outcome.basis.sparse_rows, outcome.basis.pivots):
             rows.append((labels[pivot], {labels[local]: value for local, value in row.items()}))
     rows.sort(key=lambda item: item[0])
-    basis = SubspaceBasis(n, tuple(row for _, row in rows), tuple(pivot for pivot, _ in rows))
+    basis = SubspaceBasis(n, tuple([row for _, row in rows]), tuple([pivot for pivot, _ in rows]))
     return GlobalCharacterization(basis, tuple(forms), tuple(notes))
 
 
@@ -105,7 +105,7 @@ class GlobalRecognition:
 
 def _recognized(facts: Sequence[ComponentFacts]) -> GlobalRecognition:
     holds = all(f.recognition is not None for f in facts)
-    return GlobalRecognition(holds, holds, tuple(f.recognition or "unrecognized" for f in facts))
+    return GlobalRecognition(holds, holds, tuple([f.recognition or "unrecognized" for f in facts]))
 
 
 def recognized_status(g: Graph) -> GlobalRecognition:
@@ -116,18 +116,29 @@ def recognized_status(g: Graph) -> GlobalRecognition:
 # -- report sections --------------------------------------------------------------
 
 
+def _expand_bases(value):
+    """A JSON tree with each SubspaceBasis in it replaced by its JSON form."""
+    if isinstance(value, SubspaceBasis):
+        return value.to_json_dict()
+    if isinstance(value, dict):
+        return {key: _expand_bases(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_expand_bases(item) for item in value]
+    return value
+
+
 class _JsonSection:
-    def to_json_dict(self) -> dict:
-        """The fields in order; tuples become lists, bases their JSON form."""
+    def json_tree(self) -> dict:
+        """The fields in order; tuples become lists, bases stay as they are."""
         out = {}
         for field in fields(self):
             value = getattr(self, field.name)
-            if isinstance(value, SubspaceBasis):
-                value = value.to_json_dict()
-            elif isinstance(value, tuple):
-                value = list(value)
-            out[field.name] = value
+            out[field.name] = list(value) if isinstance(value, tuple) else value
         return out
+
+    def to_json_dict(self) -> dict:
+        """``json_tree()`` with each basis in its JSON form."""
+        return _expand_bases(self.json_tree())
 
 
 @dataclass(frozen=True)
@@ -202,7 +213,7 @@ class CheckResult(_JsonSection):
 
 
 @dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(_JsonSection):
     vertex_count: int
     edge_count: int
     connected: bool
@@ -217,9 +228,11 @@ class AnalysisReport:
 
     @property
     def failed_checks(self) -> tuple[CheckResult, ...]:
-        return tuple(c for c in self.checks if c.status == "fail")
+        return tuple([c for c in self.checks if c.status == "fail"])
 
-    def to_json_dict(self) -> dict:
+    def json_tree(self) -> dict:
+        """The schema-1 report with its bases left as SubspaceBasis values,
+        which the CLI writes row by row; ``to_json_dict`` expands them."""
         s = self.structure
         part = self.partition
         return {
@@ -245,10 +258,10 @@ class AnalysisReport:
                     "cells": [sorted(cell) for _, cell in sorted(zip(part.centers, part.cells))],
                 },
             },
-            "recognition": self.recognition.to_json_dict(),
-            "characterization": self.characterization.to_json_dict(),
-            "oracle": self.oracle.to_json_dict(),
-            "checks": [c.to_json_dict() for c in self.checks],
+            "recognition": self.recognition.json_tree(),
+            "characterization": self.characterization.json_tree(),
+            "oracle": self.oracle.json_tree(),
+            "checks": [c.json_tree() for c in self.checks],
         }
 
 
@@ -278,8 +291,8 @@ def _whole_partition(facts: Sequence[ComponentFacts]) -> SimplicialPartition | N
     if any(f.partition is None for f in facts):
         return None
     return SimplicialPartition(
-        tuple(f.labels[c] for f in facts for c in f.partition.centers),
-        tuple(frozenset(f.labels[v] for v in cell) for f in facts for cell in f.partition.cells),
+        tuple([f.labels[c] for f in facts for c in f.partition.centers]),
+        tuple([frozenset(f.labels[v] for v in cell) for f in facts for cell in f.partition.cells]),
     )
 
 
@@ -334,7 +347,7 @@ def analyze(g: Graph, budget: EnumerationBudget = DEFAULT_BUDGET) -> AnalysisRep
     if characterization_reason is None:
         wcw = _direct_sum(((f, f.wcw) for f in facts), g.n)
         wwd = _direct_sum(((f, f.wwd) for f in facts), g.n)
-        forms = tuple(form.value for form in wcw.component_forms)
+        forms = tuple([form.value for form in wcw.component_forms])
         # both bases give a special-form component the same note; list it once
         notes = tuple(dict.fromkeys(wcw.notes + wwd.notes))
         characterization = CharacterizationSection(True, None, forms, wcw.basis, wwd.basis, notes)
@@ -351,7 +364,7 @@ def analyze(g: Graph, budget: EnumerationBudget = DEFAULT_BUDGET) -> AnalysisRep
         vertex_count=g.n,
         edge_count=g.edge_count,
         connected=len(facts) <= 1,
-        component_members=tuple(f.labels for f in facts),
+        component_members=tuple([f.labels for f in facts]),
         cycles_present={k: any(k in f.cycles for f in facts) for k in CYCLE_LENGTHS},
         structure=structure,
         partition=_whole_partition(facts),

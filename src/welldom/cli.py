@@ -9,10 +9,10 @@ Budgets resolve as flag over WELLDOM_BUDGET over the builtin default.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from functools import cache
+from json.encoder import encode_basestring_ascii
 
 from .analysis import (
     OracleSection,
@@ -78,17 +78,82 @@ def _read_graph(path: str, fmt: str) -> Graph:
     return parse_graph(text, fmt)
 
 
+def _row_texts(basis: SubspaceBasis):
+    """Each basis row as the texts of its ``ambient_dim`` entries, one row at a
+    time: a shared row of "0/1" copied and filled from the sparse row."""
+    zeros = ["0/1"] * basis.ambient_dim
+    for row in basis.sparse_rows:
+        cells = zeros.copy()
+        for c, x in row.items():
+            cells[c] = fraction_str(x)
+        yield cells
+
+
 def _print_basis(basis: SubspaceBasis) -> None:
     print(f"dimension: {basis.dimension}")
-    for row in basis.rows:
-        print("  " + " ".join(fraction_str(x) for x in row))
+    for cells in _row_texts(basis):
+        print("  " + " ".join(cells))
+
+
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+
+
+def _write_json(value, write, indent: str = "\n") -> None:
+    """Write ``value`` piece by piece, as the text of json.dumps(value, indent=2).
+
+    ``indent`` is the newline and indentation of the value's own level.  A
+    SubspaceBasis is written as its to_json_dict() would be, one row at a time
+    from its sparse rows, so no dense basis and no whole document is built.
+    """
+    inner = indent + "  "
+    if isinstance(value, SubspaceBasis):
+        write(f'{{{inner}"ambient_dim": {value.ambient_dim},{inner}"dimension": '
+              f'{value.dimension},{inner}"basis": ')
+        sep = "["
+        for cells in _row_texts(value):  # never empty: a row has ambient_dim >= 1 entries
+            write(f'{sep}{inner}  [{inner}    "' + f'",{inner}    "'.join(cells) + f'"{inner}  ]')
+            sep = ","
+        write(("[]" if sep == "[" else inner + "]") + indent + "}")
+    elif type(value) is dict:
+        sep = "{"
+        for key, item in value.items():
+            write(f"{sep}{inner}{encode_basestring_ascii(key)}: ")
+            _write_json(item, write, inner)
+            sep = ","
+        write("{}" if sep == "{" else indent + "}")
+    elif type(value) in (list, tuple):
+        try:
+            texts = [_SCALARS[type(x)](x) for x in value]
+        except KeyError:  # a container among the items
+            sep = "["
+            for item in value:
+                write(sep + inner)
+                _write_json(item, write, inner)
+                sep = ","
+            write(indent + "]")
+        else:
+            write(f"[{inner}" + f",{inner}".join(texts) + f"{indent}]" if texts else "[]")
+    else:
+        write(_SCALARS[type(value)](value))
+
+
+def _print_json(value) -> None:
+    """Print ``value`` as print(json.dumps(value, indent=2)) would, without building the text."""
+    write = sys.stdout.write
+    _write_json(value, write)
+    write("\n")
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     g = _read_graph(args.file, args.format)
     report = analyze(g, resolve_budget())
     if args.json:
-        print(json.dumps(report.to_json_dict(), indent=2))
+        _print_json(report.json_tree())
     else:
         print(f"vertices: {report.vertex_count}, edges: {report.edge_count}, "
               f"connected: {report.connected}")
@@ -130,10 +195,10 @@ def _weight_space_command(args: argparse.Namespace, engine, label: str) -> int:
             "schema_version": 1,
             "space": label,
             "special_forms": [form.value for form in outcome.component_forms],
-            "basis": outcome.basis.to_json_dict(),
+            "basis": outcome.basis,
             "notes": list(outcome.notes),
         }
-        print(json.dumps(payload, indent=2))
+        _print_json(payload)
     else:
         print(f"special forms: {', '.join(form.value for form in outcome.component_forms)}")
         _print_basis(outcome.basis)
@@ -158,11 +223,11 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         enumerate_minimal_dominating_sets(g, budget),
     )
     # both families are complete here, so availability and skips say nothing
-    payload = {"schema_version": 1, **section.to_json_dict()}
+    payload = {"schema_version": 1, **section.json_tree()}
     for key in ("independent_available", "dominating_available", "skip_reasons"):
         del payload[key]
     if args.json:
-        print(json.dumps(payload, indent=2))
+        _print_json(payload)
     else:
         for key, value in payload.items():
             if key not in ("schema_version", "wcw", "wwd"):
@@ -178,17 +243,14 @@ def _cmd_fixtures(args: argparse.Namespace) -> int:
     if not args.run:
         rows = [(f.name, f.graph.n, f.graph.edge_count) for f in builtin_fixtures()]
         if args.json:
-            print(json.dumps(
-                [{"name": n, "vertices": v, "edges": e} for n, v, e in rows], indent=2))
+            _print_json([{"name": n, "vertices": v, "edges": e} for n, v, e in rows])
         else:
             for name, v, e in rows:
                 print(f"{name}: {v} vertices, {e} edges")
         return EXIT_OK
     results = run_builtin_checks(resolve_budget())
     if args.json:
-        print(json.dumps(
-            [{"name": r.name, "ok": r.ok, "failures": list(r.failures)} for r in results],
-            indent=2))
+        _print_json([{"name": r.name, "ok": r.ok, "failures": list(r.failures)} for r in results])
     else:
         for r in results:
             print(f"{'ok  ' if r.ok else 'FAIL'} {r.name}")

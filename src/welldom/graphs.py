@@ -79,17 +79,22 @@ class Graph:
                 raise ValueError(f"loop at vertex {u}")
             adj[u].add(v)
             adj[v].add(u)
-        return Graph(n, tuple(frozenset(s) for s in adj))
+        # per-graph tuples here and across the package are built as
+        # tuple([...]), not tuple(<genexpr>): the latter allocates spare
+        # slots and shrinks, so each freed tuple lands on CPython's free list
+        # of its final size, and between full collections those lists grow
+        # to their cap and raise peak memory
+        return Graph(n, tuple([frozenset(s) for s in adj]))
 
     # -- cached bitmask views ------------------------------------------------
 
     @cached_property
     def adjacency_bits(self) -> tuple[int, ...]:
-        return tuple(mask_of(nbrs) for nbrs in self.adj)
+        return tuple([mask_of(nbrs) for nbrs in self.adj])
 
     @cached_property
     def closed_bits(self) -> tuple[int, ...]:
-        return tuple(bits | (1 << v) for v, bits in enumerate(self.adjacency_bits))
+        return tuple([bits | (1 << v) for v, bits in enumerate(self.adjacency_bits)])
 
     @property
     def full_mask(self) -> int:
@@ -102,7 +107,7 @@ class Graph:
 
     @cached_property
     def degree_sequence(self) -> tuple[int, ...]:
-        return tuple(sorted(len(nbrs) for nbrs in self.adj))
+        return tuple(sorted([len(nbrs) for nbrs in self.adj]))
 
     @cached_property
     def edge_count(self) -> int:
@@ -509,32 +514,37 @@ def is_isomorphic_small(g: Graph, h: Graph, *, max_vertices: int = 12) -> bool:
         return False
     if g.degree_sequence != h.degree_sequence:
         return False
-    n = g.n
-    order = sorted(range(n), key=lambda v: (-len(g.adj[v]), v))
-    mapping: list[int] = [-1] * n
-    used = [False] * n
+    order = sorted(range(g.n), key=lambda v: (-len(g.adj[v]), v))
+    return _extend_isomorphism(g, h, order, [-1] * g.n, [False] * g.n, 0)
 
-    def assign(i: int) -> bool:
-        if i == n:
-            return True
-        v = order[i]
-        dv = len(g.adj[v])
-        for u in range(n):
-            if used[u] or len(h.adj[u]) != dv:
-                continue
-            if all(
-                (order[j] in g.adj[v]) == (mapping[order[j]] in h.adj[u])
-                for j in range(i)
-            ):
-                mapping[v] = u
-                used[u] = True
-                if assign(i + 1):
-                    return True
-                mapping[v] = -1
-                used[u] = False
-        return False
 
-    return assign(0)
+def _extend_isomorphism(
+    g: Graph, h: Graph, order: list[int], mapping: list[int], used: list[bool], i: int
+) -> bool:
+    """Whether the partial map of ``order[:i]`` extends to an isomorphism.
+
+    A plain recursive function rather than a closure: a closure that calls
+    itself holds its own cell, and that cycle would keep both graphs alive
+    until a full garbage collection.
+    """
+    if i == g.n:
+        return True
+    v = order[i]
+    dv = len(g.adj[v])
+    for u in range(g.n):
+        if used[u] or len(h.adj[u]) != dv:
+            continue
+        if all(
+            (order[j] in g.adj[v]) == (mapping[order[j]] in h.adj[u])
+            for j in range(i)
+        ):
+            mapping[v] = u
+            used[u] = True
+            if _extend_isomorphism(g, h, order, mapping, used, i + 1):
+                return True
+            mapping[v] = -1
+            used[u] = False
+    return False
 
 
 __all__ = [

@@ -156,7 +156,7 @@ class SubspaceBasis:
     @cached_property
     def rows(self) -> tuple[Vector, ...]:
         """Each basis row as a tuple of ``ambient_dim`` entries."""
-        return tuple(dense_row(row, self.ambient_dim) for row in self.sparse_rows)
+        return tuple([dense_row(row, self.ambient_dim) for row in self.sparse_rows])
 
     @cached_property
     def _row_at(self) -> dict[int, dict[int, Fraction]]:

@@ -75,11 +75,11 @@ class SetFamily:
 
     @cached_property
     def sets(self) -> tuple[frozenset[int], ...]:
-        return tuple(set_of(m) for m in self.masks)
+        return tuple([set_of(m) for m in self.masks])
 
     @cached_property
     def _sizes(self) -> tuple[int, ...]:
-        return tuple(m.bit_count() for m in self.masks)
+        return tuple([m.bit_count() for m in self.masks])
 
     def sizes(self) -> tuple[int, ...]:
         return self._sizes

@@ -118,7 +118,7 @@ def _partition(g: Graph, simplicial: frozenset[int]) -> SimplicialPartition | No
     if len(covered) != g.n:
         return None
     centers = sorted(cells, key=lambda c: min(cells[c]))
-    return SimplicialPartition(tuple(centers), tuple(cells[c] for c in centers))
+    return SimplicialPartition(tuple(centers), tuple([cells[c] for c in centers]))
 
 
 def ear_partners(g: Graph) -> dict[int, tuple[int, int]]:
@@ -297,7 +297,7 @@ class ComponentFacts:
         while single := {p for row in rows if len(row) == 1 for p in row}:
             zero |= single
             rows = {row - zero for row in rows} - {frozenset()}
-        return frozenset(zero), tuple(sorted(tuple(sorted(row)) for row in rows))
+        return frozenset(zero), tuple(sorted([tuple(sorted(row)) for row in rows]))
 
     @cached_property
     def coefficients(self) -> tuple[dict[int, int | Fraction], ...]:
@@ -305,7 +305,7 @@ class ComponentFacts:
         as sparse rows; only coupled rows need a null space."""
         zero, coupled = self.forced
         if not coupled:  # each piece outside the zero-forced ones is free on its own
-            return tuple({p: 1} for p in range(len(self.fringe_pieces)) if p not in zero)
+            return tuple([{p: 1} for p in range(len(self.fringe_pieces)) if p not in zero])
         rows = [dict.fromkeys(row, 1) for row in coupled] + [{p: 1} for p in zero]
         return nullspace(rows, len(self.fringe_pieces)).sparse_rows
 

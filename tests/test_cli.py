@@ -1,14 +1,22 @@
+import contextlib
+import gc
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
-from welldom.cli import cli_main, resolve_budget
+from welldom.cli import _write_json, cli_main, resolve_budget
+from welldom.fixtures import builtin_fixtures
+from welldom.generators import GeneratorConfig, generate_family
 from welldom.graphs import Graph, serialize_graph
-from welldom.linalg import nullspace
+from welldom.linalg import SubspaceBasis, nullspace, row_space
 from welldom.named_graphs import (
     complete_bipartite_graph,
     cycle_graph,
@@ -18,6 +26,8 @@ from welldom.named_graphs import (
 )
 from welldom.oracle import DEFAULT_BUDGET
 from welldom.structure import CharacterizationOutcome, ComponentFacts
+
+from conftest import random_eared_tree
 
 
 @pytest.fixture
@@ -263,3 +273,91 @@ def test_back_to_back_calls_match_fresh_processes(graph_file, capsys):
         together.append((captured.out, captured.err, code))
     assert [code for _, _, code in together] == [0, 2, 0]
     assert together == alone
+
+
+def test_json_bytes_are_pinned(tmp_path, capsys, monkeypatch):
+    """Every --json command's stdout and exit code, byte for byte, on the
+    fixtures and the criterion-7 stream (as printed, with indent=2)."""
+    monkeypatch.delenv("WELLDOM_BUDGET", raising=False)
+    cfg = GeneratorConfig(max_n=12, forbidden_cycles=frozenset({4, 5, 6}), seed=77, count=380)
+    graphs = [fixture.graph for fixture in builtin_fixtures()] + list(generate_family(cfg))
+    path = str(tmp_path / "graph.txt")
+    digest = hashlib.sha256()
+
+    def run(*argv: str) -> None:
+        code = cli_main(list(argv))
+        digest.update(f"{code}\n{capsys.readouterr().out}".encode())
+
+    for g in graphs:
+        Path(path).write_text(serialize_graph(g, "edgelist"))
+        for command in ("analyze", "wcw", "wwd", "oracle"):
+            run(command, path, "--json")
+    run("fixtures", "--json")
+    run("fixtures", "--run", "--json")
+    assert len(graphs) == 15 + 380
+    assert digest.hexdigest() == "032a8a060ca198993a915b4cc5601db5f1f482cff780ab6711382763c719bb92"
+
+
+# text that json must escape, beside the rest of unicode
+_TEXT = st.text(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\xe9\u2028\U0001f600') | st.characters(), max_size=6)
+_BASES = st.integers(0, 5).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n), max_size=4)
+    .map(lambda rows: row_space(rows, n)))
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(10**30, 10**40)
+    | st.integers(-(10**40), -(10**30)) | _TEXT | _BASES,
+    lambda items: st.lists(items) | st.lists(items).map(tuple) | st.dictionaries(_TEXT, items),
+    max_leaves=12,
+)
+
+
+@given(_JSON_VALUES)
+def test_writer_matches_json_dumps(value):
+    parts: list[str] = []
+    _write_json(value, parts.append)
+    assert "".join(parts) == json.dumps(value, indent=2, default=SubspaceBasis.to_json_dict)
+
+
+def test_analyze_leaves_no_cyclic_garbage(tmp_path, capsys):
+    """analyze --json frees everything it builds by reference counting alone,
+    so a run never waits on the cycle collector to give memory back."""
+    path = tmp_path / "graph.txt"
+    cli_main(["fixtures"])  # the parser, built once per process, holds cycles of its own
+    gc.collect()
+    gc.disable()
+    try:
+        for fixture in builtin_fixtures():
+            path.write_text(serialize_graph(fixture.graph, "edgelist"))
+            cli_main(["analyze", str(path), "--json"])
+            capsys.readouterr()
+            assert gc.collect() == 0, fixture.name
+    finally:
+        gc.enable()
+
+
+def test_analyze_json_memory_stays_small(tmp_path):
+    """The 16 MB report of a 1,000-vertex eared tree is written without
+    holding its text or a dense basis: the traced peak stays under 8 MiB."""
+
+    class Sink:  # keeps nothing, counts and hashes what it is given
+        def __init__(self) -> None:
+            self.size = 0
+            self.digest = hashlib.sha256()
+
+        def write(self, text: str) -> None:
+            self.size += len(text)
+            self.digest.update(text.encode())
+
+    path = tmp_path / "eared.txt"
+    path.write_text(serialize_graph(random_eared_tree(800, 200), "edgelist"))
+    sink = Sink()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            assert cli_main(["analyze", str(path), "--json"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.size == 16_050_361
+    assert sink.digest.hexdigest() == "fdad68f1f82228e35b63530d7f74aa33dec2fa47b061d83183536ccf0b2d4c75"
+    assert peak < 8 * 2**20, peak
