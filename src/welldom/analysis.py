@@ -96,19 +96,12 @@ def characterized_wwd_basis(g: Graph) -> GlobalCharacterization:
     return _direct_sum(((f, f.wwd) for f in family_facts(g, (4, 5, 6))), g.n)
 
 
-@dataclass(frozen=True)
-class GlobalRecognition:
-    well_covered: bool
-    well_dominated: bool
-    component_clauses: tuple[str, ...]
-
-
-def _recognized(facts: Sequence[ComponentFacts]) -> GlobalRecognition:
+def _recognized(facts: Sequence[ComponentFacts]) -> RecognitionSection:
     holds = all(f.recognition is not None for f in facts)
-    return GlobalRecognition(holds, holds, tuple([f.recognition or "unrecognized" for f in facts]))
+    return RecognitionSection(True, None, holds, holds, tuple([f.recognition or "unrecognized" for f in facts]))
 
 
-def recognized_status(g: Graph) -> GlobalRecognition:
+def recognized_status(g: Graph) -> RecognitionSection:
     """Recognition for graphs without 4- and 5-cycles, component by component."""
     return _recognized(family_facts(g, (4, 5)))
 
@@ -336,10 +329,7 @@ def analyze(g: Graph, budget: EnumerationBudget = DEFAULT_BUDGET) -> AnalysisRep
 
     recognition_reason = outside_family(facts, (4, 5))
     if recognition_reason is None:
-        status = _recognized(facts)
-        recognition = RecognitionSection(
-            True, None, status.well_covered, status.well_dominated, status.component_clauses
-        )
+        recognition = _recognized(facts)
     else:
         recognition = RecognitionSection(False, recognition_reason, None, None, ())
 
@@ -546,7 +536,6 @@ __all__ = [
     "CharacterizationSection",
     "CheckResult",
     "GlobalCharacterization",
-    "GlobalRecognition",
     "OracleSection",
     "RecognitionSection",
     "SweepReport",

@@ -24,7 +24,7 @@ from .analysis import (
 from .fixtures import builtin_fixtures, run_builtin_checks
 from .generators import GeneratorConfig
 from .graphs import Graph, ParseError, parse_graph
-from .linalg import SubspaceBasis, fraction_str
+from .linalg import SubspaceBasis
 from .oracle import (
     DEFAULT_BUDGET,
     BudgetExceededError,
@@ -78,20 +78,9 @@ def _read_graph(path: str, fmt: str) -> Graph:
     return parse_graph(text, fmt)
 
 
-def _row_texts(basis: SubspaceBasis):
-    """Each basis row as the texts of its ``ambient_dim`` entries, one row at a
-    time: a shared row of "0/1" copied and filled from the sparse row."""
-    zeros = ["0/1"] * basis.ambient_dim
-    for row in basis.sparse_rows:
-        cells = zeros.copy()
-        for c, x in row.items():
-            cells[c] = fraction_str(x)
-        yield cells
-
-
 def _print_basis(basis: SubspaceBasis) -> None:
     print(f"dimension: {basis.dimension}")
-    for cells in _row_texts(basis):
+    for cells in basis.row_texts():
         print("  " + " ".join(cells))
 
 
@@ -115,7 +104,7 @@ def _write_json(value, write, indent: str = "\n") -> None:
         write(f'{{{inner}"ambient_dim": {value.ambient_dim},{inner}"dimension": '
               f'{value.dimension},{inner}"basis": ')
         sep = "["
-        for cells in _row_texts(value):  # never empty: a row has ambient_dim >= 1 entries
+        for cells in value.row_texts():  # never empty: a row has ambient_dim >= 1 entries
             write(f'{sep}{inner}  [{inner}    "' + f'",{inner}    "'.join(cells) + f'"{inner}  ]')
             sep = ","
         write(("[]" if sep == "[" else inner + "]") + indent + "}")

@@ -70,16 +70,15 @@ def sample_cycle_free(
     n: int,
     edge_probability: float,
     forbidden_cycles: frozenset[int],
-    attempts: int = SAMPLING_ATTEMPTS,
 ) -> Graph:
     """Rejection-sample a graph on n vertices avoiding the forbidden lengths.
 
     Each candidate is tested on its adjacency bitmasks; only the accepted
     one becomes a ``Graph``.  Raises a resource error when no acceptable
-    sample shows up within the attempt budget; the caller should lower the
-    density or the order.
+    sample shows up within ``SAMPLING_ATTEMPTS`` tries; the caller should
+    lower the density or the order.
     """
-    for _ in range(attempts):
+    for _ in range(SAMPLING_ATTEMPTS):
         edges = [
             (i, j)
             for i in range(n)
@@ -95,7 +94,7 @@ def sample_cycle_free(
             return Graph.from_edges(n, edges)
     raise BudgetExceededError(
         f"no sample free of cycle lengths {sorted(forbidden_cycles)} within "
-        f"{attempts} attempts at n={n}, p={edge_probability:.3f}; lower the "
+        f"{SAMPLING_ATTEMPTS} attempts at n={n}, p={edge_probability:.3f}; lower the "
         "edge probability or max_n"
     )
 

@@ -15,7 +15,6 @@ formats round-trip bit for bit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -243,31 +242,6 @@ def _parse_graph6(text: str) -> Graph:
     if any(bits[k:]):
         raise ParseError("graph6 padding bits must be zero")
     return Graph.from_edges(n, edges)
-
-
-# -- metrics -------------------------------------------------------------------
-
-
-def distances_from(g: Graph, sources: Iterable[int]) -> list[int | float]:
-    """BFS distance from the vertex set ``sources`` to every vertex (inf if unreachable)."""
-    dist: list[int | float] = [math.inf] * g.n
-    frontier: list[int] = []
-    for s in set(sources):
-        if not 0 <= s < g.n:
-            raise ValueError(f"source vertex {s} out of range")
-        dist[s] = 0
-        frontier.append(s)
-    d = 0
-    while frontier:
-        d += 1
-        nxt: list[int] = []
-        for v in frontier:
-            for u in g.adj[v]:
-                if dist[u] == math.inf:
-                    dist[u] = d
-                    nxt.append(u)
-        frontier = nxt
-    return dist
 
 
 # -- subgraphs and components ---------------------------------------------------
@@ -554,7 +528,6 @@ __all__ = [
     "components",
     "contains_cycle_of_length",
     "cycle_lengths",
-    "distances_from",
     "induced_subgraph",
     "is_complete",
     "is_isomorphic_small",

@@ -9,7 +9,8 @@ Row reduction runs over sparse integer rows ({column: int}), reduced one
 input row at a time against a basis kept fully reduced and primitive; only
 that final basis is turned into ``Fraction`` rows.  Bases stay sparse
 ({column: Fraction}); dense rows of the ambient width are built only when
-read.
+read.  Membership and containment reduce integer rows the same way, against
+a basis's ``integer_rows``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 Vector = tuple[Fraction, ...]
 Row = Sequence[Fraction | int] | dict[int, Fraction | int]  # dense, or sparse {column: value}
@@ -130,7 +131,7 @@ def rref(
 
 def dense_row(entries: dict[int, Fraction], width: int) -> Vector:
     """The row of length ``width`` with these entries and zeros elsewhere."""
-    # every zero is one shared Fraction, which contains_vector skips by identity
+    # every zero is one shared Fraction
     row = [_ZERO] * width
     for c, x in entries.items():
         row[c] = x
@@ -159,38 +160,37 @@ class SubspaceBasis:
         return tuple([dense_row(row, self.ambient_dim) for row in self.sparse_rows])
 
     @cached_property
-    def _row_at(self) -> dict[int, dict[int, Fraction]]:
-        return dict(zip(self.pivots, self.sparse_rows))
+    def integer_rows(self) -> dict[int, dict[int, int]]:
+        """Each basis row by its pivot, scaled to primitive integers: an RREF
+        row leads with 1, so the lcm of its denominators leaves no common factor."""
+        return {p: _integer_row(row, self.ambient_dim) for p, row in zip(self.pivots, self.sparse_rows)}
 
-    def _spans(self, vector: dict[int, Fraction]) -> bool:
-        """Whether the sparse ``vector`` lies in the span; it is reduced in place."""
+    def _spans(self, vector: Row) -> bool:
+        """Whether ``vector``, dense or sparse, lies in the span."""
+        row = _integer_row(vector, self.ambient_dim)
         # a basis row is zero in the other rows' pivot columns, so each pivot
-        # column of the vector is cleared by its own row, in any order
-        row_at = self._row_at
-        for pc in [c for c in vector if c in row_at]:
-            coefficient = vector[pc]
-            for j, y in row_at[pc].items():
-                x = vector.get(j, 0) - coefficient * y
-                if x:
-                    vector[j] = x
-                else:
-                    del vector[j]
-        return not vector
+        # column of the row is cleared by its own basis row, in any order
+        basis = self.integer_rows
+        for pivot in [c for c in row if c in basis]:
+            _eliminate(row, pivot, basis[pivot])
+        return not row
 
     def contains_vector(self, vector: Sequence[Fraction | int]) -> bool:
-        """Whether the dense ``vector`` reduces to zero against the basis rows."""
-        if len(vector) != self.ambient_dim:
-            raise ValueError(f"row has {len(vector)} entries, expected {self.ambient_dim}")
-        return self._spans({c: Fraction(x) for c, x in enumerate(vector) if x is not _ZERO and x})
+        """Whether the dense ``vector`` lies in the span."""
+        return self._spans(vector)
+
+    def row_texts(self) -> Iterator[list[str]]:
+        """Each basis row as the texts of its ``ambient_dim`` entries, one row
+        at a time: a shared row of "0/1" copied and filled from the sparse row."""
+        zeros = ["0/1"] * self.ambient_dim
+        for row in self.sparse_rows:
+            cells = zeros.copy()
+            for c, x in row.items():
+                cells[c] = fraction_str(x)
+            yield cells
 
     def to_json_dict(self) -> dict:
-        basis = []
-        for row in self.sparse_rows:
-            text = ["0/1"] * self.ambient_dim
-            for c, x in row.items():
-                text[c] = fraction_str(x)
-            basis.append(text)
-        return {"ambient_dim": self.ambient_dim, "dimension": self.dimension, "basis": basis}
+        return {"ambient_dim": self.ambient_dim, "dimension": self.dimension, "basis": list(self.row_texts())}
 
 
 def row_space(rows: Iterable[Row], ambient_dim: int) -> SubspaceBasis:
@@ -236,7 +236,7 @@ def subspace_contains(outer: SubspaceBasis, inner: SubspaceBasis) -> bool:
         raise ValueError(
             f"ambient dimensions differ: {outer.ambient_dim} vs {inner.ambient_dim}"
         )
-    return all(outer._spans(dict(row)) for row in inner.sparse_rows)
+    return all(outer._spans(row) for row in inner.sparse_rows)
 
 
 def subspace_equal(a: SubspaceBasis, b: SubspaceBasis) -> bool:

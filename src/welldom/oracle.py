@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 from typing import Iterator, Sequence
 
 from .graphs import Graph, iter_bits, set_of
@@ -240,14 +239,12 @@ def _difference_row(s: int, first: int) -> dict[int, int]:
 def _probe(space: SubspaceBasis) -> list[int]:
     """One integer weight per vertex that carries every basis vector as a digit.
 
-    Vector i, scaled to integers, is shifted by i*w bits, with 2^w > 2n max|v|.
-    A set's weight minus S_0's then has the digits v_i(S) - v_i(S_0), each of
-    size at most n max|v| < 2^w / 2, so it is zero iff every digit is.
+    Vector i, scaled to integers (``integer_rows``), is shifted by i*w bits,
+    with 2^w > 2n max|v|.  A set's weight minus S_0's then has the digits
+    v_i(S) - v_i(S_0), each of size at most n max|v| < 2^w / 2, so it is zero
+    iff every digit is.
     """
-    vectors = []
-    for row in space.sparse_rows:
-        scale = lcm(*(x.denominator for x in row.values()))
-        vectors.append({c: x.numerator * (scale // x.denominator) for c, x in row.items()})
+    vectors = space.integer_rows.values()
     largest = max(abs(x) for vector in vectors for x in vector.values())
     w = (2 * space.ambient_dim * largest).bit_length()
     probe = [0] * space.ambient_dim

@@ -41,7 +41,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
@@ -300,14 +299,14 @@ class ComponentFacts:
         return frozenset(zero), tuple(sorted([tuple(sorted(row)) for row in rows]))
 
     @cached_property
-    def coefficients(self) -> tuple[dict[int, int | Fraction], ...]:
+    def coefficients(self) -> tuple[dict[int, int], ...]:
         """A basis of the piece coefficients that every forced row sums to 0,
-        as sparse rows; only coupled rows need a null space."""
+        as sparse integer rows; only coupled rows need a null space."""
         zero, coupled = self.forced
         if not coupled:  # each piece outside the zero-forced ones is free on its own
             return tuple([{p: 1} for p in range(len(self.fringe_pieces)) if p not in zero])
         rows = [dict.fromkeys(row, 1) for row in coupled] + [{p: 1} for p in zero]
-        return nullspace(rows, len(self.fringe_pieces)).sparse_rows
+        return tuple(nullspace(rows, len(self.fringe_pieces)).integer_rows.values())
 
     @cached_property
     def anchored(self) -> frozenset[int]:
@@ -371,7 +370,7 @@ class ComponentFacts:
             return self.wcw  # with no forced row every piece vector is kept, and no note applies
         kept = []
         for coefficients in self.coefficients:
-            vec: dict[int, int | Fraction] = {}
+            vec: dict[int, int] = {}
             for p, x in coefficients.items():
                 for v in self.piece_vectors[p]:
                     vec[v] = vec.get(v, 0) + x

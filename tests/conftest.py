@@ -8,17 +8,19 @@ correct.
 
 from __future__ import annotations
 
+import math
 import random
 import sys
 from collections import Counter
 from functools import cache
 from itertools import combinations, permutations
+from typing import Iterable
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import settings
 
-from welldom.graphs import Graph, distances_from, is_isomorphic_small, iter_bits
+from welldom.graphs import Graph, is_isomorphic_small, iter_bits
 from welldom.structure import component_facts
 
 settings.register_profile("suite", deadline=None)
@@ -263,6 +265,28 @@ def random_eared_tree(tree_n: int, ears: int, seed: int = 1) -> Graph:
     for i, (u, v) in enumerate(rng.sample(edges, ears)):
         edges += [(u, tree_n + i), (v, tree_n + i)]
     return Graph.from_edges(tree_n + ears, edges)
+
+
+def distances_from(g: Graph, sources: Iterable[int]) -> list[int | float]:
+    """BFS distance from the vertex set ``sources`` to every vertex (inf if unreachable)."""
+    dist: list[int | float] = [math.inf] * g.n
+    frontier: list[int] = []
+    for s in set(sources):
+        if not 0 <= s < g.n:
+            raise ValueError(f"source vertex {s} out of range")
+        dist[s] = 0
+        frontier.append(s)
+    d = 0
+    while frontier:
+        d += 1
+        nxt: list[int] = []
+        for v in frontier:
+            for u in g.adj[v]:
+                if dist[u] == math.inf:
+                    dist[u] = d
+                    nxt.append(u)
+        frontier = nxt
+    return dist
 
 
 def _refined_colours(g: Graph) -> tuple[int, ...]:

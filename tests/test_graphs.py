@@ -13,7 +13,6 @@ from welldom.graphs import (
     components,
     contains_cycle_of_length,
     cycle_lengths,
-    distances_from,
     induced_subgraph,
     is_complete,
     is_isomorphic_small,
@@ -29,7 +28,7 @@ from welldom.named_graphs import (
     triangle_tripod_graph,
 )
 
-from conftest import brute_has_cycle, eared_trees, glued_graphs, graphs
+from conftest import brute_has_cycle, distances_from, eared_trees, glued_graphs, graphs
 
 
 class TestGraphBasics:

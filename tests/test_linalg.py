@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -47,7 +48,9 @@ wide_sparse_matrices = st.integers(1, 40).flatmap(
 def matrix_pairs(draw):
     """Two matrices of one width, the second often built from rows of the first."""
     width = draw(st.integers(1, 6))
-    row = st.lists(st.sampled_from([0, 0, 1, -1, 2]), min_size=width, max_size=width)
+    row = st.lists(
+        st.sampled_from([0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)]), min_size=width, max_size=width
+    )
     a = draw(st.lists(row, max_size=5))
     b = draw(st.lists(st.sampled_from(a), max_size=4)) if a else []
     return a, b + draw(st.lists(row, max_size=2)), width
@@ -208,6 +211,8 @@ class TestSubspaceOps:
     def test_ambient_mismatch_rejected(self):
         with pytest.raises(ValueError):
             subspace_contains(nullspace([], 2), nullspace([], 3))
+        with pytest.raises(ValueError, match="row has 2 entries, expected 3"):
+            nullspace([], 3).contains_vector([1, 2])
 
     @given(small_matrices)
     def test_reduce_is_membership_test(self, matrix):
@@ -226,6 +231,13 @@ class TestSparseBasis:
         assert space.dimension == len(space.rows)
         payload = space.to_json_dict()
         assert payload["basis"] == [[fraction_str(x) for x in row] for row in space.rows]
+        # each integer row is the sparse row scaled to primitive integers
+        assert list(space.integer_rows) == list(space.pivots)
+        for p, row in zip(space.pivots, space.sparse_rows):
+            scaled = space.integer_rows[p]
+            assert scaled[p] > 0 and math.gcd(*scaled.values()) == 1
+            assert scaled.keys() == row.keys()
+            assert all(scaled[c] == x * scaled[p] for c, x in row.items())
 
     @given(matrix_pairs())
     def test_comparisons_agree_with_dense_rows(self, pair):

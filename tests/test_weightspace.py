@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given
 
@@ -16,8 +18,11 @@ from welldom.named_graphs import (
     two_triangles_bridged,
 )
 from welldom.oracle import (
+    enumerate_maximal_independent_sets,
+    enumerate_minimal_dominating_sets,
     is_well_covered,
     is_well_dominated,
+    weight_space_from_family,
     well_covered_weight_space_oracle,
     well_dominated_weight_space_oracle,
 )
@@ -49,6 +54,15 @@ def windmill(k: int) -> Graph:
     return Graph.from_edges(
         2 * k + 1, [e for i in range(k) for e in ((0, 2 * i + 1), (0, 2 * i + 2), (2 * i + 1, 2 * i + 2))]
     )
+
+
+def eared_cycle(length: int) -> Graph:
+    """The cycle C_length with an ear on every edge: ear length + i on the edge i, i + 1."""
+    edges = []
+    for i in range(length):
+        j = (i + 1) % length
+        edges += [(i, j), (i, length + i), (j, length + i)]
+    return Graph.from_edges(2 * length, edges)
 
 
 class TestSpecialForms:
@@ -147,6 +161,24 @@ class TestWeightBases:
         assert wwd.notes == ("zero-forced fringe vertices: [0]",)
         wcw = well_covered_weight_basis(g)
         assert wcw.basis.dimension == 1
+
+    @pytest.mark.parametrize("length", [7, 9])
+    def test_eared_odd_cycle_has_fractional_entries(self, length):
+        # every entry of both bases is +-1 on the family graphs up to 10
+        # vertices; here the WCW basis has +-1/2 entries
+        g = eared_cycle(length)
+        report = analyze(g)
+        assert [check.status for check in report.checks] == ["pass"] * 8
+        wcw, wwd = report.characterization.wcw, report.characterization.wwd
+        assert {x.denominator for row in wcw.sparse_rows for x in row.values()} == {1, 2}
+        families = (enumerate_maximal_independent_sets(g), enumerate_minimal_dominating_sets(g))
+        for basis, family in zip((wcw, wwd), families):
+            assert weight_space_from_family(family, basis) is basis
+            for p, row in zip(basis.pivots, basis.sparse_rows):
+                scaled = basis.integer_rows[p]
+                assert scaled[p] > 0 and math.gcd(*scaled.values()) == 1
+                assert scaled.keys() == row.keys()
+                assert all(scaled[c] == x * scaled[p] for c, x in row.items())
 
     def test_preconditions(self):
         with pytest.raises(ValueError, match="6-cycle"):
