@@ -316,10 +316,7 @@ def _dimension_check_results(facts: Sequence[ComponentFacts]) -> list[CheckResul
             if not holds:
                 failures[name].append(f"component at {f.labels[0]}: dimension {dimension} vs {closed_form}")
     passed = {DIMENSION_CHECKS[0]: coupled + flagged, DIMENSION_CHECKS[1]: flagged}
-    return [
-        CheckResult(name, "fail" if lines else "pass", "; ".join(lines or passed[name]))
-        for name, lines in failures.items()
-    ]
+    return [_check(name, not lines, "; ".join(lines or passed[name])) for name, lines in failures.items()]
 
 
 def analyze(g: Graph, budget: EnumerationBudget = DEFAULT_BUDGET) -> AnalysisReport:
@@ -346,7 +343,7 @@ def analyze(g: Graph, budget: EnumerationBudget = DEFAULT_BUDGET) -> AnalysisRep
         characterization = CharacterizationSection(
             False, characterization_reason, (), None, None, ()
         )
-        dimension_results = [CheckResult(name, "skip", characterization_reason) for name in DIMENSION_CHECKS]
+        dimension_results = [_check(name, None, characterization_reason) for name in DIMENSION_CHECKS]
 
     oracle = _oracle_section(g, budget, characterization)
     checks = _build_checks(characterization, recognition, oracle) + dimension_results
@@ -365,75 +362,52 @@ def analyze(g: Graph, budget: EnumerationBudget = DEFAULT_BUDGET) -> AnalysisRep
     )
 
 
+def _check(name: str, holds: bool | None, detail: str) -> CheckResult:
+    """A check that passes or fails as ``holds`` says, or is skipped when it is None;
+    ``detail`` then gives the reason."""
+    return CheckResult(name, "skip" if holds is None else "pass" if holds else "fail", detail)
+
+
 def _build_checks(
     characterization: CharacterizationSection,
     recognition: RecognitionSection,
     oracle: OracleSection,
 ) -> list[CheckResult]:
-    checks: list[CheckResult] = []
-
-    if oracle.domination is not None and oracle.independence is not None:
-        chain_ok = (
-            oracle.domination
-            <= oracle.independent_domination
-            <= oracle.independence
-            <= oracle.upper_domination
-        )
-        checks.append(
-            CheckResult(
-                "domination_chain",
-                "pass" if chain_ok else "fail",
-                f"{oracle.domination} <= {oracle.independent_domination} <= "
-                f"{oracle.independence} <= {oracle.upper_domination}",
-            )
-        )
+    o = oracle
+    if o.domination is None or o.independence is None:
+        checks = [_check("domination_chain", None, "oracle unavailable")]
     else:
-        checks.append(CheckResult("domination_chain", "skip", "oracle unavailable"))
+        chain_ok = o.domination <= o.independent_domination <= o.independence <= o.upper_domination
+        chain = f"{o.domination} <= {o.independent_domination} <= {o.independence} <= {o.upper_domination}"
+        checks = [_check("domination_chain", chain_ok, chain)]
 
     for name, recognized, enumerated in (
-        ("well_covered_recognition_matches_oracle", recognition.well_covered, oracle.well_covered),
-        ("well_dominated_recognition_matches_oracle", recognition.well_dominated, oracle.well_dominated),
+        ("well_covered_recognition_matches_oracle", recognition.well_covered, o.well_covered),
+        ("well_dominated_recognition_matches_oracle", recognition.well_dominated, o.well_dominated),
     ):
         if recognized is None or enumerated is None:
-            checks.append(CheckResult(name, "skip", "recognition or oracle unavailable"))
+            checks.append(_check(name, None, "recognition or oracle unavailable"))
         else:
-            checks.append(
-                CheckResult(
-                    name,
-                    "pass" if recognized == enumerated else "fail",
-                    f"recognized {recognized}, enumerated {enumerated}",
-                )
-            )
+            detail = f"recognized {recognized}, enumerated {enumerated}"
+            checks.append(_check(name, recognized == enumerated, detail))
 
     for name, characterized, enumerated in (
-        ("wcw_matches_oracle", characterization.wcw, oracle.wcw),
-        ("wwd_matches_oracle", characterization.wwd, oracle.wwd),
+        ("wcw_matches_oracle", characterization.wcw, o.wcw),
+        ("wwd_matches_oracle", characterization.wwd, o.wwd),
     ):
         if characterized is None or enumerated is None:
-            checks.append(CheckResult(name, "skip", "characterization or oracle unavailable"))
+            checks.append(_check(name, None, "characterization or oracle unavailable"))
         else:
-            equal = subspace_equal(characterized, enumerated)
-            checks.append(
-                CheckResult(
-                    name,
-                    "pass" if equal else "fail",
-                    f"dimensions {characterized.dimension} vs {enumerated.dimension}",
-                )
-            )
+            detail = f"dimensions {characterized.dimension} vs {enumerated.dimension}"
+            checks.append(_check(name, subspace_equal(characterized, enumerated), detail))
 
-    wcw_basis = characterization.wcw if characterization.wcw is not None else oracle.wcw
-    wwd_basis = characterization.wwd if characterization.wwd is not None else oracle.wwd
+    wcw_basis = characterization.wcw if characterization.wcw is not None else o.wcw
+    wwd_basis = characterization.wwd if characterization.wwd is not None else o.wwd
     if wcw_basis is None or wwd_basis is None:
-        checks.append(CheckResult("wwd_contained_in_wcw", "skip", "bases unavailable"))
+        checks.append(_check("wwd_contained_in_wcw", None, "bases unavailable"))
     else:
-        contained = subspace_contains(wcw_basis, wwd_basis)
-        checks.append(
-            CheckResult(
-                "wwd_contained_in_wcw",
-                "pass" if contained else "fail",
-                f"dimensions {wwd_basis.dimension} <= {wcw_basis.dimension}",
-            )
-        )
+        detail = f"dimensions {wwd_basis.dimension} <= {wcw_basis.dimension}"
+        checks.append(_check("wwd_contained_in_wcw", subspace_contains(wcw_basis, wwd_basis), detail))
     return checks
 
 

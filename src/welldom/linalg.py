@@ -165,7 +165,7 @@ class SubspaceBasis:
         row leads with 1, so the lcm of its denominators leaves no common factor."""
         return {p: _integer_row(row, self.ambient_dim) for p, row in zip(self.pivots, self.sparse_rows)}
 
-    def _spans(self, vector: Row) -> bool:
+    def contains_vector(self, vector: Row) -> bool:
         """Whether ``vector``, dense or sparse, lies in the span."""
         row = _integer_row(vector, self.ambient_dim)
         # a basis row is zero in the other rows' pivot columns, so each pivot
@@ -174,10 +174,6 @@ class SubspaceBasis:
         for pivot in [c for c in row if c in basis]:
             _eliminate(row, pivot, basis[pivot])
         return not row
-
-    def contains_vector(self, vector: Sequence[Fraction | int]) -> bool:
-        """Whether the dense ``vector`` lies in the span."""
-        return self._spans(vector)
 
     def row_texts(self) -> Iterator[list[str]]:
         """Each basis row as the texts of its ``ambient_dim`` entries, one row
@@ -225,8 +221,6 @@ def nullspace(rows: Iterable[Row], ambient_dim: int) -> SubspaceBasis:
 
 def constants_space(ambient_dim: int) -> SubspaceBasis:
     """Span of the all-ones vector (the constant weight functions)."""
-    if ambient_dim == 0:
-        return row_space([], 0)
     return row_space([[1] * ambient_dim], ambient_dim)
 
 
@@ -236,7 +230,7 @@ def subspace_contains(outer: SubspaceBasis, inner: SubspaceBasis) -> bool:
         raise ValueError(
             f"ambient dimensions differ: {outer.ambient_dim} vs {inner.ambient_dim}"
         )
-    return all(outer._spans(row) for row in inner.sparse_rows)
+    return all(outer.contains_vector(row) for row in inner.sparse_rows)
 
 
 def subspace_equal(a: SubspaceBasis, b: SubspaceBasis) -> bool:

@@ -25,7 +25,6 @@ from .structure import (
     SimplicialPartition,
     SpecialForm,
     family_facts,
-    induced_pieces,
     special_form_of,
 )
 
@@ -93,8 +92,9 @@ def dimension_report(f: ComponentFacts) -> DimensionReport:
     special form the bases are the constants and the counts do not apply.
     """
     wcw, wwd = f.wcw.basis, f.wwd.basis
-    alpha_anchored = len(induced_pieces(f.graph, f.anchored))
+    # the anchored fringe is a union of whole fringe pieces, one component each
     anchored = {p for row in f.coefficients for p in row}
+    alpha_anchored = len(anchored)
     coupled = [{p: 1 for p in row if p in anchored} for row in f.forced[1]]
     coupling = row_space(coupled, len(f.fringe_pieces)).dimension if coupled else 0
     return DimensionReport(

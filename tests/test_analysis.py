@@ -19,7 +19,7 @@ from welldom.cli import cli_main
 from welldom.fixtures import builtin_fixtures
 from welldom.generators import GeneratorConfig, generate_family
 from welldom.graphs import Graph, induced_subgraph, iter_bits, parse_graph
-from welldom.linalg import row_space, subspace_equal
+from welldom.linalg import nullspace, row_space, subspace_equal
 from welldom.named_graphs import (
     complete_bipartite_graph,
     fringe_gap_graph,
@@ -34,7 +34,7 @@ from welldom.oracle import (
     enumerate_minimal_dominating_sets,
     well_dominated_weight_space_oracle,
 )
-from welldom.structure import ComponentFacts
+from welldom.structure import CharacterizationOutcome, ComponentFacts
 from welldom.weightspace import SpecialForm
 
 from conftest import count_calls
@@ -191,6 +191,49 @@ class TestAnalyzeReport:
         assert by_name["domination_chain"].status == "skip"
         assert report.characterization.applicable  # closed form needs no enumeration
         assert report.characterization.wcw.dimension == 25
+
+    def test_check_statuses_and_details_are_pinned(self, monkeypatch):
+        # every skip reason, the closed forms without the oracle, a graph
+        # outside both families, and the fail details of a wrong engine
+        def checks(g):
+            return [(c.name, c.status, c.detail) for c in analyze(g).checks]
+
+        unavailable = [
+            "recognition or oracle unavailable", "recognition or oracle unavailable",
+            "characterization or oracle unavailable", "characterization or oracle unavailable",
+        ]
+        cycles = "contains a 4-cycle, a 6-cycle"
+        assert checks(complete_bipartite_graph(13, 13)) == list(zip(
+            ALL_CHECKS, ["skip"] * 8,
+            ["oracle unavailable", *unavailable, "bases unavailable", cycles, cycles],
+        ))
+        singletons = "; ".join(f"component at {v} is complete_small" for v in range(25))
+        assert checks(Graph.from_edges(25, [])) == list(zip(
+            ALL_CHECKS, ["skip"] * 5 + ["pass"] * 3,
+            ["oracle unavailable", *unavailable, "dimensions 25 <= 25", singletons, singletons],
+        ))
+        assert checks(complete_bipartite_graph(3, 3)) == list(zip(
+            ALL_CHECKS, ["pass", "skip", "skip", "skip", "skip", "pass", "skip", "skip"],
+            ["2 <= 3 <= 3 <= 3", *unavailable, "dimensions 0 <= 5", cycles, cycles],
+        ))
+
+        def whole_space(facts):
+            return CharacterizationOutcome(facts.special_form, nullspace([], facts.graph.n))
+
+        monkeypatch.setattr(ComponentFacts, "wwd", property(whole_space))
+        assert checks(triangle_with_pendants(1)) == list(zip(
+            ALL_CHECKS, ["pass"] * 4 + ["fail", "fail", "fail", "pass"],
+            [
+                "1 <= 1 <= 2 <= 2",
+                "recognized False, enumerated False",
+                "recognized False, enumerated False",
+                "dimensions 2 vs 2",
+                "dimensions 4 vs 2",
+                "dimensions 4 <= 2",
+                "component at 0: dimension 4 vs anchored fringe independence 2",
+                "",
+            ],
+        ))
 
     def test_each_fact_and_basis_is_built_once(self, monkeypatch):
         counts = count_calls(monkeypatch, [
