@@ -51,18 +51,9 @@ from .weightspace import SpecialForm, dimension_report
 # -- component-wise wrappers -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GlobalCharacterization:
-    """A weight-space basis assembled across components as a direct sum."""
-
-    basis: SubspaceBasis
-    component_forms: tuple[SpecialForm, ...]
-    notes: tuple[str, ...]
-
-
 def _direct_sum(
     parts: Iterable[tuple[ComponentFacts, CharacterizationOutcome]], n: int
-) -> GlobalCharacterization:
+) -> CharacterizationOutcome:
     """The component bases, each given with its component, embedded side by side.
 
     Each component's labels are increasing, so its embedded RREF rows stay
@@ -76,22 +67,22 @@ def _direct_sum(
     for f, outcome in parts:
         labels = f.labels
         notes.extend(f"component at {labels[0]}: {note}" for note in outcome.notes)
-        forms.append(outcome.special_form)
+        forms.extend(outcome.special_forms)
         if len(labels) == n:
-            return GlobalCharacterization(outcome.basis, tuple(forms), tuple(notes))
+            return CharacterizationOutcome(tuple(forms), outcome.basis, tuple(notes))
         for row, pivot in zip(outcome.basis.sparse_rows, outcome.basis.pivots):
             rows.append((labels[pivot], {labels[local]: value for local, value in row.items()}))
     rows.sort(key=lambda item: item[0])
     basis = SubspaceBasis(n, tuple([row for _, row in rows]), tuple([pivot for pivot, _ in rows]))
-    return GlobalCharacterization(basis, tuple(forms), tuple(notes))
+    return CharacterizationOutcome(tuple(forms), basis, tuple(notes))
 
 
-def characterized_wcw_basis(g: Graph) -> GlobalCharacterization:
+def characterized_wcw_basis(g: Graph) -> CharacterizationOutcome:
     """Equal-weight space of maximal independent sets, any number of components."""
     return _direct_sum(((f, f.wcw) for f in family_facts(g, (4, 5, 6))), g.n)
 
 
-def characterized_wwd_basis(g: Graph) -> GlobalCharacterization:
+def characterized_wwd_basis(g: Graph) -> CharacterizationOutcome:
     """Equal-weight space of minimal dominating sets, any number of components."""
     return _direct_sum(((f, f.wwd) for f in family_facts(g, (4, 5, 6))), g.n)
 
@@ -334,7 +325,7 @@ def analyze(g: Graph, budget: EnumerationBudget = DEFAULT_BUDGET) -> AnalysisRep
     if characterization_reason is None:
         wcw = _direct_sum(((f, f.wcw) for f in facts), g.n)
         wwd = _direct_sum(((f, f.wwd) for f in facts), g.n)
-        forms = tuple([form.value for form in wcw.component_forms])
+        forms = tuple([form.value for form in wcw.special_forms])
         # both bases give a special-form component the same note; list it once
         notes = tuple(dict.fromkeys(wcw.notes + wwd.notes))
         characterization = CharacterizationSection(True, None, forms, wcw.basis, wwd.basis, notes)
@@ -509,7 +500,6 @@ __all__ = [
     "AnalysisReport",
     "CharacterizationSection",
     "CheckResult",
-    "GlobalCharacterization",
     "OracleSection",
     "RecognitionSection",
     "SweepReport",

@@ -183,13 +183,13 @@ def _weight_space_command(args: argparse.Namespace, engine, label: str) -> int:
         payload = {
             "schema_version": 1,
             "space": label,
-            "special_forms": [form.value for form in outcome.component_forms],
+            "special_forms": [form.value for form in outcome.special_forms],
             "basis": outcome.basis,
             "notes": list(outcome.notes),
         }
         _print_json(payload)
     else:
-        print(f"special forms: {', '.join(form.value for form in outcome.component_forms)}")
+        print(f"special forms: {', '.join(form.value for form in outcome.special_forms)}")
         _print_basis(outcome.basis)
         for note in outcome.notes:
             print(f"note: {note}")

@@ -4,9 +4,10 @@ Vertices are dense 0-based indices.  Adjacency is stored as a tuple of
 frozensets; bitmask views (bit i of a mask <-> vertex i) are cached for the
 enumeration-heavy callers.  A view holds one n-bit int per vertex, which is
 quadratic memory, so only code that never sees more than 62 vertices reads
-one: the oracle and the independence number behind their vertex gates, and
-the fixtures' witness check.  The closed-form engines read the sets; the
-cycle profile builds masks only inside each block, relabelled 0..b-1.
+one: the oracle behind its vertex gates (the independence number goes
+through it too), and the fixtures' witness check.  The closed-form engines
+read the sets; the cycle profile builds masks only inside each block,
+relabelled 0..b-1.
 
 Everything here is exact: distances are BFS integers, the cycle search
 prunes only paths that cannot close a wanted cycle, and the two text
@@ -295,33 +296,28 @@ def cycle_lengths(g: Graph, lengths: Iterable[int]) -> frozenset[int]:
     the search runs block by block, and a block with b vertices is searched
     only for the wanted lengths up to b, and only for the even ones when it
     is bipartite.  This bounds K_{a,a}: its one block is bipartite, so no
-    search for an odd length starts.
+    search for an odd length starts.  Each block is relabelled 0..b-1 and
+    searched on its own bitmasks by ``_iter_cycle_lengths``, and the search
+    stops once every wanted length has turned up.
     """
-    return frozenset(_block_cycle_lengths(g, lengths))
-
-
-def contains_cycle_of_length(g: Graph, k: int) -> bool:
-    return k in cycle_lengths(g, (k,))
-
-
-def _block_cycle_lengths(g: Graph, lengths: Iterable[int]) -> Iterator[int]:
-    """Yield each wanted length once, as a cycle of that length turns up in
-    some block of g's 2-core; each block is relabelled 0..b-1 and searched
-    on its own bitmasks by ``_iter_cycle_lengths``."""
     wanted = _checked_lengths(lengths)
+    found: set[int] = set()
     adj = g.adj
     for block, bipartite in _blocks(adj, _two_core(adj)):
-        if not wanted:
-            return
-        here = {k for k in wanted if k <= len(block) and not (bipartite and k % 2)}
+        if found == wanted:
+            break
+        here = {k for k in wanted - found if k <= len(block) and not (bipartite and k % 2)}
         if not here:
             continue
         members = sorted(block)
         local = {v: i for i, v in enumerate(members)}
         sub = [mask_of(local[u] for u in adj[v] if u in local) for v in members]
-        for k in _iter_cycle_lengths(sub, [bits.bit_count() for bits in sub], here):
-            wanted.discard(k)
-            yield k
+        found.update(_iter_cycle_lengths(sub, [bits.bit_count() for bits in sub], here))
+    return frozenset(found)
+
+
+def contains_cycle_of_length(g: Graph, k: int) -> bool:
+    return k in cycle_lengths(g, (k,))
 
 
 def _checked_lengths(lengths: Iterable[int]) -> set[int]:

@@ -183,8 +183,6 @@ class DominationNumbers:
 
 
 def domination_numbers(g: Graph, budget: EnumerationBudget = DEFAULT_BUDGET) -> DominationNumbers:
-    if g.n == 0:
-        return DominationNumbers(0, 0, 0, 0)
     mis = enumerate_maximal_independent_sets(g, budget).sizes()
     mds = enumerate_minimal_dominating_sets(g, budget).sizes()
     return DominationNumbers(min(mds), max(mds), min(mis), max(mis))

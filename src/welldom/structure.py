@@ -51,11 +51,10 @@ from .graphs import (
     induced_subgraph,
     is_complete,
     is_isomorphic_small,
-    iter_bits,
 )
 from .linalg import SubspaceBasis, constants_space, nullspace, row_space
 from .named_graphs import cycle_graph, triangle_tripod_graph
-from .oracle import BudgetExceededError, DEFAULT_BUDGET, EnumerationBudget
+from .oracle import DEFAULT_BUDGET, EnumerationBudget, enumerate_maximal_independent_sets
 
 
 def simplicial_vertices(g: Graph) -> frozenset[int]:
@@ -188,29 +187,9 @@ def anchored_fringe_vertices(g: Graph) -> frozenset[int]:
 
 
 def independence_number(g: Graph, budget: EnumerationBudget = DEFAULT_BUDGET) -> int:
-    """Maximum independent set size by branch and bound."""
-    if g.n > budget.max_independent_vertices:
-        raise BudgetExceededError(
-            f"{g.n} vertices exceed the independence-number budget "
-            f"of {budget.max_independent_vertices}"
-        )
-    abits = g.adjacency_bits
-    nb = g.closed_bits
-    best = 0
-
-    def grow(p: int, size: int) -> None:
-        nonlocal best
-        if size + p.bit_count() <= best:
-            return
-        if not p:
-            best = max(best, size)
-            return
-        v = max(iter_bits(p), key=lambda u: (abits[u] & p).bit_count())
-        grow(p & ~nb[v], size + 1)
-        grow(p & ~(1 << v), size)
-
-    grow(g.full_mask, 0)
-    return best
+    """The size of a largest maximal independent set, read off the oracle's
+    enumeration (BudgetExceededError above its vertex gate)."""
+    return max(enumerate_maximal_independent_sets(g, budget).sizes())
 
 
 class SpecialForm(Enum):
@@ -239,7 +218,7 @@ CYCLE_LENGTHS = (3, 4, 5, 6, 7)
 
 @dataclass(frozen=True)
 class CharacterizationOutcome:
-    special_form: SpecialForm
+    special_forms: tuple[SpecialForm, ...]  # one per component
     basis: SubspaceBasis
     notes: tuple[str, ...] = ()
 
@@ -353,8 +332,8 @@ class ComponentFacts:
         n = self.graph.n
         if self.special_form is not SpecialForm.GENERAL:
             note = f"{self.special_form.value}: constant weights"
-            return CharacterizationOutcome(self.special_form, constants_space(n), (note,))
-        return CharacterizationOutcome(self.special_form, row_space(self.piece_vectors, n))
+            return CharacterizationOutcome((self.special_form,), constants_space(n), (note,))
+        return CharacterizationOutcome((self.special_form,), row_space(self.piece_vectors, n))
 
     @cached_property
     def wwd(self) -> CharacterizationOutcome:
@@ -380,7 +359,7 @@ class ComponentFacts:
         notes = [f"zero-forced fringe vertices: {zero_forced}"] if zero_forced else []
         notes += [f"coupled ears: {sorted(labels[v] for p in row for v in self.fringe_pieces[p])}"
                   for row in self.forced[1]]
-        return CharacterizationOutcome(self.special_form, row_space(kept, self.graph.n), tuple(notes))
+        return CharacterizationOutcome((self.special_form,), row_space(kept, self.graph.n), tuple(notes))
 
 
 def induced_pieces(g: Graph, vertices: frozenset[int]) -> tuple[tuple[int, ...], ...]:

@@ -22,6 +22,7 @@ from welldom.graphs import Graph, induced_subgraph, iter_bits, parse_graph
 from welldom.linalg import nullspace, row_space, subspace_equal
 from welldom.named_graphs import (
     complete_bipartite_graph,
+    cycle_graph,
     fringe_gap_graph,
     path_graph,
     triangle_with_pendants,
@@ -35,7 +36,7 @@ from welldom.oracle import (
     well_dominated_weight_space_oracle,
 )
 from welldom.structure import CharacterizationOutcome, ComponentFacts
-from welldom.weightspace import SpecialForm
+from welldom.weightspace import SpecialForm, well_covered_weight_basis, well_dominated_weight_basis
 
 from conftest import count_calls
 
@@ -60,8 +61,20 @@ class TestComponentCombination:
         g = path4_plus_triangle()
         wcw = characterized_wcw_basis(g)
         assert wcw.basis.dimension == 3  # 2 for the path, 1 for the triangle
-        assert wcw.component_forms == (SpecialForm.GENERAL, SpecialForm.COMPLETE_SMALL)
+        assert wcw.special_forms == (SpecialForm.GENERAL, SpecialForm.COMPLETE_SMALL)  # in component order
+        assert characterized_wwd_basis(g).special_forms == wcw.special_forms
         assert any("component at 4" in note for note in wcw.notes)
+
+    @pytest.mark.parametrize("g", [path_graph(4), cycle_graph(7), fringe_gap_graph(),
+                                   parse_graph("IuO_OGB?W", "graph6")])
+    def test_connected_graph_keeps_its_component_record(self, g):
+        # the basis of a connected graph is its one component's, not a relabelled copy
+        for engine, component_engine in ((characterized_wcw_basis, well_covered_weight_basis),
+                                         (characterized_wwd_basis, well_dominated_weight_basis)):
+            whole, component = engine(g), component_engine(g)
+            assert whole.basis is component.basis
+            assert whole.special_forms == component.special_forms
+            assert whole.notes == tuple(f"component at 0: {note}" for note in component.notes)
 
     def test_component_vectors_stay_inside_their_component(self):
         g = path4_plus_triangle()
@@ -218,7 +231,7 @@ class TestAnalyzeReport:
         ))
 
         def whole_space(facts):
-            return CharacterizationOutcome(facts.special_form, nullspace([], facts.graph.n))
+            return CharacterizationOutcome((facts.special_form,), nullspace([], facts.graph.n))
 
         monkeypatch.setattr(ComponentFacts, "wwd", property(whole_space))
         assert checks(triangle_with_pendants(1)) == list(zip(

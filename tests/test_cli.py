@@ -66,7 +66,7 @@ class TestAnalyze:
     def test_failed_check_exits_one(self, graph_file, capsys, monkeypatch):
         # a wrong dominating-set engine: every weight passes
         def whole_space(facts):
-            return CharacterizationOutcome(facts.special_form, nullspace([], facts.graph.n))
+            return CharacterizationOutcome((facts.special_form,), nullspace([], facts.graph.n))
 
         monkeypatch.setattr(ComponentFacts, "wwd", property(whole_space))
         assert cli_main(["analyze", graph_file(path_graph(4))]) == 1

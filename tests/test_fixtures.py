@@ -65,7 +65,7 @@ class TestFixtureValidation:
     def test_failed_analysis_check_is_a_failure(self, monkeypatch):
         # a wrong dominating-set engine: every weight passes
         def whole_space(facts):
-            return CharacterizationOutcome(facts.special_form, nullspace([], facts.graph.n))
+            return CharacterizationOutcome((facts.special_form,), nullspace([], facts.graph.n))
 
         monkeypatch.setattr(ComponentFacts, "wwd", property(whole_space))
         by_name = {f.name: f for f in builtin_fixtures()}

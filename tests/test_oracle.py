@@ -19,6 +19,7 @@ from welldom.named_graphs import (
 )
 from welldom.oracle import (
     BudgetExceededError,
+    DominationNumbers,
     EnumerationBudget,
     SetFamily,
     domination_numbers,
@@ -32,6 +33,7 @@ from welldom.oracle import (
     well_covered_weight_space_oracle,
     well_dominated_weight_space_oracle,
 )
+from welldom.structure import independence_number
 
 from conftest import (
     brute_maximal_independent,
@@ -125,6 +127,12 @@ class TestDominationNumbers:
         numbers = domination_numbers(triangle_tripod_graph())
         assert (numbers.domination, numbers.upper_domination) == (4, 4)
         assert (numbers.independent_domination, numbers.independence) == (4, 4)
+
+    def test_empty_graph(self):
+        # each enumeration of the empty graph yields the one empty set
+        g = Graph.from_edges(0, [])
+        assert domination_numbers(g) == DominationNumbers(0, 0, 0, 0)
+        assert independence_number(g) == 0
 
     @given(graphs(max_n=7))
     def test_chain_always_holds(self, g):

@@ -148,7 +148,7 @@ class TestWeightBases:
 
     def test_path4_exact_basis(self):
         wcw = well_covered_weight_basis(path_graph(4))
-        assert wcw.special_form is SpecialForm.GENERAL
+        assert wcw.special_forms == (SpecialForm.GENERAL,)
         assert wcw.basis.rows == ((1, 1, 0, 0), (0, 0, 1, 1))
         wwd = well_dominated_weight_basis(path_graph(4))
         assert wwd.basis.rows == wcw.basis.rows
