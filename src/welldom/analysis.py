@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, fields
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .generators import GeneratorConfig, generate_family
@@ -54,14 +53,12 @@ from .weightspace import SpecialForm, dimension_report
 def _direct_sum(
     parts: Iterable[tuple[ComponentFacts, CharacterizationOutcome]], n: int
 ) -> CharacterizationOutcome:
-    """The component bases, each given with its component, embedded side by side.
-
-    Each component's labels are increasing, so its embedded RREF rows stay
-    in RREF, and the rows of all components, sorted by embedded pivot, are
-    the RREF of the direct sum.  A component spanning all n vertices is
-    labelled by the identity, and its basis is the sum as it stands.
+    """The component bases, each given with its component, embedded side by
+    side: each row keeps its key column, relabelled.  A component spanning
+    all n vertices is labelled by the identity, and its basis is the sum as
+    it stands.
     """
-    rows: list[tuple[int, dict[int, Fraction]]] = []
+    rows: dict[int, dict[int, int]] = {}
     notes: list[str] = []
     forms: list[SpecialForm] = []
     for f, outcome in parts:
@@ -70,11 +67,9 @@ def _direct_sum(
         forms.extend(outcome.special_forms)
         if len(labels) == n:
             return CharacterizationOutcome(tuple(forms), outcome.basis, tuple(notes))
-        for row, pivot in zip(outcome.basis.sparse_rows, outcome.basis.pivots):
-            rows.append((labels[pivot], {labels[local]: value for local, value in row.items()}))
-    rows.sort(key=lambda item: item[0])
-    basis = SubspaceBasis(n, tuple([row for _, row in rows]), tuple([pivot for pivot, _ in rows]))
-    return CharacterizationOutcome(tuple(forms), basis, tuple(notes))
+        for key, row in outcome.basis.integer_rows.items():
+            rows[labels[key]] = {labels[c]: x for c, x in row.items()}
+    return CharacterizationOutcome(tuple(forms), SubspaceBasis(n, rows), tuple(notes))
 
 
 def characterized_wcw_basis(g: Graph) -> CharacterizationOutcome:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .analysis import analyze
 from .graphs import Graph, iter_bits, mask_of
-from .linalg import row_space, subspace_equal
+from .linalg import row_space, subspace_contains
 from .named_graphs import (
     complete_bipartite_graph,
     complete_graph,
@@ -107,7 +107,7 @@ def check_fixture(fixture: Fixture, budget: EnumerationBudget = DEFAULT_BUDGET) 
             expect(key, wanted, (oracle.wcw if key == "wcw_dimension" else oracle.wwd).dimension)
         elif key == "wwd_space_rows":
             described = row_space(wanted, g.n)
-            if not subspace_equal(described, oracle.wwd):
+            if described.dimension != oracle.wwd.dimension or not subspace_contains(described, oracle.wwd):
                 failures.append(
                     f"{key}: described space (dim {described.dimension}) differs "
                     f"from the enumerated one (dim {oracle.wwd.dimension})"

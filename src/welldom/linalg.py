@@ -1,16 +1,12 @@
 """Exact rational linear algebra for weight spaces.
 
-Everything is exact; floating point never enters.  A subspace is always
-carried in reduced row echelon form, which makes the RREF matrix the
-canonical representative: two spans are equal iff their bases compare equal
-structurally.
-
-Row reduction runs over sparse integer rows ({column: int}), reduced one
-input row at a time against a basis kept fully reduced and primitive; only
-that final basis is turned into ``Fraction`` rows.  Bases stay sparse
-({column: Fraction}); dense rows of the ambient width are built only when
-read.  Membership and containment reduce integer rows the same way, against
-a basis's ``integer_rows``.
+Everything is exact; floating point never enters.  A subspace is carried as
+independent integer rows ({column: int}), each keyed by a column where it
+alone is nonzero.  Row reduction reduces such rows one at a time against a
+basis kept fully reduced and primitive, and membership and containment
+reduce them against the key columns.  Only ``rref`` turns a reduced basis
+into ``Fraction`` rows: the canonical form, in which two spans are equal iff
+their bases compare equal, computed only where a basis is read or compared.
 """
 
 from __future__ import annotations
@@ -25,7 +21,6 @@ Vector = tuple[Fraction, ...]
 Row = Sequence[Fraction | int] | dict[int, Fraction | int]  # dense, or sparse {column: value}
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def _integer_row(row: Row, width: int) -> dict[int, int]:
@@ -74,17 +69,10 @@ def _make_primitive(row: dict[int, int], lead: int) -> None:
             row[c] //= g
 
 
-def rref(
-    rows: Iterable[Row], width: int
-) -> tuple[tuple[dict[int, Fraction], ...], tuple[int, ...]]:
-    """Reduced row echelon form.  Returns the nonzero rows and pivot columns.
-
-    Rows are dense sequences of length ``width`` or sparse {column: value}
-    dicts, with int or Fraction entries.  The output rows are sparse:
-    {column: Fraction} with no zero entries, in pivot order.
-    """
-    # pivot column -> primitive integer row whose first nonzero column is the
-    # pivot; every row is zero in every other row's pivot column
+def _reduce(rows: Iterable[Row], width: int) -> dict[int, dict[int, int]]:
+    """The reduced basis of the rows' span, in pivot order: each pivot column
+    maps to a primitive integer row whose first nonzero column it is, and
+    every row is zero in every other row's pivot column."""
     basis: dict[int, dict[int, int]] = {}
     # column -> pivots of the kept rows that are nonzero there, besides their
     # own pivot; a new pivot is eliminated from exactly these rows
@@ -111,12 +99,21 @@ def rref(
             if c != pivot:
                 holders.setdefault(c, set()).add(pivot)
         basis[pivot] = row
-    pivots = tuple(sorted(basis))
+    return {p: basis[p] for p in sorted(basis)}
+
+
+def rref(rows: Iterable[Row], width: int) -> tuple[tuple[dict[int, Fraction], ...], tuple[int, ...]]:
+    """Reduced row echelon form.  Returns the nonzero rows and pivot columns.
+
+    Rows are dense sequences of length ``width`` or sparse {column: value}
+    dicts, with int or Fraction entries.  The output rows are sparse:
+    {column: Fraction} with no zero entries, in pivot order.
+    """
+    basis = _reduce(rows, width)
     out = []
     # each entry x / lead is one shared Fraction per distinct pair in this call
     shared: dict[int, dict[int, Fraction]] = {}  # lead -> x -> Fraction(x, lead)
-    for pivot in pivots:
-        row = basis[pivot]
+    for pivot, row in basis.items():
         lead = row[pivot]
         quotients = shared.setdefault(lead, {})
         entries = {}
@@ -126,58 +123,71 @@ def rref(
                 q = quotients[x] = Fraction(x, lead)
             entries[c] = q
         out.append(entries)
-    return tuple(out), pivots
-
-
-def dense_row(entries: dict[int, Fraction], width: int) -> Vector:
-    """The row of length ``width`` with these entries and zeros elsewhere."""
-    # every zero is one shared Fraction
-    row = [_ZERO] * width
-    for c, x in entries.items():
-        row[c] = x
-    return tuple(row)
+    return tuple(out), tuple(basis)
 
 
 @dataclass(frozen=True)
 class SubspaceBasis:
-    """Canonical (RREF) basis of a subspace of Q^ambient_dim.
+    """A basis of a subspace of Q^ambient_dim, as integer rows {column: nonzero int}.
 
-    ``sparse_rows`` holds each basis row as {column: nonzero entry}, in the
-    order of ``pivots``; the dense ``rows`` are built only when read.
+    ``integer_rows`` keys each row by a column where it alone is nonzero (a
+    reduced basis by its pivots).  That makes the rows independent, which
+    ``dimension`` and the oracle's certification trust, so it is checked
+    when the basis is built.  The canonical (RREF) rows come from one
+    ``rref`` call on first read.
     """
 
     ambient_dim: int
-    sparse_rows: tuple[dict[int, Fraction], ...]
-    pivots: tuple[int, ...]
+    integer_rows: dict[int, dict[int, int]]
+
+    def __post_init__(self) -> None:
+        keys = self.integer_rows.keys()
+        for key, row in self.integer_rows.items():
+            if not row.get(key) or len(row.keys() & keys) != 1:
+                raise ValueError(f"basis row {key} is not the only row nonzero at its key column")
 
     @property
     def dimension(self) -> int:
-        return len(self.sparse_rows)
+        return len(self.integer_rows)
+
+    @cached_property
+    def sparse_rows(self) -> tuple[dict[int, Fraction], ...]:
+        """Each canonical row as {column: nonzero entry}, in pivot order."""
+        return rref(self.integer_rows.values(), self.ambient_dim)[0]
+
+    @cached_property
+    def pivots(self) -> tuple[int, ...]:
+        return tuple([min(row) for row in self.sparse_rows])
 
     @cached_property
     def rows(self) -> tuple[Vector, ...]:
-        """Each basis row as a tuple of ``ambient_dim`` entries."""
-        return tuple([dense_row(row, self.ambient_dim) for row in self.sparse_rows])
+        """Each canonical row as a tuple of ``ambient_dim`` entries, every zero one shared Fraction."""
+        out = []
+        for entries in self.sparse_rows:
+            row = [_ZERO] * self.ambient_dim
+            for c, x in entries.items():
+                row[c] = x
+            out.append(tuple(row))
+        return tuple(out)
 
-    @cached_property
-    def integer_rows(self) -> dict[int, dict[int, int]]:
-        """Each basis row by its pivot, scaled to primitive integers: an RREF
-        row leads with 1, so the lcm of its denominators leaves no common factor."""
-        return {p: _integer_row(row, self.ambient_dim) for p, row in zip(self.pivots, self.sparse_rows)}
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SubspaceBasis):
+            return NotImplemented
+        return self is other or (self.ambient_dim, self.sparse_rows) == (other.ambient_dim, other.sparse_rows)
 
     def contains_vector(self, vector: Row) -> bool:
         """Whether ``vector``, dense or sparse, lies in the span."""
         row = _integer_row(vector, self.ambient_dim)
-        # a basis row is zero in the other rows' pivot columns, so each pivot
+        # a basis row is zero in the other rows' key columns, so each key
         # column of the row is cleared by its own basis row, in any order
         basis = self.integer_rows
-        for pivot in [c for c in row if c in basis]:
-            _eliminate(row, pivot, basis[pivot])
+        for key in [c for c in row if c in basis]:
+            _eliminate(row, key, basis[key])
         return not row
 
     def row_texts(self) -> Iterator[list[str]]:
-        """Each basis row as the texts of its ``ambient_dim`` entries, one row
-        at a time: a shared row of "0/1" copied and filled from the sparse row."""
+        """Each canonical row as the texts of its ``ambient_dim`` entries, one
+        row at a time: a shared row of "0/1" copied and filled from the sparse row."""
         zeros = ["0/1"] * self.ambient_dim
         for row in self.sparse_rows:
             cells = zeros.copy()
@@ -190,33 +200,29 @@ class SubspaceBasis:
 
 
 def row_space(rows: Iterable[Row], ambient_dim: int) -> SubspaceBasis:
-    reduced, pivots = rref(rows, ambient_dim)
-    return SubspaceBasis(ambient_dim, reduced, pivots)
+    return SubspaceBasis(ambient_dim, _reduce(rows, ambient_dim))
 
 
 def nullspace(rows: Iterable[Row], ambient_dim: int) -> SubspaceBasis:
-    """Canonical basis of {x : R x = 0} for the constraint rows R.
+    """A basis of {x : R x = 0} for the constraint rows R, keyed by the free columns.
 
     One reduction, of R with its columns reversed (c -> n-1-c): each reduced
     row then leads at its largest original column p and is nonzero only below
-    it.  So the vector of a free column f (1 at f, -R[r][f] at each pivot p_r)
-    is nonzero only at f and at pivots above f: it leads at its own free
-    column, where no other vector is nonzero, and the vectors already form
-    the canonical RREF basis.
+    it.  So the vector of a free column f (1 at f, -R[r][f] / R[r][p_r] at
+    each pivot p_r, scaled to primitive integers) is nonzero only at f and at
+    pivots above f: it alone is nonzero at f, and it is a canonical row scaled.
     """
     last = ambient_dim - 1
-    flipped = (
-        {last - c: x for c, x in row.items()} if isinstance(row, dict) else row[::-1]
-        for row in rows
-    )
-    reduced, flipped_pivots = rref(flipped, ambient_dim)
-    pivots = {last - p for p in flipped_pivots}
-    vectors = {f: {f: _ONE} for f in range(ambient_dim) if f not in pivots}
-    for row, p in zip(reduced, flipped_pivots):
+    flipped = ({last - c: x for c, x in row.items()} if isinstance(row, dict) else row[::-1] for row in rows)
+    reduced = _reduce(flipped, ambient_dim)
+    pivots = {last - q for q in reduced}
+    vectors: dict[int, dict[int, Fraction | int]] = {f: {f: 1} for f in range(ambient_dim) if f not in pivots}
+    for q, row in reduced.items():
         for c, x in row.items():
-            if c != p:
-                vectors[last - c][last - p] = -x
-    return SubspaceBasis(ambient_dim, tuple(vectors.values()), tuple(vectors))
+            if c != q:
+                vectors[last - c][last - q] = -x if row[q] == 1 else Fraction(-x, row[q])
+    # scaled by the lcm of its denominators, a vector with 1 at f is primitive
+    return SubspaceBasis(ambient_dim, {f: _integer_row(vector, ambient_dim) for f, vector in vectors.items()})
 
 
 def constants_space(ambient_dim: int) -> SubspaceBasis:
@@ -227,16 +233,14 @@ def constants_space(ambient_dim: int) -> SubspaceBasis:
 def subspace_contains(outer: SubspaceBasis, inner: SubspaceBasis) -> bool:
     """Whether every vector of ``inner`` lies in ``outer``."""
     if outer.ambient_dim != inner.ambient_dim:
-        raise ValueError(
-            f"ambient dimensions differ: {outer.ambient_dim} vs {inner.ambient_dim}"
-        )
-    return all(outer.contains_vector(row) for row in inner.sparse_rows)
+        raise ValueError(f"ambient dimensions differ: {outer.ambient_dim} vs {inner.ambient_dim}")
+    return all(outer.contains_vector(row) for row in inner.integer_rows.values())
 
 
 def subspace_equal(a: SubspaceBasis, b: SubspaceBasis) -> bool:
     if a.ambient_dim != b.ambient_dim:
         raise ValueError(f"ambient dimensions differ: {a.ambient_dim} vs {b.ambient_dim}")
-    return a.sparse_rows == b.sparse_rows
+    return a == b
 
 
 def fraction_str(x: Fraction) -> str:
@@ -247,7 +251,6 @@ __all__ = [
     "SubspaceBasis",
     "Vector",
     "constants_space",
-    "dense_row",
     "fraction_str",
     "nullspace",
     "row_space",

@@ -237,10 +237,9 @@ def _difference_row(s: int, first: int) -> dict[int, int]:
 def _probe(space: SubspaceBasis) -> list[int]:
     """One integer weight per vertex that carries every basis vector as a digit.
 
-    Vector i, scaled to integers (``integer_rows``), is shifted by i*w bits,
-    with 2^w > 2n max|v|.  A set's weight minus S_0's then has the digits
-    v_i(S) - v_i(S_0), each of size at most n max|v| < 2^w / 2, so it is zero
-    iff every digit is.
+    Vector i of ``integer_rows`` is shifted by i*w bits, with 2^w > 2n max|v|.
+    A set's weight minus S_0's then has the digits v_i(S) - v_i(S_0), each
+    of size at most n max|v| < 2^w / 2, so it is zero iff every digit is.
     """
     vectors = space.integer_rows.values()
     largest = max(abs(x) for vector in vectors for x in vector.values())
@@ -262,7 +261,7 @@ def _unequal_set(masks: Sequence[int], space: SubspaceBasis) -> int | None:
 def weight_space_from_family(
     family: SetFamily, candidate: SubspaceBasis | None = None
 ) -> SubspaceBasis:
-    """Weights that are constant across the family, as a canonical basis.
+    """Weights that are constant across the family, as a basis.
 
     The null space N(F) of the difference rows chi(S) - chi(S_0), reduced
     from the few rows that count.  A xor basis keeps a set's row only when

@@ -52,7 +52,7 @@ from .graphs import (
     is_complete,
     is_isomorphic_small,
 )
-from .linalg import SubspaceBasis, constants_space, nullspace, row_space
+from .linalg import SubspaceBasis, constants_space, nullspace
 from .named_graphs import cycle_graph, triangle_tripod_graph
 from .oracle import DEFAULT_BUDGET, EnumerationBudget, enumerate_maximal_independent_sets
 
@@ -278,19 +278,19 @@ class ComponentFacts:
         return frozenset(zero), tuple(sorted([tuple(sorted(row)) for row in rows]))
 
     @cached_property
-    def coefficients(self) -> tuple[dict[int, int], ...]:
-        """A basis of the piece coefficients that every forced row sums to 0,
-        as sparse integer rows; only coupled rows need a null space."""
+    def coefficients(self) -> dict[int, dict[int, int]]:
+        """A basis of the piece coefficients that every forced row sums to 0, as integer
+        rows keyed by pieces where they alone are nonzero; only coupled rows need a null space."""
         zero, coupled = self.forced
         if not coupled:  # each piece outside the zero-forced ones is free on its own
-            return tuple([{p: 1} for p in range(len(self.fringe_pieces)) if p not in zero])
+            return {p: {p: 1} for p in range(len(self.fringe_pieces)) if p not in zero}
         rows = [dict.fromkeys(row, 1) for row in coupled] + [{p: 1} for p in zero]
-        return tuple(nullspace(rows, len(self.fringe_pieces)).integer_rows.values())
+        return nullspace(rows, len(self.fringe_pieces)).integer_rows
 
     @cached_property
     def anchored(self) -> frozenset[int]:
         """The fringe vertices on which some well-dominated weight is nonzero."""
-        return frozenset(v for row in self.coefficients for p in row for v in self.fringe_pieces[p])
+        return frozenset(v for row in self.coefficients.values() for p in row for v in self.fringe_pieces[p])
 
     @cached_property
     def piece_vectors(self) -> tuple[dict[int, int], ...]:
@@ -322,44 +322,46 @@ class ComponentFacts:
 
     @cached_property
     def wcw(self) -> CharacterizationOutcome:
-        """The canonical basis of the weights under which every maximal
-        independent set weighs the same, without 4-, 5- and 6-cycles.
+        """A basis of the weights under which every maximal independent set
+        weighs the same, without 4-, 5- and 6-cycles.
 
         The 7-cycle, the triangle tripod and the complete graphs on up to
         three vertices carry exactly the constant weights; every other
-        component is spanned by its piece vectors.
+        component has its piece vectors, keyed by their pieces' first vertices.
         """
         n = self.graph.n
         if self.special_form is not SpecialForm.GENERAL:
             note = f"{self.special_form.value}: constant weights"
             return CharacterizationOutcome((self.special_form,), constants_space(n), (note,))
-        return CharacterizationOutcome((self.special_form,), row_space(self.piece_vectors, n))
+        vectors = {piece[0]: vec for piece, vec in zip(self.fringe_pieces, self.piece_vectors)}
+        return CharacterizationOutcome((self.special_form,), SubspaceBasis(n, vectors))
 
     @cached_property
     def wwd(self) -> CharacterizationOutcome:
-        """The canonical basis of the weights under which every minimal
-        dominating set weighs the same, without 4-, 5- and 6-cycles.
+        """A basis of the weights under which every minimal dominating set
+        weighs the same, without 4-, 5- and 6-cycles.
 
         A special form carries the constants, as for ``wcw``; otherwise the
-        basis spans the combinations of the piece vectors given by
-        ``coefficients``.  The notes name the zero-forced fringe vertices and
-        each coupled row's ears by their whole-graph labels.
+        basis is the combinations of the piece vectors given by
+        ``coefficients``, each keyed by the first vertex of its key piece.
+        The notes name the zero-forced fringe vertices and each coupled
+        row's ears by their whole-graph labels.
         """
         if self.special_form is not SpecialForm.GENERAL or self.forced == (frozenset(), ()):
             return self.wcw  # with no forced row every piece vector is kept, and no note applies
-        kept = []
-        for coefficients in self.coefficients:
+        kept = {}
+        for key, coefficients in self.coefficients.items():
             vec: dict[int, int] = {}
             for p, x in coefficients.items():
                 for v in self.piece_vectors[p]:
                     vec[v] = vec.get(v, 0) + x
-            kept.append(vec)
+            kept[self.fringe_pieces[key][0]] = {v: x for v, x in vec.items() if x}
         labels = self.labels
         zero_forced = sorted(labels[v] for v in self.fringe - self.anchored)
         notes = [f"zero-forced fringe vertices: {zero_forced}"] if zero_forced else []
         notes += [f"coupled ears: {sorted(labels[v] for p in row for v in self.fringe_pieces[p])}"
                   for row in self.forced[1]]
-        return CharacterizationOutcome((self.special_form,), row_space(kept, self.graph.n), tuple(notes))
+        return CharacterizationOutcome((self.special_form,), SubspaceBasis(self.graph.n, kept), tuple(notes))
 
 
 def induced_pieces(g: Graph, vertices: frozenset[int]) -> tuple[tuple[int, ...], ...]:

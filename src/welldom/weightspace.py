@@ -3,9 +3,9 @@
 The answers are properties of ``structure.ComponentFacts``: ``recognition``
 (4- and 5-cycles excluded: the component qualifies iff it is the 7-cycle,
 the ten-vertex triangle tripod, or it admits a simplicial partition), and
-``wcw`` and ``wwd``, the canonical bases of the weight spaces (weights
-making all maximal independent sets, respectively all minimal dominating
-sets, weigh the same) when 4-, 5- and 6-cycles are excluded.  This module
+``wcw`` and ``wwd``, bases of the weight spaces (weights making all
+maximal independent sets, respectively all minimal dominating sets, weigh
+the same) when 4-, 5- and 6-cycles are excluded.  This module
 holds the graph-taking entry points for connected input, each reading one
 component record, and the dimension bookkeeping.
 
@@ -93,7 +93,7 @@ def dimension_report(f: ComponentFacts) -> DimensionReport:
     """
     wcw, wwd = f.wcw.basis, f.wwd.basis
     # the anchored fringe is a union of whole fringe pieces, one component each
-    anchored = {p for row in f.coefficients for p in row}
+    anchored = {p for row in f.coefficients.values() for p in row}
     alpha_anchored = len(anchored)
     coupled = [{p: 1 for p in row if p in anchored} for row in f.forced[1]]
     coupling = row_space(coupled, len(f.fringe_pieces)).dimension if coupled else 0

@@ -263,10 +263,11 @@ class TestAnalyzeReport:
         assert counts["forced_ear_rows"] == 1
         assert counts["is_isomorphic_small"] <= 1
         # the oracle certifies both closed-form bases with no reduction of
-        # its own; one reduction per closed-form basis of the one component
+        # its own, and the bases are kept as their generators: the report
+        # reduces neither
         assert counts["weight_space_from_family"] == 2
         assert counts["nullspace"] == 0
-        assert counts["rref"] == 2
+        assert counts["rref"] == 0
         # one table, shared by the summary and the simplicial partition search
         assert counts["simplicial_vertices"] == 1
         # the engines on an equal graph read the records analyze built
@@ -282,7 +283,7 @@ class TestAnalyzeReport:
         assert counts["cycle_lengths"] == 1
         assert counts["simplicial_vertices"] == 0
         assert counts["forced_ear_rows"] == 1  # only the dominating engine reads them
-        assert counts["rref"] == 2  # a row forces the ear 0 to zero, so the two bases differ
+        assert counts["rref"] == 0  # a row forces the ear 0 to zero: the two bases differ, unreduced
         # one set of rows per component, also where the rows couple two ears
         counts.clear()
         coupled = parse_graph("IuO_OGB?W", "graph6")
@@ -375,6 +376,15 @@ class TestPropertySweep:
         report = run_property_sweep(cfg)
         assert report.ok, report.failures
         assert report.skips == ()
+
+    def test_characterization_sweep_reduces_no_closed_form_basis(self, monkeypatch):
+        # the oracle certifies each closed-form basis, which is then compared by identity
+        counts = count_calls(monkeypatch, [("welldom.linalg", "rref")])
+        cfg = GeneratorConfig(max_n=12, forbidden_cycles=frozenset({4, 5, 6}), seed=77, count=40)
+        report = run_property_sweep(cfg)
+        assert report.ok, report.failures
+        assert report.family_instances > 0
+        assert counts["rref"] == 0
 
     def test_chains_only_sweep(self):
         # nothing is forbidden, so only the two domination chains are checked

@@ -77,6 +77,21 @@ class TestFixtureValidation:
             "component at 0: dimension 10 vs anchored fringe independence 0",
         ]
 
+    def test_wrong_described_space_is_caught(self):
+        fixture = next(f for f in builtin_fixtures() if "wwd_space_rows" in f.expected)
+        rows, tag = fixture.expected["wwd_space_rows"]
+        # one dimension short, and a space of the same dimension that is not it
+        for wrong in (rows[:-1], rows[:-1] + [[1] * fixture.graph.n]):
+            result = check_fixture(Fixture("wrong", fixture.graph, expected={"wwd_space_rows": (wrong, tag)}))
+            assert [line.split(" (")[0] for line in result.failures] == ["wwd_space_rows: described space"]
+
+    def test_fixture_checks_take_no_canonical_form(self, monkeypatch):
+        # the closed-form bases are certified and compared by identity, the
+        # described space by dimension and containment
+        counts = count_calls(monkeypatch, [("welldom.linalg", "rref")])
+        assert all(result.ok for result in run_builtin_checks())
+        assert counts["rref"] == 0
+
     def test_component_facts_are_built_once(self, monkeypatch):
         counts = count_calls(
             monkeypatch, [("welldom.structure", "component_facts"), ("welldom.graphs", "cycle_lengths")]

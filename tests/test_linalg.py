@@ -7,8 +7,8 @@ import hypothesis.strategies as st
 
 from welldom import linalg
 from welldom.linalg import (
+    SubspaceBasis,
     constants_space,
-    dense_row,
     fraction_str,
     nullspace,
     row_space,
@@ -45,6 +45,19 @@ wide_sparse_matrices = st.integers(1, 40).flatmap(
 
 
 @st.composite
+def keyed_rows(draw):
+    """Integer rows, each nonzero at a key column where every other row is zero."""
+    width = draw(st.integers(1, 8))
+    keys = draw(st.lists(st.integers(0, width - 1), unique=True, max_size=width))
+    rows = {}
+    for key in keys:
+        row = {c: draw(st.integers(-3, 3)) for c in range(width) if c not in keys}
+        row[key] = draw(st.sampled_from([1, -1, 2, -3]))
+        rows[key] = {c: x for c, x in row.items() if x}
+    return rows, width
+
+
+@st.composite
 def matrix_pairs(draw):
     """Two matrices of one width, the second often built from rows of the first."""
     width = draw(st.integers(1, 6))
@@ -57,7 +70,8 @@ def matrix_pairs(draw):
 
 
 def dense(rows, width):
-    return tuple(dense_row(row, width) for row in rows)
+    """Sparse rows as tuples of ``width`` Fractions."""
+    return tuple(tuple(Fraction(row.get(c, 0)) for c in range(width)) for row in rows)
 
 
 def dense_rref(rows, width):
@@ -247,6 +261,31 @@ class TestSparseBasis:
         stacked = dense_rref(a.rows + b.rows, width)
         assert subspace_contains(a, b) == (stacked == (a.rows, a.pivots))
         assert subspace_contains(a, b) == all(a.contains_vector(row) for row in b.rows)
+
+
+class TestKeyedBasis:
+    def test_key_columns_are_checked(self):
+        with pytest.raises(ValueError, match="key column"):
+            SubspaceBasis(3, {0: {1: 1, 2: 1}})  # zero at its own key column
+        with pytest.raises(ValueError, match="key column"):
+            SubspaceBasis(3, {0: {0: 1, 1: 1}, 1: {1: 2}})  # nonzero at another row's key
+
+    @given(keyed_rows(), st.data())
+    def test_keyed_rows_agree_with_their_row_space(self, keyed, data):
+        rows, width = keyed
+        basis, reduced = SubspaceBasis(width, rows), row_space(rows.values(), width)
+        assert basis.dimension == reduced.dimension == len(rows)
+        assert basis == reduced and subspace_equal(reduced, basis)
+        assert basis.rows == reduced.rows and basis.pivots == reduced.pivots
+        vector = data.draw(st.lists(st.integers(-2, 2), min_size=width, max_size=width))
+        assert basis.contains_vector(vector) == reduced.contains_vector(vector)
+        combination = [sum(x * row.get(c, 0) for x, row in zip(vector, rows.values())) for c in range(width)]
+        assert basis.contains_vector(combination)
+        other = row_space(data.draw(st.lists(st.lists(
+            st.integers(-2, 2), min_size=width, max_size=width), max_size=3)), width)
+        assert subspace_contains(basis, other) == subspace_contains(reduced, other)
+        assert subspace_contains(other, basis) == subspace_contains(other, reduced)
+        assert (basis == other) == (reduced.rows == other.rows)
 
 
 class TestSerialization:

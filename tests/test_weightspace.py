@@ -1,5 +1,3 @@
-import math
-
 import pytest
 from hypothesis import given
 
@@ -172,13 +170,16 @@ class TestWeightBases:
         wcw, wwd = report.characterization.wcw, report.characterization.wwd
         assert {x.denominator for row in wcw.sparse_rows for x in row.values()} == {1, 2}
         families = (enumerate_maximal_independent_sets(g), enumerate_minimal_dominating_sets(g))
+        # the generators are the 0/1 piece vectors, each keyed by an ear of its own
+        assert all(x == 1 for row in wcw.integer_rows.values() for x in row.values())
+        assert all(key >= length for key in wcw.integer_rows)
         for basis, family in zip((wcw, wwd), families):
             assert weight_space_from_family(family, basis) is basis
-            for p, row in zip(basis.pivots, basis.sparse_rows):
-                scaled = basis.integer_rows[p]
-                assert scaled[p] > 0 and math.gcd(*scaled.values()) == 1
-                assert scaled.keys() == row.keys()
-                assert all(scaled[c] == x * scaled[p] for c, x in row.items())
+            keys = basis.integer_rows.keys()
+            for key, row in basis.integer_rows.items():
+                assert row[key] and row.keys() & keys == {key}
+                assert all(type(x) is int and x for x in row.values())
+            assert row_space(basis.integer_rows.values(), g.n) == basis
 
     def test_preconditions(self):
         with pytest.raises(ValueError, match="6-cycle"):
@@ -273,14 +274,15 @@ class TestInvariantsAtScale:
         anchored_fringe_vertices(g)
         assert not analyze(g).failed_checks
 
-    def test_path_corona_takes_one_reduction(self, monkeypatch):
-        # recognition reduces nothing, and with no ear the dominating basis is the independent one
+    def test_path_corona_takes_no_reduction(self, monkeypatch):
+        # recognition reduces nothing, both bases are kept as their generators,
+        # and with no ear the dominating basis is the independent one
         g = path_corona(30)
         counts = count_calls(monkeypatch, [("welldom.linalg", "rref")])
         recognized_status(g)
-        characterized_wcw_basis(g)
-        characterized_wwd_basis(g)
-        assert counts["rref"] == 1
+        wcw = characterized_wcw_basis(g).basis
+        assert characterized_wwd_basis(g).basis is wcw
+        assert counts["rref"] == 0
 
 
 class TestDimensionReport:

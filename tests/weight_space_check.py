@@ -30,9 +30,8 @@ from test_oracle import weight_space_from_frozensets
 
 def wrong_candidates(truth: SubspaceBasis, n: int) -> list[SubspaceBasis]:
     """The true space less one row, or plus one unit vector outside it."""
-    rows, pivots = truth.sparse_rows, truth.pivots
-    # dropping a row of a reduced row echelon form leaves one
-    out = [SubspaceBasis(n, rows[:i] + rows[i + 1:], pivots[:i] + pivots[i + 1:]) for i in range(len(rows))]
+    rows = truth.sparse_rows
+    out = [row_space(rows[:i] + rows[i + 1:], n) for i in range(len(rows))]
     for j in range(n):
         grown = row_space(rows + ({j: 1},), n)
         if grown.dimension > truth.dimension:
