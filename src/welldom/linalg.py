@@ -4,9 +4,10 @@ Everything is exact; floating point never enters.  A subspace is carried as
 independent integer rows ({column: int}), each keyed by a column where it
 alone is nonzero.  Row reduction reduces such rows one at a time against a
 basis kept fully reduced and primitive, and membership and containment
-reduce them against the key columns.  Only ``rref`` turns a reduced basis
-into ``Fraction`` rows: the canonical form, in which two spans are equal iff
-their bases compare equal, computed only where a basis is read or compared.
+reduce them against the key columns.  Only ``_canonical``, behind ``rref``
+and ``SubspaceBasis.sparse_rows``, turns a reduced basis into ``Fraction``
+rows: the canonical form, in which two spans are equal iff their bases
+compare equal, computed only where a basis is read or compared.
 """
 
 from __future__ import annotations
@@ -69,18 +70,19 @@ def _make_primitive(row: dict[int, int], lead: int) -> None:
             row[c] //= g
 
 
-def _reduce(rows: Iterable[Row], width: int) -> dict[int, dict[int, int]]:
-    """The reduced basis of the rows' span, in pivot order: each pivot column
+def _reduce(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
+    """The reduced basis of the span of integer rows {column: nonzero int},
+    which it changes in place and keeps, in pivot order: each pivot column
     maps to a primitive integer row whose first nonzero column it is, and
     every row is zero in every other row's pivot column."""
     basis: dict[int, dict[int, int]] = {}
     # column -> pivots of the kept rows that are nonzero there, besides their
     # own pivot; a new pivot is eliminated from exactly these rows
     holders: dict[int, set[int]] = {}
-    for raw in rows:
-        row = _integer_row(raw, width)
-        for pivot in [c for c in row if c in basis]:
-            _eliminate(row, pivot, basis[pivot])
+    for row in rows:
+        if not basis.keys().isdisjoint(row):  # a row that holds no pivot skips the scan
+            for pivot in [c for c in row if c in basis]:
+                _eliminate(row, pivot, basis[pivot])
         if not row:
             continue
         pivot = min(row)
@@ -102,14 +104,9 @@ def _reduce(rows: Iterable[Row], width: int) -> dict[int, dict[int, int]]:
     return {p: basis[p] for p in sorted(basis)}
 
 
-def rref(rows: Iterable[Row], width: int) -> tuple[tuple[dict[int, Fraction], ...], tuple[int, ...]]:
-    """Reduced row echelon form.  Returns the nonzero rows and pivot columns.
-
-    Rows are dense sequences of length ``width`` or sparse {column: value}
-    dicts, with int or Fraction entries.  The output rows are sparse:
-    {column: Fraction} with no zero entries, in pivot order.
-    """
-    basis = _reduce(rows, width)
+def _canonical(basis: dict[int, dict[int, int]]) -> tuple[dict[int, Fraction], ...]:
+    """The canonical rows of a reduced basis from ``_reduce``: each row divided
+    by its pivot entry, as {column: Fraction}, in pivot order."""
     out = []
     # each entry x / lead is one shared Fraction per distinct pair in this call
     shared: dict[int, dict[int, Fraction]] = {}  # lead -> x -> Fraction(x, lead)
@@ -123,7 +120,18 @@ def rref(rows: Iterable[Row], width: int) -> tuple[tuple[dict[int, Fraction], ..
                 q = quotients[x] = Fraction(x, lead)
             entries[c] = q
         out.append(entries)
-    return tuple(out), tuple(basis)
+    return tuple(out)
+
+
+def rref(rows: Iterable[Row], width: int) -> tuple[tuple[dict[int, Fraction], ...], tuple[int, ...]]:
+    """Reduced row echelon form.  Returns the nonzero rows and pivot columns.
+
+    Rows are dense sequences of length ``width`` or sparse {column: value}
+    dicts, with int or Fraction entries.  The output rows are sparse:
+    {column: Fraction} with no zero entries, in pivot order.
+    """
+    basis = _reduce(_integer_row(row, width) for row in rows)
+    return _canonical(basis), tuple(basis)
 
 
 @dataclass(frozen=True)
@@ -134,7 +142,7 @@ class SubspaceBasis:
     reduced basis by its pivots).  That makes the rows independent, which
     ``dimension`` and the oracle's certification trust, so it is checked
     when the basis is built.  The canonical (RREF) rows come from one
-    ``rref`` call on first read.
+    reduction of the integer rows on first read.
     """
 
     ambient_dim: int
@@ -152,8 +160,18 @@ class SubspaceBasis:
 
     @cached_property
     def sparse_rows(self) -> tuple[dict[int, Fraction], ...]:
-        """Each canonical row as {column: nonzero entry}, in pivot order."""
-        return rref(self.integer_rows.values(), self.ambient_dim)[0]
+        """Each canonical row as {column: nonzero entry}, in pivot order.
+
+        The integer rows are reduced as copies, by key, largest first.  The
+        canonical form does not depend on the order, but the work does.  A
+        row is zero at the other rows' keys, so a new pivot that is a key
+        column is held by no kept row and cleared from none.  On a hub every
+        row holds the hub's column: largest key first, each row after the
+        first leads at its own key, while smallest first each leads at the
+        key of the row before it, which the kept rows hold.
+        """
+        rows = self.integer_rows
+        return _canonical(_reduce(dict(rows[key]) for key in sorted(rows, reverse=True)))
 
     @cached_property
     def pivots(self) -> tuple[int, ...]:
@@ -200,7 +218,7 @@ class SubspaceBasis:
 
 
 def row_space(rows: Iterable[Row], ambient_dim: int) -> SubspaceBasis:
-    return SubspaceBasis(ambient_dim, _reduce(rows, ambient_dim))
+    return SubspaceBasis(ambient_dim, _reduce(_integer_row(row, ambient_dim) for row in rows))
 
 
 def nullspace(rows: Iterable[Row], ambient_dim: int) -> SubspaceBasis:
@@ -214,7 +232,7 @@ def nullspace(rows: Iterable[Row], ambient_dim: int) -> SubspaceBasis:
     """
     last = ambient_dim - 1
     flipped = ({last - c: x for c, x in row.items()} if isinstance(row, dict) else row[::-1] for row in rows)
-    reduced = _reduce(flipped, ambient_dim)
+    reduced = _reduce(_integer_row(row, ambient_dim) for row in flipped)
     pivots = {last - q for q in reduced}
     vectors: dict[int, dict[int, Fraction | int]] = {f: {f: 1} for f in range(ambient_dim) if f not in pivots}
     for q, row in reduced.items():

@@ -8,8 +8,9 @@ The vocabulary used across the package:
 * confined neighbors of v: the neighbors u with N(u) inside N[v]; they never
   see past v's closed neighborhood.
 * forced ear rows: for each ear and witness pair, the ears that certain
-  minimal dominating sets must double (see forced_ear_rows).  The work for
-  one ear stays inside its distance-4 ball: there is no search.
+  minimal dominating sets must double (see forced_ear_rows; without 4-, 5-
+  and 6-cycles they are built one side at a time, family_forced_ear_rows).
+  The work for one ear stays inside its distance-4 ball: there is no search.
 * anchored fringe: the fringe vertices on which some well-dominated weight
   is nonzero, that is whose piece the forced rows do not force to zero.
 
@@ -153,7 +154,9 @@ def forced_ear_rows(g: Graph, partners: dict[int, tuple[int, int]]) -> tuple[tup
     vertex of B has a closed neighbour outside B; its forced set F is {a, b}
     plus each vertex that is the only closed neighbour outside B of some
     vertex of B, and its row is e and every other ear whose partners both
-    lie in F.
+    lie in F.  This loop over witness pairs holds on any graph; without 4-,
+    5- and 6-cycles ``family_forced_ear_rows`` gives the same rows one side
+    at a time.
     """
     adj = g.adj
     ears_at: dict[int, list[tuple[int, int]]] = {}  # u -> (the other partner, ear)
@@ -176,6 +179,101 @@ def forced_ear_rows(g: Graph, partners: dict[int, tuple[int, int]]) -> tuple[tup
                 else:  # e itself is among the ears, both its partners being forced
                     ears = {ear for u in forced for other, ear in ears_at.get(u, ()) if other in forced}
                     rows.add(tuple(sorted(ears)))
+    return tuple(sorted(rows))
+
+
+def family_forced_ear_rows(g: Graph, partners: dict[int, tuple[int, int]]) -> tuple[tuple[int, ...], ...]:
+    """``forced_ear_rows`` of a graph without 4-, 5- and 6-cycles, one side at a time.
+
+    There, an ear e on (a, b) is the only common neighbour of a and b, and
+    B_x = N[x] - {a} and B_y = N[y] - {b} neither meet nor touch: a shared
+    or adjacent vertex would close a 4-, 5- or 6-cycle through a and b.  As
+    e touches only a and b, a vertex of B_x has the same closed neighbours
+    outside B as outside B_x.  So (x, y) is a witness iff each side passes
+    on its own: every vertex of B_x has a neighbour outside B_x.  The side's
+    forced set F_x (a, and each such neighbour that is a vertex's only one)
+    depends on the directed edge (x, a) alone, and the row is e and every
+    ear whose partners both lie in {a, b} | F_x | F_y, over the distinct F_x
+    and the distinct F_y.  On other graphs the rows can differ: use
+    ``forced_ear_rows`` there.
+
+    Each side is computed once per directed edge.  Each vertex x keeps once
+    which neighbours have no neighbour outside N[x] and which have exactly
+    one, and the side of (x, a) only sets a and the common neighbour of x
+    and a apart; a neighbour of degree four or more has at least two outside
+    N[x], and its neighbours are never read.  A partner a with several ears
+    keeps a tally of the distinct F_x over all its neighbours, from which an
+    ear takes off its two excluded ones, b and e.  So a hub costs its degree
+    once, not once per ear or per witness pair.
+    """
+    adj = g.adj
+    ear_on = {pair: e for e, pair in partners.items()}
+    outside: dict[int, tuple[list[int], dict[int, int]]] = {}  # x -> (none outside N[x], z -> the one)
+    sides: dict[tuple[int, int], frozenset[int] | None] = {}  # (x, a) -> F_x, None if the side fails
+    tallies: dict[int, dict[frozenset[int], int]] = {}  # a -> F_x -> how many neighbours x give it
+    lone: dict[int, bool] = {}  # partner -> whether it has one ear
+    for a, b in partners.values():
+        lone[a] = a not in lone
+        lone[b] = b not in lone
+
+    def side(x: int, a: int) -> frozenset[int] | None:
+        if (x, a) in sides:
+            return sides[x, a]
+        tables = outside.get(x)
+        if tables is None:
+            closed = adj[x] | {x}
+            none, one = [], {}
+            for z in adj[x]:
+                if len(adj[z]) < 4:
+                    out = adj[z] - closed
+                    if not out:
+                        none.append(z)
+                    elif len(out) == 1:
+                        one[z] = next(iter(out))
+            tables = outside[x] = none, one
+        none, one = tables
+        # a is outside B_x, and the common neighbour of x and a sees a there:
+        # only these two are set apart, so any other with none outside fails the side
+        near = adj[a]
+        if len(none) > 2 or any(z != a and z not in near for z in none):
+            forced = None
+        else:
+            forced = frozenset([a, *(w for z, w in one.items() if z != a and z not in near)])
+        sides[x, a] = forced
+        return forced
+
+    def distinct(a: int, b: int, e: int) -> Iterable[frozenset[int]]:
+        """The distinct F_x over the neighbours x of a other than b and e."""
+        if lone[a]:  # no other ear excludes b and e, so they need no side
+            found = {side(x, a) for x in adj[a] if x != b and x != e}
+            found.discard(None)
+            return found
+        if a not in tallies:
+            tally: dict[frozenset[int], int] = {}
+            for x in adj[a]:
+                forced = side(x, a)
+                if forced is not None:
+                    tally[forced] = tally.get(forced, 0) + 1
+            tallies[a] = tally
+        excluded: dict[frozenset[int] | None, int] = {}
+        for x in (b, e):
+            forced = side(x, a)
+            excluded[forced] = excluded.get(forced, 0) + 1
+        return [forced for forced, count in tallies[a].items() if count > excluded.get(forced, 0)]
+
+    rows = set()
+    for e, (a, b) in partners.items():
+        if len(adj[a]) > len(adj[b]):
+            a, b = b, a
+        if len(adj[a]) == 2:  # b and e are a's only neighbours: no x
+            continue
+        xs = distinct(a, b, e)
+        ys = distinct(b, a, e) if xs else ()
+        for fx in xs:
+            for fy in ys:
+                inside = fx | fy | {a, b}
+                rows.add(tuple(sorted(ear_on[p, q] for p in inside for q in adj[p] & inside
+                                      if p < q and (p, q) in ear_on)))
     return tuple(sorted(rows))
 
 
@@ -268,9 +366,19 @@ class ComponentFacts:
     def forced(self) -> tuple[frozenset[int], tuple[tuple[int, ...], ...]]:
         """The forced ear rows in the indices of ``fringe_pieces``: the pieces
         some row forces to zero on its own, once the pieces so forced are
-        dropped from every row, and the coupled rows, which then hold two or more."""
+        dropped from every row, and the coupled rows, which then hold two or more.
+
+        The rows are built one side at a time unless the component has a 4-,
+        5- or 6-cycle, where the sides can depend on each other: ``analyze``
+        reads the anchored fringe of every graph, so those keep the loop over
+        witness pairs.  An ear with a partner of degree 2 has no witness pair
+        (the partner has no neighbour for its side) under either rule, so
+        where every ear has one, the cycle profile is not read."""
+        g, partners = self.graph, self.ear_partners
+        paired = any(len(g.adj[a]) > 2 and len(g.adj[b]) > 2 for a, b in partners.values())
+        ear_rows = forced_ear_rows if paired and self.cycles & {4, 5, 6} else family_forced_ear_rows
         piece_of = {v: i for i, piece in enumerate(self.fringe_pieces) for v in piece}
-        rows = {frozenset(piece_of[e] for e in row) for row in forced_ear_rows(self.graph, self.ear_partners)}
+        rows = {frozenset(piece_of[e] for e in row) for row in ear_rows(g, partners)}
         zero: set[int] = set()
         while single := {p for row in rows if len(row) == 1 for p in row}:
             zero |= single
@@ -488,6 +596,7 @@ __all__ = [
     "confined_neighbors",
     "ear_partners",
     "family_facts",
+    "family_forced_ear_rows",
     "forced_ear_rows",
     "fringe_vertices",
     "independence_number",

@@ -267,6 +267,36 @@ def random_eared_tree(tree_n: int, ears: int, seed: int = 1) -> Graph:
     return Graph.from_edges(tree_n + ears, edges)
 
 
+def _with_pendants(n: int, edges: list[tuple[int, int]], at: Iterable[int]) -> Graph:
+    """The graph on 0..n-1 with ``edges``, and a new pendant at each vertex of ``at``."""
+    at = list(at)
+    return Graph.from_edges(n + len(at), edges + [(v, n + i) for i, v in enumerate(at)])
+
+
+def double_star(k: int, pendants: bool = False) -> Graph:
+    """Two adjacent hubs 0 and 1 with k leaves each (3..k+2 at 0, k+3..2k+2 at
+    1) and the ear 2 on their edge; with ``pendants``, a pendant at every
+    other leaf."""
+    edges = [(0, 1), (0, 2), (1, 2)] + [(0, 3 + i) for i in range(k)] + [(1, 3 + k + i) for i in range(k)]
+    return _with_pendants(2 * k + 3, edges, range(3, 2 * k + 3, 2) if pendants else ())
+
+
+def windmill(k: int, pendants: bool = False) -> Graph:
+    """The triangles 0, 2i + 1, 2i + 2 on the hub 0, for i < k; with
+    ``pendants``, a pendant at 2i + 1 for every other i."""
+    edges = [(u, v) for i in range(k) for u, v in ((0, 2 * i + 1), (0, 2 * i + 2), (2 * i + 1, 2 * i + 2))]
+    return _with_pendants(2 * k + 1, edges, range(1, 2 * k + 1, 4) if pendants else ())
+
+
+def hub_with_ears(k: int, pendants: bool = False) -> Graph:
+    """A hub 0 with the spokes 3i + 1, for i < k, each with the pendant 3i + 2
+    and the ear 3i + 3 on the hub-spoke edge; with ``pendants``, a second
+    pendant at every other spoke and one at the hub."""
+    edges = [(u, v) for i in range(k) for u, v in ((0, 3 * i + 1), (3 * i + 1, 3 * i + 2), (0, 3 * i + 3),
+                                                     (3 * i + 1, 3 * i + 3))]
+    return _with_pendants(3 * k + 1, edges, [0, *range(1, 3 * k + 1, 6)] if pendants else ())
+
+
 def distances_from(g: Graph, sources: Iterable[int]) -> list[int | float]:
     """BFS distance from the vertex set ``sources`` to every vertex (inf if unreachable)."""
     dist: list[int | float] = [math.inf] * g.n

@@ -252,22 +252,22 @@ class TestAnalyzeReport:
         counts = count_calls(monkeypatch, [
             ("welldom.graphs", "cycle_lengths"),
             ("welldom.graphs", "is_isomorphic_small"),
-            ("welldom.structure", "forced_ear_rows"),
+            ("welldom.structure", "family_forced_ear_rows"),
             ("welldom.structure", "simplicial_vertices"),
             ("welldom.linalg", "nullspace"),
-            ("welldom.linalg", "rref"),
+            ("welldom.linalg", "_canonical"),
             ("welldom.oracle", "weight_space_from_family"),
         ])
         analyze(fringe_gap_graph())
         assert counts["cycle_lengths"] == 1  # one profile for the one component
-        assert counts["forced_ear_rows"] == 1
+        assert counts["family_forced_ear_rows"] == 1
         assert counts["is_isomorphic_small"] <= 1
         # the oracle certifies both closed-form bases with no reduction of
         # its own, and the bases are kept as their generators: the report
         # reduces neither
         assert counts["weight_space_from_family"] == 2
         assert counts["nullspace"] == 0
-        assert counts["rref"] == 0
+        assert counts["_canonical"] == 0
         # one table, shared by the summary and the simplicial partition search
         assert counts["simplicial_vertices"] == 1
         # the engines on an equal graph read the records analyze built
@@ -282,13 +282,13 @@ class TestAnalyzeReport:
         characterized_wwd_basis(g)
         assert counts["cycle_lengths"] == 1
         assert counts["simplicial_vertices"] == 0
-        assert counts["forced_ear_rows"] == 1  # only the dominating engine reads them
-        assert counts["rref"] == 0  # a row forces the ear 0 to zero: the two bases differ, unreduced
+        assert counts["family_forced_ear_rows"] == 1  # only the dominating engine reads them
+        assert counts["_canonical"] == 0  # a row forces the ear 0 to zero: the two bases differ, unreduced
         # one set of rows per component, also where the rows couple two ears
         counts.clear()
         coupled = parse_graph("IuO_OGB?W", "graph6")
         analyze(Graph.from_edges(12, [(0, 1)] + [(u + 2, v + 2) for u, v in coupled.edges()]))
-        assert counts["forced_ear_rows"] == 2
+        assert counts["family_forced_ear_rows"] == 2
 
     def test_certified_oracle_section_equals_the_reduced_one(self):
         # analyze hands the oracle its closed-form bases to certify; the
@@ -379,12 +379,12 @@ class TestPropertySweep:
 
     def test_characterization_sweep_reduces_no_closed_form_basis(self, monkeypatch):
         # the oracle certifies each closed-form basis, which is then compared by identity
-        counts = count_calls(monkeypatch, [("welldom.linalg", "rref")])
+        counts = count_calls(monkeypatch, [("welldom.linalg", "_canonical")])
         cfg = GeneratorConfig(max_n=12, forbidden_cycles=frozenset({4, 5, 6}), seed=77, count=40)
         report = run_property_sweep(cfg)
         assert report.ok, report.failures
         assert report.family_instances > 0
-        assert counts["rref"] == 0
+        assert counts["_canonical"] == 0
 
     def test_chains_only_sweep(self):
         # nothing is forbidden, so only the two domination chains are checked

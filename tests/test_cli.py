@@ -94,12 +94,12 @@ class TestAnalyze:
     def test_json_reduces_each_printed_basis_once(self, graph_file, capsys, monkeypatch):
         # the oracle certifies both closed-form bases and its section holds
         # the same two objects, each printed twice from one canonical form
-        counts = count_calls(monkeypatch, [("welldom.linalg", "rref")])
+        counts = count_calls(monkeypatch, [("welldom.linalg", "_canonical")])
         assert cli_main(["analyze", graph_file(fringe_gap_graph()), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         for name in ("wcw", "wwd"):
             assert payload["characterization"][name] == payload["oracle"][name]
-        assert counts["rref"] == 2
+        assert counts["_canonical"] == 2
 
     def test_out_of_family_graph_still_reports(self, graph_file, capsys):
         assert cli_main(["analyze", graph_file(complete_bipartite_graph(3, 3))]) == 0

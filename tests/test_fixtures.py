@@ -88,9 +88,9 @@ class TestFixtureValidation:
     def test_fixture_checks_take_no_canonical_form(self, monkeypatch):
         # the closed-form bases are certified and compared by identity, the
         # described space by dimension and containment
-        counts = count_calls(monkeypatch, [("welldom.linalg", "rref")])
+        counts = count_calls(monkeypatch, [("welldom.linalg", "_canonical")])
         assert all(result.ok for result in run_builtin_checks())
-        assert counts["rref"] == 0
+        assert counts["_canonical"] == 0
 
     def test_component_facts_are_built_once(self, monkeypatch):
         counts = count_calls(

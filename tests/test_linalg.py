@@ -6,6 +6,7 @@ from hypothesis import example, given
 import hypothesis.strategies as st
 
 from welldom import linalg
+from welldom.analysis import characterized_wcw_basis
 from welldom.linalg import (
     SubspaceBasis,
     constants_space,
@@ -16,6 +17,8 @@ from welldom.linalg import (
     subspace_contains,
     subspace_equal,
 )
+
+from conftest import double_star
 
 fractions = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 
@@ -286,6 +289,38 @@ class TestKeyedBasis:
         assert subspace_contains(basis, other) == subspace_contains(reduced, other)
         assert subspace_contains(other, basis) == subspace_contains(other, reduced)
         assert (basis == other) == (reduced.rows == other.rows)
+
+
+class TestCanonicalRows:
+    @given(keyed_rows(), st.data())
+    def test_canonical_rows_are_rref_of_the_rows_in_any_order(self, keyed, data):
+        rows, width = keyed
+        kept = {key: dict(row) for key, row in rows.items()}
+        basis = SubspaceBasis(width, rows)
+        order = data.draw(st.permutations(list(rows.values())))
+        assert basis.sparse_rows == rref(order, width)[0]
+        assert basis.integer_rows == kept  # reduced as copies
+
+    def test_hub_rows_take_linear_work(self, monkeypatch):
+        # every piece vector of the double star holds a hub column: by key,
+        # smallest first, each new pivot was cleared from every kept row
+        calls = 0
+        eliminate = linalg._eliminate
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return eliminate(*args)
+
+        work = []
+        for k in (200, 400):
+            basis = characterized_wcw_basis(double_star(k)).basis
+            monkeypatch.setattr(linalg, "_eliminate", counted)
+            calls = 0
+            assert len(basis.sparse_rows) == 2 * k + 1
+            work.append(calls)
+            monkeypatch.setattr(linalg, "_eliminate", eliminate)
+        assert 0 < work[1] <= 2.5 * work[0]
 
 
 class TestSerialization:

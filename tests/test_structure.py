@@ -34,6 +34,7 @@ from welldom.structure import (
     component_facts,
     confined_neighbors,
     ear_partners,
+    family_forced_ear_rows,
     forced_ear_rows,
     fringe_vertices,
     independence_number,
@@ -45,14 +46,18 @@ from welldom.weightspace import dimension_report
 
 from conftest import (
     brute_maximal_independent,
+    count_calls,
+    double_star,
     eared_trees,
     family_graphs,
     glued_graphs,
     gnp_graphs,
     graphs,
+    hub_with_ears,
     random_eared_tree,
     reference_forced_ear_rows,
     reference_partition,
+    windmill,
 )
 
 
@@ -140,12 +145,13 @@ class TestAnchoredFringe:
 
 
 class TestForcedEarRows:
-    # the rows built from the adjacency sets against the rows on bitmasks
+    # the rows built from the adjacency sets, over witness pairs and one
+    # side at a time, against the rows on bitmasks
     def test_match_bitmask_rows_on_family_graphs(self):
         with_rows = 0
         for g in FAMILY:
             rows = forced_ear_rows(g, ear_partners(g))
-            assert rows == reference_forced_ear_rows(g, ear_partners(g))
+            assert rows == family_forced_ear_rows(g, ear_partners(g)) == reference_forced_ear_rows(g, ear_partners(g))
             with_rows += bool(rows)
         assert with_rows > 100
 
@@ -153,9 +159,34 @@ class TestForcedEarRows:
                                                     (800, 200, 4), (1600, 400, 5)])
     def test_match_bitmask_rows_on_eared_trees(self, tree_n, ears, seed):
         g = random_eared_tree(tree_n, ears, seed)
-        rows = forced_ear_rows(g, ear_partners(g))
-        assert rows == reference_forced_ear_rows(g, ear_partners(g))
+        rows = family_forced_ear_rows(g, ear_partners(g))
+        assert rows == forced_ear_rows(g, ear_partners(g)) == reference_forced_ear_rows(g, ear_partners(g))
         assert rows or tree_n < 100
+
+    @pytest.mark.parametrize("shape", [double_star, windmill, hub_with_ears])
+    @pytest.mark.parametrize("pendants", [False, True])
+    def test_match_bitmask_rows_around_hubs(self, shape, pendants):
+        with_rows = 0
+        for k in (1, 2, 3, 4, 7):
+            g = shape(k, pendants)
+            rows = family_forced_ear_rows(g, ear_partners(g))
+            assert rows == reference_forced_ear_rows(g, ear_partners(g))
+            with_rows += bool(rows)
+        assert with_rows >= 3 or shape is windmill and not pendants
+
+    def test_component_with_a_4_cycle_keeps_the_witness_pair_loop(self, monkeypatch):
+        # the ears 3 and 4 on the edge 0-1 close the 4-cycle 0-3-1-4, and
+        # one side at a time would take ear 4 for an x of ear 3
+        g = Graph.from_edges(6, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 3), (1, 4), (1, 5)])
+        partners = ear_partners(g)
+        assert forced_ear_rows(g, partners) == reference_forced_ear_rows(g, partners) == ((3, 4),)
+        assert family_forced_ear_rows(g, partners) != ((3, 4),)
+        counts = count_calls(monkeypatch, [("welldom.structure", "forced_ear_rows"),
+                                           ("welldom.structure", "family_forced_ear_rows")])
+        (facts,) = component_facts(g)
+        assert 4 in facts.cycles
+        assert facts.forced == (frozenset(), ((1, 2),))  # the pieces of the ears 3 and 4, coupled
+        assert counts == {"forced_ear_rows": 1}
 
 
 class TestIndependenceNumber:

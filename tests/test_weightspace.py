@@ -278,11 +278,11 @@ class TestInvariantsAtScale:
         # recognition reduces nothing, both bases are kept as their generators,
         # and with no ear the dominating basis is the independent one
         g = path_corona(30)
-        counts = count_calls(monkeypatch, [("welldom.linalg", "rref")])
+        counts = count_calls(monkeypatch, [("welldom.linalg", "_canonical")])
         recognized_status(g)
         wcw = characterized_wcw_basis(g).basis
         assert characterized_wwd_basis(g).basis is wcw
-        assert counts["rref"] == 0
+        assert counts["_canonical"] == 0
 
 
 class TestDimensionReport:
