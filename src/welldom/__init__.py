@@ -25,6 +25,7 @@ from .oracle import (
     BudgetExceededError,
     EnumerationBudget,
     domination_numbers,
+    enumerate_families,
     enumerate_maximal_independent_sets,
     enumerate_minimal_dominating_sets,
     is_well_covered,
@@ -68,6 +69,7 @@ __all__ = [
     "confined_neighbors",
     "dimension_checks",
     "domination_numbers",
+    "enumerate_families",
     "enumerate_maximal_independent_sets",
     "enumerate_minimal_dominating_sets",
     "fringe_vertices",

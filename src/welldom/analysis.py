@@ -27,8 +27,10 @@ from .oracle import (
     BudgetExceededError,
     EnumerationBudget,
     SetFamily,
+    _one_search,
     _subset_sums,
     _weigh,
+    enumerate_families,
     enumerate_maximal_independent_sets,
     enumerate_minimal_dominating_sets,
     weight_space_from_family,
@@ -250,6 +252,11 @@ class AnalysisReport(_JsonSection):
 def _oracle_section(
     g: Graph, budget: EnumerationBudget, characterization: CharacterizationSection
 ) -> OracleSection:
+    candidates = (characterization.wcw, characterization.wwd)
+    families = _one_search(g, budget)
+    if families is not None:
+        return OracleSection.from_families(*families, (), candidates)
+    # over a budget: each family on its own, so each states its own skip reason
     skip_reasons: list[str] = []
     ind: SetFamily | None = None
     dom: SetFamily | None = None
@@ -261,7 +268,6 @@ def _oracle_section(
         dom = enumerate_minimal_dominating_sets(g, budget)
     except BudgetExceededError as exc:
         skip_reasons.append(f"minimal dominating sets: {exc}")
-    candidates = (characterization.wcw, characterization.wwd)
     return OracleSection.from_families(ind, dom, tuple(skip_reasons), candidates)
 
 
@@ -417,12 +423,15 @@ def run_property_sweep(
 ) -> SweepReport:
     """Generate a seeded family and assert the invariants each graph supports.
 
-    Every graph: cardinality and weighted domination chains hold (the
-    generator itself refuses to emit a forbidden cycle).  Graphs without 4-
-    and 5-cycles: recognition agrees with the oracle on both properties.
-    Additionally 6-cycle-free: characterized weight spaces equal the oracle
-    spaces and nest correctly.  Every failure and skip names its graph with
-    the seed, the index and the graph6 text that replay it.
+    Both oracle families of a graph come from one search
+    (``enumerate_families``); a graph with a family over its budget is
+    skipped with that family's error.  Every graph: cardinality and
+    weighted domination chains hold (the generator itself refuses to emit a
+    forbidden cycle).  Graphs without 4- and 5-cycles: recognition agrees
+    with the oracle on both properties.  Additionally 6-cycle-free:
+    characterized weight spaces equal the oracle spaces and nest correctly.
+    Every failure and skip names its graph with the seed, the index and the
+    graph6 text that replay it.
     """
     weight_rng = random.Random(cfg.seed ^ 0x5DEECE66D)
     failures: list[str] = []
@@ -435,8 +444,7 @@ def run_property_sweep(
         # the weight a/b scaled by 12, exact since b divides 12
         weights = [12 * weight_rng.randint(0, 12) // weight_rng.randint(1, 4) for _ in range(g.n)]
         try:
-            ind = enumerate_maximal_independent_sets(g, budget)
-            dom = enumerate_minimal_dominating_sets(g, budget)
+            ind, dom = enumerate_families(g, budget)
         except BudgetExceededError as exc:
             skips.append(f"{_replay_label(cfg, index, g)}: {exc}")
             continue

@@ -29,8 +29,7 @@ from .oracle import (
     DEFAULT_BUDGET,
     BudgetExceededError,
     EnumerationBudget,
-    enumerate_maximal_independent_sets,
-    enumerate_minimal_dominating_sets,
+    enumerate_families,
 )
 from .structure import NotApplicableError
 
@@ -207,10 +206,7 @@ def _cmd_wwd(args: argparse.Namespace) -> int:
 def _cmd_oracle(args: argparse.Namespace) -> int:
     g = _read_graph(args.file, args.format)
     budget = resolve_budget(args.budget)
-    section = OracleSection.from_families(
-        enumerate_maximal_independent_sets(g, budget),
-        enumerate_minimal_dominating_sets(g, budget),
-    )
+    section = OracleSection.from_families(*enumerate_families(g, budget))
     # both families are complete here, so availability and skips say nothing
     payload = {"schema_version": 1, **section.json_tree()}
     for key in ("independent_available", "dominating_available", "skip_reasons"):

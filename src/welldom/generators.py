@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterator
 
 from .graphs import Graph, _iter_cycle_lengths, cycle_lengths
@@ -28,19 +29,23 @@ class GeneratorConfig:
     count: int = 100
 
     def __post_init__(self) -> None:
+        # converted before the check, which would use up an iterator
+        object.__setattr__(self, "forbidden_cycles", frozenset(self.forbidden_cycles))
         if self.max_n < 1:
             raise ValueError("max_n must be at least 1")
         if self.count < 0:
             raise ValueError("count must be nonnegative")
         if any(k < 3 for k in self.forbidden_cycles):
             raise ValueError("cycle lengths start at 3")
-        object.__setattr__(self, "forbidden_cycles", frozenset(self.forbidden_cycles))
+
+
+def _tree_edges(rng: random.Random, n: int) -> list[tuple[int, int]]:
+    """Random recursive tree: vertex v attaches to a uniform earlier vertex."""
+    return [(rng.randrange(v), v) for v in range(1, n)]
 
 
 def random_tree(rng: random.Random, n: int) -> Graph:
-    """Random recursive tree: vertex v attaches to a uniform earlier vertex."""
-    edges = [(rng.randrange(v), v) for v in range(1, n)]
-    return Graph.from_edges(n, edges)
+    return Graph.from_edges(n, _tree_edges(rng, n))
 
 
 def random_triangle_tree(rng: random.Random, max_n: int) -> Graph:
@@ -51,10 +56,13 @@ def random_triangle_tree(rng: random.Random, max_n: int) -> Graph:
     triangle is its own block.
     """
     base = rng.randint(1, max(1, max_n - 2))
-    tree = random_tree(rng, base)
-    edges = list(tree.edges())
+    edges = _tree_edges(rng, base)
+    degree = [0] * base
+    for u, v in edges:
+        degree[u] += 1
+        degree[v] += 1
     n = base
-    leaves = [v for v in range(base) if tree.degree(v) <= 1]
+    leaves = [v for v in range(base) if degree[v] <= 1]
     rng.shuffle(leaves)
     for leaf in leaves:
         if n + 2 > max_n or rng.random() < 0.5:
@@ -73,22 +81,24 @@ def sample_cycle_free(
 ) -> Graph:
     """Rejection-sample a graph on n vertices avoiding the forbidden lengths.
 
-    Each candidate is tested on its adjacency bitmasks; only the accepted
-    one becomes a ``Graph``.  Raises a resource error when no acceptable
-    sample shows up within ``SAMPLING_ATTEMPTS`` tries; the caller should
-    lower the density or the order.
+    Each candidate draws one number per vertex pair, in the order of
+    ``combinations``, and is tested on its adjacency bitmasks; only the
+    accepted one becomes a ``Graph``.  When 4 is forbidden, a candidate with
+    a 4-cycle, which is most rejected ones, is rejected by the cheap
+    ``_has_four_cycle`` before the cycle search.  Raises a resource error
+    when no acceptable sample shows up within ``SAMPLING_ATTEMPTS`` tries;
+    the caller should lower the density or the order.
     """
+    draw = rng.random
+    four = 4 in forbidden_cycles
     for _ in range(SAMPLING_ATTEMPTS):
-        edges = [
-            (i, j)
-            for i in range(n)
-            for j in range(i + 1, n)
-            if rng.random() < edge_probability
-        ]
+        edges = [pair for pair in combinations(range(n), 2) if draw() < edge_probability]
         abits = [0] * n
         for i, j in edges:
             abits[i] |= 1 << j
             abits[j] |= 1 << i
+        if four and _has_four_cycle(abits):
+            continue
         degree = [bits.bit_count() for bits in abits]
         if next(_iter_cycle_lengths(abits, degree, forbidden_cycles), None) is None:
             return Graph.from_edges(n, edges)
@@ -97,6 +107,22 @@ def sample_cycle_free(
         f"{SAMPLING_ATTEMPTS} attempts at n={n}, p={edge_probability:.3f}; lower the "
         "edge probability or max_n"
     )
+
+
+def _has_four_cycle(abits: list[int]) -> bool:
+    """Whether two neighbours of some vertex v share a neighbour other than
+    v, which is exactly a 4-cycle through v; O(n + m) mask operations."""
+    for v, rest in enumerate(abits):
+        others = ~(1 << v)
+        seen = 0
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            second = abits[low.bit_length() - 1] & others
+            if seen & second:
+                return True
+            seen |= second
+    return False
 
 
 def _sparse_probability(n: int) -> float:

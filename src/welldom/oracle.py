@@ -2,14 +2,18 @@
 
 Every decision the characterization engine makes can be re-derived here from
 first principles: list the maximal independent sets, list the minimal
-dominating sets, and read the answers off the families.  One search,
-``iter_set_masks``, lists both families.  For minimal dominating sets it
-carries, next to the dominated vertices, the ``twice`` mask of the vertices
-that two chosen vertices dominate, so a new member rechecks only the members
-it could have left without a private neighbor.  Budgets keep it honest: a
-vertex gate per family, and ``max_sets`` on the number of finished sets of
-either family.  Exceeding one raises, never truncates silently.  Only the
-oracle enumerates: the closed-form engines take no budget.
+dominating sets, and read the answers off the families.  One search lists
+both families.  For minimal dominating sets it carries, next to the
+dominated vertices, the ``twice`` mask of the vertices that two chosen
+vertices dominate, so a new member rechecks only the members it could have
+left without a private neighbor.  A maximal independent set is exactly a
+minimal dominating set that is independent, and a finished dominating set
+is independent iff none of its members is in ``twice`` (two adjacent
+members dominate each other), so ``enumerate_families`` reads both families
+off one dominating-set search.  Budgets keep it honest: a vertex gate per
+family, and ``max_sets`` on the number of finished sets of either family.
+Exceeding one raises, never truncates silently.  Only the oracle
+enumerates: the closed-form engines take no budget.
 
 A weight space is read off a family without reducing all its difference
 rows: the rows independent mod 2 are reduced, and one exact probe weighing
@@ -85,7 +89,14 @@ class SetFamily:
 
 
 def iter_set_masks(g: Graph, independent: bool) -> Iterator[int]:
-    """All maximal independent (or all minimal dominating) sets as bitmasks.
+    """All maximal independent (or all minimal dominating) sets as bitmasks,
+    in the order ``_search`` finishes them."""
+    for chosen, _ in _search(g, independent):
+        yield chosen
+
+
+def _search(g: Graph, independent: bool) -> Iterator[tuple[int, int]]:
+    """Each finished set with its ``twice`` mask (0 for independent sets).
 
     Depth-first search over (chosen, dominated, twice, forbidden) masks on an
     explicit stack, so depth is not bounded by Python's recursion limit.  Each
@@ -107,7 +118,7 @@ def iter_set_masks(g: Graph, independent: bool) -> Iterator[int]:
         chosen, dominated, twice, forbidden = stack.pop()
         undominated = full & ~dominated
         if not undominated:
-            yield chosen
+            yield chosen, twice
             continue
         allowed = full & ~forbidden
         if independent:
@@ -152,7 +163,7 @@ def _enumerate(g: Graph, independent: bool, max_vertices: int, max_sets: int) ->
             f"{g.n} vertices exceed the {kind}-set enumeration budget of {max_vertices}"
         )
     masks: list[int] = []
-    for m in iter_set_masks(g, independent):
+    for m, _ in _search(g, independent):
         masks.append(m)
         if len(masks) > max_sets:
             raise BudgetExceededError(
@@ -160,6 +171,39 @@ def _enumerate(g: Graph, independent: bool, max_vertices: int, max_sets: int) ->
             )
     masks.sort()
     return SetFamily(g.n, tuple(masks))
+
+
+def _one_search(g: Graph, budget: EnumerationBudget) -> tuple[SetFamily, SetFamily] | None:
+    """Both families off one dominating-set search; None when g is outside a
+    vertex gate or has more than ``max_sets`` minimal dominating sets."""
+    if g.n > min(budget.max_independent_vertices, budget.max_dominating_vertices):
+        return None
+    ind: list[int] = []
+    dom: list[int] = []
+    for chosen, twice in _search(g, False):
+        dom.append(chosen)
+        if not chosen & twice:
+            ind.append(chosen)
+        if len(dom) > budget.max_sets:
+            return None
+    ind.sort()
+    dom.sort()
+    return SetFamily(g.n, tuple(ind)), SetFamily(g.n, tuple(dom))
+
+
+def enumerate_families(
+    g: Graph, budget: EnumerationBudget = DEFAULT_BUDGET
+) -> tuple[SetFamily, SetFamily]:
+    """The maximal independent and the minimal dominating sets, by one search.
+
+    Outside a vertex gate, or past ``max_sets``, the two families are
+    enumerated one at a time, independent first, so a budget error is the
+    one that enumeration raises.
+    """
+    families = _one_search(g, budget)
+    if families is None:
+        return enumerate_maximal_independent_sets(g, budget), enumerate_minimal_dominating_sets(g, budget)
+    return families
 
 
 def enumerate_maximal_independent_sets(
@@ -183,8 +227,8 @@ class DominationNumbers:
 
 
 def domination_numbers(g: Graph, budget: EnumerationBudget = DEFAULT_BUDGET) -> DominationNumbers:
-    mis = enumerate_maximal_independent_sets(g, budget).sizes()
-    mds = enumerate_minimal_dominating_sets(g, budget).sizes()
+    ind, dom = enumerate_families(g, budget)
+    mis, mds = ind.sizes(), dom.sizes()
     return DominationNumbers(min(mds), max(mds), min(mis), max(mis))
 
 
@@ -332,6 +376,7 @@ __all__ = [
     "EnumerationBudget",
     "SetFamily",
     "domination_numbers",
+    "enumerate_families",
     "enumerate_maximal_independent_sets",
     "enumerate_minimal_dominating_sets",
     "is_well_covered",

@@ -205,6 +205,29 @@ class TestAnalyzeReport:
         assert report.characterization.applicable  # closed form needs no enumeration
         assert report.characterization.wcw.dimension == 25
 
+    @pytest.mark.parametrize("n, independent_count", [(21, 351), (22, 465), (23, 616), (24, 816)])
+    def test_oracle_keeps_independent_sets_past_the_dominating_gate(self, n, independent_count):
+        report = analyze(path_graph(n))
+        assert report.oracle.skip_reasons == (
+            f"minimal dominating sets: {n} vertices exceed the dominating-set enumeration budget of 20",
+        )
+        assert report.oracle.maximal_independent_count == independent_count
+        assert not report.oracle.dominating_available
+
+    @pytest.mark.parametrize(
+        "max_sets, reasons",
+        [
+            # P10 has 16 maximal independent and 25 minimal dominating sets
+            (20, ("minimal dominating sets: more than 20 minimal dominating sets",)),
+            (10, ("maximal independent sets: more than 10 maximal independent sets",
+                  "minimal dominating sets: more than 10 minimal dominating sets")),
+        ],
+    )
+    def test_oracle_skips_past_the_set_count(self, max_sets, reasons):
+        report = analyze(path_graph(10), EnumerationBudget(max_sets=max_sets))
+        assert report.oracle.skip_reasons == reasons
+        assert report.oracle.independent_available == (max_sets >= 16)
+
     def test_check_statuses_and_details_are_pinned(self, monkeypatch):
         # every skip reason, the closed forms without the oracle, a graph
         # outside both families, and the fail details of a wrong engine
@@ -399,6 +422,23 @@ class TestPropertySweep:
         weights, masks = weights_and_masks
         expected = [sum(weights[v] for v in iter_bits(m)) for m in masks]
         assert _weigh(masks, _subset_sums(weights)) == expected
+
+    @pytest.mark.parametrize(
+        "budget, skipped, digest",
+        [
+            (EnumerationBudget(max_sets=40), 3, "f346515d59f8fa3cdadce1603bf44172740905273f4c18a8754a541447fbae3e"),
+            (EnumerationBudget(max_dominating_vertices=8), 24,
+             "6c7e12be46f87f527a5b36c1131d7b398ff5fbdcd583e9417ddb9568da728bd2"),
+            (EnumerationBudget(max_independent_vertices=8, max_dominating_vertices=8), 24,
+             "7aa7ab9fcedb3cd82def24296974a979b67545ec2d2f267c4acc2ffdc412ee10"),
+        ],
+    )
+    def test_skip_texts_are_pinned(self, budget, skipped, digest):
+        # each skip states the error of the first family over its budget
+        cfg = GeneratorConfig(max_n=12, forbidden_cycles=frozenset({4, 5}), seed=3, count=60)
+        report = run_property_sweep(cfg, budget)
+        assert len(report.skips) == skipped
+        assert hashlib.sha256("\n".join(report.skips).encode()).hexdigest() == digest
 
     def test_failure_and_skip_labels_replay_the_graph(self, monkeypatch):
         # recognition that never holds fails on every well-covered graph

@@ -104,13 +104,15 @@ class TestFixtureValidation:
             assert counts == Counter(component_facts=1, cycle_lengths=components_found), fixture.name
 
     def test_each_oracle_family_is_enumerated_once(self, monkeypatch):
-        # by analyze; a witness is checked without a second enumeration
-        names = ["enumerate_maximal_independent_sets", "enumerate_minimal_dominating_sets"]
+        # by analyze, through one search that lists both families and no
+        # enumeration of either alone; a witness is checked without a
+        # second enumeration
+        names = ["_search", "enumerate_maximal_independent_sets", "enumerate_minimal_dominating_sets"]
         counts = count_calls(monkeypatch, [("welldom.oracle", name) for name in names])
         for fixture in builtin_fixtures():
             counts.clear()
             assert check_fixture(fixture).ok
-            assert counts == Counter(names), fixture.name
+            assert counts == Counter(_search=1), fixture.name
 
 
 class TestBuiltinCorpus:

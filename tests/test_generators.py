@@ -2,10 +2,12 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given
 
 from welldom.generators import (
     SAMPLING_ATTEMPTS,
     GeneratorConfig,
+    _has_four_cycle,
     generate_family,
     random_tree,
     random_triangle_tree,
@@ -13,6 +15,8 @@ from welldom.generators import (
 )
 from welldom.graphs import Graph, contains_cycle_of_length, cycle_lengths, serialize_graph
 from welldom.oracle import BudgetExceededError
+
+from conftest import graphs
 
 
 class TestConfig:
@@ -31,6 +35,12 @@ class TestConfig:
     def test_forbidden_cycles_coerced(self):
         cfg = GeneratorConfig(forbidden_cycles=[4, 5, 4])
         assert cfg.forbidden_cycles == frozenset({4, 5})
+
+    def test_forbidden_cycles_from_an_iterator(self):
+        cfg = GeneratorConfig(forbidden_cycles=(k for k in [4, 5]))
+        assert cfg.forbidden_cycles == frozenset({4, 5})
+        with pytest.raises(ValueError):
+            GeneratorConfig(forbidden_cycles=(k for k in [4, 2]))
 
 
 def graph_per_candidate(rng, n, p, forbidden):
@@ -86,6 +96,22 @@ class TestBuildingBlocks:
                 graph_per_candidate, reference_rng, n, p, forbidden
             )
             assert rng.getstate() == reference_rng.getstate()
+
+    @given(graphs(max_n=12))
+    def test_four_cycle_test_matches_the_cycle_search(self, g):
+        assert _has_four_cycle(list(g.adjacency_bits)) == (4 in cycle_lengths(g, (4,)))
+
+    def test_four_cycle_test_matches_on_sparse_candidates(self):
+        # graphs as sparse as the sampler's, where both answers are common
+        rng = random.Random(5)
+        answers = set()
+        for _ in range(400):
+            n = rng.randint(1, 12)
+            g = Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 2.6 / n])
+            found = _has_four_cycle(list(g.adjacency_bits))
+            assert found == (4 in cycle_lengths(g, (4,))), g.edges()
+            answers.add(found)
+        assert answers == {True, False}
 
     def test_sampler_gives_up_when_constraints_are_hopeless(self):
         # edge probability 1 forces K6, which always has triangles

@@ -6,6 +6,7 @@ import hypothesis.strategies as st
 
 from welldom import oracle
 from welldom.analysis import characterized_wcw_basis, characterized_wwd_basis
+from welldom.fixtures import builtin_fixtures
 from welldom.graphs import Graph, mask_of, set_of
 from welldom.linalg import SubspaceBasis, constants_space, nullspace, row_space
 from welldom.named_graphs import (
@@ -23,6 +24,7 @@ from welldom.oracle import (
     EnumerationBudget,
     SetFamily,
     domination_numbers,
+    enumerate_families,
     enumerate_maximal_independent_sets,
     enumerate_minimal_dominating_sets,
     is_well_covered,
@@ -86,6 +88,45 @@ class TestMinimalDominatingEnumeration:
         family = enumerate_minimal_dominating_sets(complete_bipartite_graph(3, 3))
         assert len(family) == 11  # 9 cross pairs plus the two sides
         assert frozenset({0, 3}) in family.sets
+
+
+def budget_error(call, g, budget):
+    with pytest.raises(BudgetExceededError) as err:
+        call(g, budget)
+    return str(err.value), err.value.partial
+
+
+class TestOneSearch:
+    @given(graphs(max_n=12))
+    def test_matches_the_two_enumerations(self, g):
+        assert enumerate_families(g) == (enumerate_maximal_independent_sets(g), enumerate_minimal_dominating_sets(g))
+
+    def test_matches_the_two_enumerations_on_every_fixture(self):
+        for fixture in builtin_fixtures():
+            g = fixture.graph
+            assert enumerate_families(g) == (
+                enumerate_maximal_independent_sets(g), enumerate_minimal_dominating_sets(g)
+            ), fixture.name
+
+    @pytest.mark.parametrize(
+        "g, budget",
+        [
+            *[(path_graph(n), EnumerationBudget()) for n in range(21, 25)],  # the dominating gate
+            (path_graph(25), EnumerationBudget()),  # both gates
+            (path_graph(10), EnumerationBudget(max_sets=20)),  # 16 independent, 25 dominating sets
+            (path_graph(10), EnumerationBudget(max_sets=10)),  # fewer than either family
+            (cycle_graph(7), EnumerationBudget(max_sets=3)),
+        ],
+    )
+    def test_budget_errors_are_those_of_the_two_enumerations(self, g, budget):
+        # independent first, with the same message and the same partial sets
+        try:
+            enumerate_maximal_independent_sets(g, budget)
+        except BudgetExceededError:
+            expected = budget_error(enumerate_maximal_independent_sets, g, budget)
+        else:
+            expected = budget_error(enumerate_minimal_dominating_sets, g, budget)
+        assert budget_error(enumerate_families, g, budget) == expected
 
 
 class TestBudgets:
