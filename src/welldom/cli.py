@@ -2,7 +2,8 @@
 
 Exit codes: 0 success; 1 a checked property failed; 2 usage, parse or
 precondition error; 3 an enumeration or sampling budget ran out; 4 an
-internal error (an unexpected exception, reported on one stderr line).
+internal error (an unexpected exception, reported on one stderr line); 141
+(128 + SIGPIPE) the reader closed the output pipe, with no message.
 Budgets resolve as flag over WELLDOM_BUDGET over the builtin default.
 """
 
@@ -38,6 +39,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 EXIT_INTERNAL = 4
+EXIT_BROKEN_PIPE = 141
 
 # explicit budgets lift the vertex gates up to the graph6 limit and guard by
 # enumerated-set count alone
@@ -341,6 +343,8 @@ def cli_main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
+    except BrokenPipeError:  # the reader is gone: there is no one to tell
+        return EXIT_BROKEN_PIPE
     except (UsageError, ParseError, NotApplicableError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -353,7 +357,16 @@ def cli_main(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(cli_main())
+    code = cli_main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        code = EXIT_BROKEN_PIPE
+    if code == EXIT_BROKEN_PIPE:
+        # the interpreter flushes stdout once more at exit, which would fail
+        # again and print a warning: what is left goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -6,8 +6,8 @@ enumeration-heavy callers.  A view holds one n-bit int per vertex, which is
 quadratic memory, so only code that never sees more than 62 vertices reads
 one: the oracle behind its vertex gates (the independence number goes
 through it too), and the fixtures' witness check.  The closed-form engines
-read the sets; the cycle profile builds masks only inside each block,
-relabelled 0..b-1.
+read the sets; the cycle profile builds masks only inside each block that
+is not a single cycle, relabelled 0..b-1.
 
 Everything here is exact: distances are BFS integers, the cycle search
 prunes only paths that cannot close a wanted cycle, and the two text
@@ -50,7 +50,11 @@ def set_of(mask: int) -> frozenset[int]:
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph: no loops, no parallel edges."""
+    """Simple undirected graph: no loops, no parallel edges.
+
+    The rows of ``adj`` may be given as any collections of neighbours (sets,
+    lists); they are stored as a tuple of frozensets, so every graph hashes.
+    """
 
     n: int
     adj: tuple[frozenset[int], ...]
@@ -60,6 +64,7 @@ class Graph:
             raise ValueError("vertex count must be non-negative")
         if len(self.adj) != self.n:
             raise ValueError(f"adjacency table has {len(self.adj)} rows for n={self.n}")
+        rows = []
         for v, nbrs in enumerate(self.adj):
             for u in nbrs:
                 if not 0 <= u < self.n:
@@ -68,6 +73,13 @@ class Graph:
                     raise ValueError(f"loop at vertex {v}")
                 if v not in self.adj[u]:
                     raise ValueError(f"asymmetric edge {v}-{u}")
+            rows.append(frozenset(nbrs))  # the row itself when it is a frozenset already
+        # per-graph tuples here and across the package are built from lists,
+        # not from generators: tuple(<genexpr>) allocates spare slots and
+        # shrinks, so each freed tuple lands on CPython's free list of its
+        # final size, and between full collections those lists grow to their
+        # cap and raise peak memory
+        object.__setattr__(self, "adj", tuple(rows))
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -79,12 +91,7 @@ class Graph:
                 raise ValueError(f"loop at vertex {u}")
             adj[u].add(v)
             adj[v].add(u)
-        # per-graph tuples here and across the package are built as
-        # tuple([...]), not tuple(<genexpr>): the latter allocates spare
-        # slots and shrinks, so each freed tuple lands on CPython's free list
-        # of its final size, and between full collections those lists grow
-        # to their cap and raise peak memory
-        return Graph(n, tuple([frozenset(s) for s in adj]))
+        return Graph(n, adj)
 
     # -- cached bitmask views ------------------------------------------------
 
@@ -296,9 +303,11 @@ def cycle_lengths(g: Graph, lengths: Iterable[int]) -> frozenset[int]:
     the search runs block by block, and a block with b vertices is searched
     only for the wanted lengths up to b, and only for the even ones when it
     is bipartite.  This bounds K_{a,a}: its one block is bipartite, so no
-    search for an odd length starts.  Each block is relabelled 0..b-1 and
-    searched on its own bitmasks by ``_iter_cycle_lengths``, and the search
-    stops once every wanted length has turned up.
+    search for an odd length starts.  A block with as many edges as vertices
+    is one cycle, whose length is read off with no search.  Any other block
+    is relabelled 0..b-1 and searched on its own bitmasks by
+    ``_iter_cycle_lengths``, and the search stops once every wanted length
+    has turned up.
     """
     wanted = _checked_lengths(lengths)
     found: set[int] = set()
@@ -306,8 +315,16 @@ def cycle_lengths(g: Graph, lengths: Iterable[int]) -> frozenset[int]:
     for block, bipartite in _blocks(adj, _two_core(adj)):
         if found == wanted:
             break
-        here = {k for k in wanted - found if k <= len(block) and not (bipartite and k % 2)}
+        b = len(block)
+        if b < 3:  # a bridge
+            continue
+        here = {k for k in wanted - found if k <= b and not (bipartite and k % 2)}
         if not here:
+            continue
+        if sum([len(adj[v] & block) for v in block]) == 2 * b:
+            # b edges: a 2-connected graph has minimum degree 2, so the block is one b-cycle
+            if b in here:
+                found.add(b)
             continue
         members = sorted(block)
         local = {v: i for i, v in enumerate(members)}

@@ -61,11 +61,32 @@ from .oracle import DEFAULT_BUDGET, EnumerationBudget, enumerate_maximal_indepen
 def simplicial_vertices(g: Graph) -> frozenset[int]:
     """Vertices whose neighborhood is a clique (isolated vertices included):
     each neighbour u sees the other len(N(v)) - 1 neighbours."""
+    return _simplicial(g, fringe_vertices(g))
+
+
+def _simplicial(g: Graph, fringe: frozenset[int]) -> frozenset[int]:
+    """``simplicial_vertices`` given the fringe of g.
+
+    A vertex of degree at most 1 is simplicial, and one of degree 2 is iff
+    its neighbours are adjacent, that is iff it is an ear: so the fringe and
+    the isolated vertices are the simplicial vertices of degree below 3.
+    One of degree d >= 3 is tested only when every neighbour has degree at
+    least d, which a neighbour that sees the other d - 1 must have.
+    """
     adj = g.adj
-    return frozenset(
-        v for v, nbrs in enumerate(adj)
-        if all(len(nbrs & adj[u]) == len(nbrs) - 1 for u in nbrs)
-    )
+    found = []
+    for v, nbrs in enumerate(adj):
+        d = len(nbrs)
+        if d > 2:
+            for u in nbrs:  # a plain loop: most vertices fail here, and all(<genexpr>) costs more
+                if len(adj[u]) < d:
+                    break
+            else:
+                if all(len(nbrs & adj[u]) == d - 1 for u in nbrs):
+                    found.append(v)
+        elif not d:
+            found.append(v)
+    return fringe.union(found)
 
 
 @dataclass(frozen=True)
@@ -142,8 +163,31 @@ def _fringe(g: Graph, partners: dict[int, tuple[int, int]]) -> frozenset[int]:
 
 def confined_neighbors(g: Graph, v: int) -> frozenset[int]:
     """Neighbors u of v with N(u) contained in N[v]."""
-    closed = g.adj[v] | {v}
-    return frozenset(u for u in g.adj[v] if g.adj[u] <= closed)
+    return _confined(g, v, frozenset())
+
+
+def _confined(g: Graph, v: int, fringe: frozenset[int]) -> frozenset[int]:
+    """``confined_neighbors`` of v, given fringe vertices of the graph (all
+    of them, or any part: an empty set leaves every neighbour to the test).
+
+    A fringe neighbour u is confined: a pendant has N(u) = {v}, and an ear on
+    (v, b) has N(u) = {v, b} with b in N(v).  Any other neighbour u needs
+    N(u) inside N[v] - {u}, so at most deg(v) neighbours, before N[v] is
+    built and compared.
+    """
+    adj = g.adj
+    nbrs = adj[v]
+    confined = []
+    closed = None
+    for u in nbrs:
+        if u in fringe:
+            confined.append(u)
+        elif len(adj[u]) <= len(nbrs):
+            if closed is None:
+                closed = nbrs | {v}
+            if adj[u] <= closed:
+                confined.append(u)
+    return frozenset(confined)
 
 
 def forced_ear_rows(g: Graph, partners: dict[int, tuple[int, int]]) -> tuple[tuple[int, ...], ...]:
@@ -343,16 +387,19 @@ class ComponentFacts:
     @cached_property
     def confined(self) -> dict[int, frozenset[int]]:
         """The confined neighbors of each vertex outside the fringe."""
-        return {v: confined_neighbors(self.graph, v) for v in range(self.graph.n) if v not in self.fringe}
+        g, fringe = self.graph, self.fringe
+        return {v: _confined(g, v, fringe) for v in range(g.n) if v not in fringe}
 
     @cached_property
     def cycles(self) -> frozenset[int]:
-        """The lengths of CYCLE_LENGTHS that occur."""
-        return cycle_lengths(self.graph, CYCLE_LENGTHS)
+        """The lengths of CYCLE_LENGTHS that occur: none in a tree, which a
+        connected graph with n - 1 edges is."""
+        g = self.graph
+        return frozenset() if g.edge_count == g.n - 1 else cycle_lengths(g, CYCLE_LENGTHS)
 
     @cached_property
     def simplicial(self) -> frozenset[int]:
-        return simplicial_vertices(self.graph)
+        return _simplicial(self.graph, self.fringe)
 
     @cached_property
     def fringe_pieces(self) -> tuple[tuple[int, ...], ...]:

@@ -1,9 +1,9 @@
 """Shared strategies and independent brute-force oracles.
 
 The oracles here deliberately avoid the package's clever enumeration code:
-they filter all 2^n subsets (or all k-permutations for cycles) so that the
-production algorithms are checked against something dumb and obviously
-correct.
+they filter all 2^n subsets (or all k-permutations, or all paths, for
+cycles) so that the production algorithms are checked against something
+dumb and obviously correct.
 """
 
 from __future__ import annotations
@@ -156,6 +156,28 @@ def brute_has_cycle(g: Graph, k: int) -> bool:
             if all(g.has_edge(walk[i], walk[(i + 1) % k]) for i in range(k)):
                 return True
     return False
+
+
+def brute_cycle_lengths(g: Graph) -> frozenset[int]:
+    """The lengths of every simple cycle of g, found over all 2^n vertex sets.
+
+    ``ends[S]`` holds the last vertices of the paths that start at the
+    smallest vertex s of S and visit exactly S; S carries a cycle through all
+    of its vertices iff one of them is a neighbour of s and |S| >= 3.
+    """
+    ends = [0] * (1 << g.n)
+    for s in range(g.n):
+        ends[1 << s] = 1 << s
+    found = set()
+    for mask in range(1, 1 << g.n):
+        s = (mask & -mask).bit_length() - 1
+        for v in iter_bits(ends[mask]):
+            if mask.bit_count() >= 3 and s in g.adj[v]:
+                found.add(mask.bit_count())
+            for u in g.adj[v]:
+                if u > s and not mask >> u & 1:
+                    ends[mask | 1 << u] |= 1 << u
+    return frozenset(found)
 
 
 def reference_set_masks(g: Graph, independent: bool):

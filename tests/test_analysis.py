@@ -276,7 +276,7 @@ class TestAnalyzeReport:
             ("welldom.graphs", "cycle_lengths"),
             ("welldom.graphs", "is_isomorphic_small"),
             ("welldom.structure", "family_forced_ear_rows"),
-            ("welldom.structure", "simplicial_vertices"),
+            ("welldom.structure", "_simplicial"),
             ("welldom.linalg", "nullspace"),
             ("welldom.linalg", "_canonical"),
             ("welldom.oracle", "weight_space_from_family"),
@@ -292,7 +292,7 @@ class TestAnalyzeReport:
         assert counts["nullspace"] == 0
         assert counts["_canonical"] == 0
         # one table, shared by the summary and the simplicial partition search
-        assert counts["simplicial_vertices"] == 1
+        assert counts["_simplicial"] == 1
         # the engines on an equal graph read the records analyze built
         counts.clear()
         characterized_wcw_basis(fringe_gap_graph())
@@ -304,7 +304,7 @@ class TestAnalyzeReport:
         characterized_wcw_basis(g)
         characterized_wwd_basis(g)
         assert counts["cycle_lengths"] == 1
-        assert counts["simplicial_vertices"] == 0
+        assert counts["_simplicial"] == 0
         assert counts["family_forced_ear_rows"] == 1  # only the dominating engine reads them
         assert counts["_canonical"] == 0  # a row forces the ear 0 to zero: the two bases differ, unreduced
         # one set of rows per component, also where the rows couple two ears

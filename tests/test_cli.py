@@ -252,13 +252,17 @@ class TestUsageErrors:
         assert cli_main([]) == 2
 
 
+def _module_env() -> dict[str, str]:
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def _run_module(*argv: str) -> subprocess.CompletedProcess:
     """``python -m welldom.cli ARGV`` in a fresh process."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "welldom.cli", *argv],
-        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=120, env=_module_env(),
     )
 
 
@@ -266,6 +270,21 @@ def test_runs_as_a_module():
     done = _run_module("fixtures")
     assert done.returncode == 0, done.stderr
     assert len(done.stdout.strip().splitlines()) == 15
+
+
+def test_closed_output_pipe_exits_141_in_silence(graph_file):
+    # the report on C_10,000 is about 320 kB, far more than a pipe holds, so
+    # the command is still writing when the reader goes, as under `| head -c 100`
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "welldom.cli", "analyze", graph_file(cycle_graph(10_000)), "--json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_module_env(),
+    )
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert err == b""
 
 
 def test_back_to_back_calls_match_fresh_processes(graph_file, capsys):

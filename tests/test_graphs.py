@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given
 import hypothesis.strategies as st
 
+from welldom.analysis import analyze
 from welldom.graphs import (
     Graph,
     MAX_EDGELIST_VERTICES,
@@ -28,7 +29,15 @@ from welldom.named_graphs import (
     triangle_tripod_graph,
 )
 
-from conftest import brute_has_cycle, distances_from, eared_trees, glued_graphs, graphs
+from conftest import (
+    brute_cycle_lengths,
+    brute_has_cycle,
+    distances_from,
+    eared_trees,
+    glued_graphs,
+    gnp_graphs,
+    graphs,
+)
 
 
 class TestGraphBasics:
@@ -48,6 +57,17 @@ class TestGraphBasics:
         g = path_graph(4)
         assert g.degree_sequence == (1, 1, 2, 2)
         assert g.edges() == [(0, 1), (1, 2), (2, 3)]
+
+    @pytest.mark.parametrize("rows", [
+        ({1}, {0, 2}, {1}),
+        [frozenset({1}), frozenset({0, 2}), frozenset({1})],
+        ([1], [0, 2], [1]),
+    ])
+    def test_rows_of_sets_or_lists_make_the_same_graph(self, rows):
+        g, twin = Graph(3, rows), Graph.from_edges(3, [(0, 1), (1, 2)])
+        assert g == twin and hash(g) == hash(twin)
+        assert type(g.adj) is tuple and all(type(row) is frozenset for row in g.adj)
+        assert analyze(g).to_json_dict() == analyze(twin).to_json_dict()
 
     def test_is_complete(self):
         assert is_complete(complete_graph(4))
@@ -172,8 +192,11 @@ class TestCycleDetection:
         assert contains_cycle_of_length(g, k) == brute_has_cycle(g, k)
 
     # K_{3,3} with a triangle at its first root is not bipartite, but its
-    # big block is; two odd cycles at a cut vertex are two blocks
-    @given(st.one_of(graphs(max_n=9), eared_trees(max_n=9), glued_graphs(max_n=9)), st.sets(st.integers(3, 7)))
+    # big block is; two odd cycles at a cut vertex are two blocks.  A block
+    # with as many edges as vertices is read as one cycle with no search: a
+    # 6-cycle with a chord, or a 7-cycle with an ear, is not one
+    @given(st.one_of(graphs(max_n=9), gnp_graphs(max_n=11), eared_trees(max_n=11), glued_graphs(max_n=11)),
+           st.sets(st.integers(3, 12)))
     @example(cycle_graph(8), set(range(3, 8)))
     @example(SEVEN_CYCLE_WITH_TAIL, set(range(3, 8)))
     @example(TRIANGLE_ON_TAIL, set(range(3, 8)))
@@ -182,9 +205,20 @@ class TestCycleDetection:
     @example(odd_cycles_at_a_cut_vertex(3, 5), set(range(3, 8)))
     @example(odd_cycles_at_a_cut_vertex(5, 5), set(range(3, 8)))
     @example(odd_cycles_at_a_cut_vertex(3, 7), set(range(3, 8)))
+    @example(path_graph(11), set(range(3, 12)))
+    @example(star_graph(10), set(range(3, 12)))
+    @example(Graph.from_edges(5, [(0, 1), (1, 2), (0, 2), (3, 4)]), {3, 4, 5})
+    @example(Graph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)] + [(0, 3)]), set(range(3, 8)))
+    @example(Graph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)] + [(0, 2)]), set(range(3, 8)))
+    @example(Graph.from_edges(8, [(i, (i + 1) % 7) for i in range(7)] + [(0, 7), (1, 7)]), set(range(3, 9)))
     def test_profile_matches_brute_force(self, g, lengths):
-        present = {k for k in lengths if brute_has_cycle(g, k)}
-        assert cycle_lengths(g, lengths) == present
+        assert cycle_lengths(g, lengths) == lengths & brute_cycle_lengths(g)
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_cycle_profile_is_its_own_length(self, n):
+        g = cycle_graph(n)
+        for lengths in (range(3, 13), {n}, {k for k in (n - 1, n + 1) if k >= 3}, (3, 4, 5, 6, 7)):
+            assert cycle_lengths(g, lengths) == set(lengths) & {n}
 
     def test_profile_examples(self):
         assert cycle_lengths(cycle_graph(8), range(3, 8)) == frozenset()

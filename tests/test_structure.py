@@ -1,4 +1,5 @@
 import time
+from itertools import combinations
 
 import pytest
 import hypothesis.strategies as st
@@ -29,6 +30,7 @@ from welldom.oracle import (
     well_dominated_weight_space_oracle,
 )
 from welldom.structure import (
+    CYCLE_LENGTHS,
     NotApplicableError,
     anchored_fringe_vertices,
     component_facts,
@@ -45,6 +47,7 @@ from welldom.structure import (
 from welldom.weightspace import dimension_report
 
 from conftest import (
+    brute_cycle_lengths,
     brute_maximal_independent,
     count_calls,
     double_star,
@@ -117,6 +120,39 @@ class TestConfinedNeighbors:
         fringe = fringe_vertices(g)
         for v in range(g.n):
             assert confined_neighbors(g, v) <= fringe
+
+
+def simplicial_by_definition(g: Graph) -> frozenset[int]:
+    return frozenset(v for v in range(g.n) if all(g.has_edge(a, b) for a, b in combinations(g.adj[v], 2)))
+
+
+def confined_by_definition(g: Graph, v: int) -> frozenset[int]:
+    return frozenset(u for u in g.adj[v] if g.adj[u] <= g.adj[v] | {v})
+
+
+# the tables read the fringe and the degrees first: ears and pendants, the
+# trees (no cycle search), a K3 component (every vertex an ear), and blocks
+# that are one cycle or not quite one
+@given(st.one_of(gnp_graphs(max_n=11), glued_graphs(max_n=11), eared_trees(max_n=11)))
+@example(path_graph(9))
+@example(star_graph(5))
+@example(Graph.from_edges(5, [(0, 1), (1, 2), (0, 2), (3, 4)]))
+@example(Graph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)] + [(0, 3)]))
+@example(Graph.from_edges(8, [(i, (i + 1) % 7) for i in range(7)] + [(0, 7), (1, 7)]))
+@example(complete_graph(6))
+def test_tables_match_their_definitions(g):
+    simplicial = simplicial_by_definition(g)
+    assert simplicial_vertices(g) == simplicial
+    for v in range(g.n):
+        assert confined_neighbors(g, v) == confined_by_definition(g, v)
+    lifted_simplicial, lifted_confined = set(), {}
+    for f in component_facts(g):
+        assert f.cycles == brute_cycle_lengths(f.graph) & set(CYCLE_LENGTHS)
+        lifted_simplicial |= {f.labels[v] for v in f.simplicial}
+        lifted_confined |= {f.labels[v]: {f.labels[u] for u in near} for v, near in f.confined.items()}
+    assert lifted_simplicial == simplicial
+    fringe = fringe_vertices(g)
+    assert lifted_confined == {v: confined_by_definition(g, v) for v in range(g.n) if v not in fringe}
 
 
 class TestAnchoredFringe:
