@@ -27,12 +27,10 @@ from .oracle import (
     BudgetExceededError,
     EnumerationBudget,
     SetFamily,
-    _one_search,
     _subset_sums,
     _weigh,
     enumerate_families,
-    enumerate_maximal_independent_sets,
-    enumerate_minimal_dominating_sets,
+    search_families,
     weight_space_from_family,
 )
 from .structure import (
@@ -252,23 +250,11 @@ class AnalysisReport(_JsonSection):
 def _oracle_section(
     g: Graph, budget: EnumerationBudget, characterization: CharacterizationSection
 ) -> OracleSection:
-    candidates = (characterization.wcw, characterization.wwd)
-    families = _one_search(g, budget)
-    if families is not None:
-        return OracleSection.from_families(*families, (), candidates)
-    # over a budget: each family on its own, so each states its own skip reason
-    skip_reasons: list[str] = []
-    ind: SetFamily | None = None
-    dom: SetFamily | None = None
-    try:
-        ind = enumerate_maximal_independent_sets(g, budget)
-    except BudgetExceededError as exc:
-        skip_reasons.append(f"maximal independent sets: {exc}")
-    try:
-        dom = enumerate_minimal_dominating_sets(g, budget)
-    except BudgetExceededError as exc:
-        skip_reasons.append(f"minimal dominating sets: {exc}")
-    return OracleSection.from_families(ind, dom, tuple(skip_reasons), candidates)
+    families = search_families(g, budget)
+    labels = ("maximal independent sets", "minimal dominating sets")
+    skip_reasons = tuple([f"{label}: {f}" for label, f in zip(labels, families) if isinstance(f, BudgetExceededError)])
+    ind, dom = [None if isinstance(f, BudgetExceededError) else f for f in families]
+    return OracleSection.from_families(ind, dom, skip_reasons, (characterization.wcw, characterization.wwd))
 
 
 def _whole_partition(facts: Sequence[ComponentFacts]) -> SimplicialPartition | None:

@@ -9,7 +9,7 @@ vertices dominate, so a new member rechecks only the members it could have
 left without a private neighbor.  A maximal independent set is exactly a
 minimal dominating set that is independent, and a finished dominating set
 is independent iff none of its members is in ``twice`` (two adjacent
-members dominate each other), so ``enumerate_families`` reads both families
+members dominate each other), so ``search_families`` reads both families
 off one dominating-set search.  Budgets keep it honest: a vertex gate per
 family, and ``max_sets`` on the number of finished sets of either family.
 Exceeding one raises, never truncates silently.  Only the oracle
@@ -88,13 +88,6 @@ class SetFamily:
         return self._sizes
 
 
-def iter_set_masks(g: Graph, independent: bool) -> Iterator[int]:
-    """All maximal independent (or all minimal dominating) sets as bitmasks,
-    in the order ``_search`` finishes them."""
-    for chosen, _ in _search(g, independent):
-        yield chosen
-
-
 def _search(g: Graph, independent: bool) -> Iterator[tuple[int, int]]:
     """Each finished set with its ``twice`` mask (0 for independent sets).
 
@@ -156,66 +149,71 @@ def _search(g: Graph, independent: bool) -> Iterator[tuple[int, int]]:
                 stack.append((chosen | 1 << u, dominated | nb[u], doubled, forbidden | branches))
 
 
-def _enumerate(g: Graph, independent: bool, max_vertices: int, max_sets: int) -> SetFamily:
+def _enumerate(g: Graph, independent: bool, budget: EnumerationBudget) -> tuple[SetFamily, SetFamily | None]:
+    """The family one search lists and, from a dominating search within the
+    independent gate, its independent members: the maximal independent sets."""
     kind = "independent" if independent else "dominating"
+    max_vertices = budget.max_independent_vertices if independent else budget.max_dominating_vertices
     if g.n > max_vertices:
-        raise BudgetExceededError(
-            f"{g.n} vertices exceed the {kind}-set enumeration budget of {max_vertices}"
-        )
+        raise BudgetExceededError(f"{g.n} vertices exceed the {kind}-set enumeration budget of {max_vertices}")
+    max_sets = budget.max_sets
     masks: list[int] = []
-    for m, _ in _search(g, independent):
+    ind = None if independent or g.n > budget.max_independent_vertices else []
+    for m, twice in _search(g, independent):
         masks.append(m)
+        if not m & twice and ind is not None:
+            ind.append(m)
         if len(masks) > max_sets:
             raise BudgetExceededError(
                 f"more than {max_sets} {'maximal' if independent else 'minimal'} {kind} sets", partial=masks
             )
     masks.sort()
-    return SetFamily(g.n, tuple(masks))
-
-
-def _one_search(g: Graph, budget: EnumerationBudget) -> tuple[SetFamily, SetFamily] | None:
-    """Both families off one dominating-set search; None when g is outside a
-    vertex gate or has more than ``max_sets`` minimal dominating sets."""
-    if g.n > min(budget.max_independent_vertices, budget.max_dominating_vertices):
-        return None
-    ind: list[int] = []
-    dom: list[int] = []
-    for chosen, twice in _search(g, False):
-        dom.append(chosen)
-        if not chosen & twice:
-            ind.append(chosen)
-        if len(dom) > budget.max_sets:
-            return None
+    if ind is None:
+        return SetFamily(g.n, tuple(masks)), None
     ind.sort()
-    dom.sort()
-    return SetFamily(g.n, tuple(ind)), SetFamily(g.n, tuple(dom))
+    return SetFamily(g.n, tuple(masks)), SetFamily(g.n, tuple(ind))
 
 
-def enumerate_families(
+def search_families(
     g: Graph, budget: EnumerationBudget = DEFAULT_BUDGET
-) -> tuple[SetFamily, SetFamily]:
-    """The maximal independent and the minimal dominating sets, by one search.
+) -> tuple[SetFamily | BudgetExceededError, SetFamily | BudgetExceededError]:
+    """The maximal independent and the minimal dominating sets, each as its
+    family or as the error its enumerator raises.  The dominating search runs
+    first; the independent sets get a search of their own only when it does
+    not list them, so no family is searched twice."""
+    ind = None
+    try:
+        dom, ind = _enumerate(g, False, budget)
+    except BudgetExceededError as exc:
+        dom = exc
+    if ind is None:
+        try:
+            ind = _enumerate(g, True, budget)[0]
+        except BudgetExceededError as exc:
+            ind = exc
+    return ind, dom
 
-    Outside a vertex gate, or past ``max_sets``, the two families are
-    enumerated one at a time, independent first, so a budget error is the
-    one that enumeration raises.
-    """
-    families = _one_search(g, budget)
-    if families is None:
-        return enumerate_maximal_independent_sets(g, budget), enumerate_minimal_dominating_sets(g, budget)
-    return families
+
+def enumerate_families(g: Graph, budget: EnumerationBudget = DEFAULT_BUDGET) -> tuple[SetFamily, SetFamily]:
+    """``search_families``, raising its first budget error, independent first."""
+    ind, dom = search_families(g, budget)
+    if isinstance(ind, BudgetExceededError):
+        raise ind
+    if isinstance(dom, BudgetExceededError):
+        raise dom
+    return ind, dom
 
 
 def enumerate_maximal_independent_sets(
     g: Graph, budget: EnumerationBudget = DEFAULT_BUDGET
 ) -> SetFamily:
-    return _enumerate(g, True, budget.max_independent_vertices, budget.max_sets)
+    return _enumerate(g, True, budget)[0]
 
 
 def enumerate_minimal_dominating_sets(
     g: Graph, budget: EnumerationBudget = DEFAULT_BUDGET
 ) -> SetFamily:
-    return _enumerate(g, False, budget.max_dominating_vertices, budget.max_sets)
+    return _enumerate(g, False, budget)[0]
 
 
 @dataclass(frozen=True)
@@ -381,7 +379,7 @@ __all__ = [
     "enumerate_minimal_dominating_sets",
     "is_well_covered",
     "is_well_dominated",
-    "iter_set_masks",
+    "search_families",
     "set_weight",
     "weight_space_from_family",
     "well_covered_weight_space_oracle",

@@ -183,7 +183,7 @@ def brute_cycle_lengths(g: Graph) -> frozenset[int]:
 def reference_set_masks(g: Graph, independent: bool):
     """The oracle search as it was before it carried the ``twice`` mask: every
     dominating child re-derives irredundance over all its members, and the
-    branch vertex is picked with ``min``.  ``iter_set_masks`` must yield the
+    branch vertex is picked with ``min``.  ``_search`` must yield the
     same sequence."""
     full = g.full_mask
     nb = g.closed_bits

@@ -5,7 +5,7 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from welldom import oracle
-from welldom.analysis import characterized_wcw_basis, characterized_wwd_basis
+from welldom.analysis import analyze, characterized_wcw_basis, characterized_wwd_basis
 from welldom.fixtures import builtin_fixtures
 from welldom.graphs import Graph, mask_of, set_of
 from welldom.linalg import SubspaceBasis, constants_space, nullspace, row_space
@@ -29,7 +29,8 @@ from welldom.oracle import (
     enumerate_minimal_dominating_sets,
     is_well_covered,
     is_well_dominated,
-    iter_set_masks,
+    _search,
+    search_families,
     set_weight,
     weight_space_from_family,
     well_covered_weight_space_oracle,
@@ -65,11 +66,11 @@ class TestMaximalIndependentEnumeration:
     @given(graphs(max_n=12))
     def test_search_matches_reference_order_and_nodes(self, g):
         for independent in (True, False):
-            assert list(iter_set_masks(g, independent)) == list(reference_set_masks(g, independent))
+            assert [m for m, _ in _search(g, independent)] == list(reference_set_masks(g, independent))
 
     def test_search_depth_is_not_bounded_by_the_stack(self):
         g = path_graph(3000)
-        first = set_of(next(iter_set_masks(g, True)))
+        first = set_of(next(_search(g, True))[0])
         assert all(not g.adj[v] & first for v in first)  # independent
         assert all(v in first or g.adj[v] & first for v in range(g.n))  # maximal
 
@@ -116,17 +117,50 @@ class TestOneSearch:
             (path_graph(10), EnumerationBudget(max_sets=20)),  # 16 independent, 25 dominating sets
             (path_graph(10), EnumerationBudget(max_sets=10)),  # fewer than either family
             (cycle_graph(7), EnumerationBudget(max_sets=3)),
+            # the dominating search finishes and the independent gate still refuses
+            (path_graph(10), EnumerationBudget(max_independent_vertices=8)),
         ],
     )
     def test_budget_errors_are_those_of_the_two_enumerations(self, g, budget):
-        # independent first, with the same message and the same partial sets
-        try:
-            enumerate_maximal_independent_sets(g, budget)
-        except BudgetExceededError:
-            expected = budget_error(enumerate_maximal_independent_sets, g, budget)
-        else:
-            expected = budget_error(enumerate_minimal_dominating_sets, g, budget)
-        assert budget_error(enumerate_families, g, budget) == expected
+        # each family is what its own enumerator returns, or the error it raises
+        def outcome(enumerate_family):
+            try:
+                return enumerate_family(g, budget)
+            except BudgetExceededError as exc:
+                return str(exc), exc.partial
+
+        expected = outcome(enumerate_maximal_independent_sets), outcome(enumerate_minimal_dominating_sets)
+        ind, dom = search_families(g, budget)
+        assert tuple(
+            (str(f), f.partial) if isinstance(f, BudgetExceededError) else f for f in (ind, dom)
+        ) == expected
+        # enumerate_families raises the first error, independent first, with the same message and partial sets
+        errors = [e for e in expected if isinstance(e, tuple)]
+        assert errors
+        assert budget_error(enumerate_families, g, budget) == errors[0]
+        labels = ("maximal independent sets", "minimal dominating sets")
+        assert analyze(g, budget).oracle.skip_reasons == tuple(
+            [f"{label}: {e[0]}" for label, e in zip(labels, expected) if isinstance(e, tuple)]
+        )
+
+    def test_no_family_is_searched_twice(self, monkeypatch):
+        # P10 has 16 maximal independent and 25 minimal dominating sets: the dominating search
+        # fails on max_sets, and only the independent sets get a search of their own
+        searched = []
+
+        def spy(g, independent):
+            searched.append(independent)
+            return _search(g, independent)
+
+        monkeypatch.setattr(oracle, "_search", spy)
+        g, budget = path_graph(10), EnumerationBudget(max_sets=20)
+        assert budget_error(enumerate_families, g, budget)[0] == "more than 20 minimal dominating sets"
+        assert searched == [False, True]
+        searched.clear()
+        assert analyze(g, budget).oracle.skip_reasons == (
+            "minimal dominating sets: more than 20 minimal dominating sets",
+        )
+        assert searched == [False, True]
 
 
 class TestBudgets:
