@@ -6,8 +6,8 @@ enumeration-heavy callers.  A view holds one n-bit int per vertex, which is
 quadratic memory, so only code that never sees more than 62 vertices reads
 one: the oracle behind its vertex gates (the independence number goes
 through it too), and the fixtures' witness check.  The closed-form engines
-read the sets; the cycle profile builds masks only inside each block that
-is not a single cycle, relabelled 0..b-1.
+read the sets; the cycle search builds masks only on each root's ball of
+radius at most 3 (for lengths up to 7), relabelled 0..k-1.
 
 Everything here is exact: distances are BFS integers, the cycle search
 prunes only paths that cannot close a wanted cycle, and the two text
@@ -167,13 +167,13 @@ def _parse_edgelist(text: str) -> Graph:
         if not line:
             continue
         tokens = line.split()
+        plain = line.isascii()  # then isdigit() means 0-9; int() would also take "1_1", "+3" and other numerals
         if n is None:
             if len(tokens) != 1:
                 raise ParseError("expected a single vertex count", line=lineno)
-            try:
-                n = int(tokens[0])
-            except ValueError:
-                raise ParseError(f"vertex count {tokens[0]!r} is not an integer", line=lineno) from None
+            if not (plain and _is_integer(tokens[0])):
+                raise ParseError(f"vertex count {tokens[0]!r} is not an integer", line=lineno)
+            n = int(tokens[0])
             if n < 0:
                 raise ParseError(f"vertex count {n} is negative", line=lineno)
             if n > MAX_EDGELIST_VERTICES:
@@ -181,10 +181,10 @@ def _parse_edgelist(text: str) -> Graph:
             continue
         if len(tokens) != 2:
             raise ParseError(f"expected 'u v', got {line!r}", line=lineno)
-        try:
-            u, v = int(tokens[0]), int(tokens[1])
-        except ValueError:
-            raise ParseError(f"non-integer endpoint in {line!r}", line=lineno) from None
+        a, b = tokens
+        if not (plain and _is_integer(a) and _is_integer(b)):
+            raise ParseError(f"non-integer endpoint in {line!r}", line=lineno)
+        u, v = int(a), int(b)
         if not (0 <= u < n and 0 <= v < n):
             raise ParseError(f"edge ({u}, {v}) out of range for n={n}", line=lineno)
         if u == v:
@@ -193,6 +193,11 @@ def _parse_edgelist(text: str) -> Graph:
     if n is None:
         raise ParseError("empty input: missing vertex count")
     return Graph.from_edges(n, edges)
+
+
+def _is_integer(token: str) -> bool:
+    """Digits, with at most a leading minus sign, in a token known to be ASCII."""
+    return token.isdigit() or token[:1] == "-" and token[1:].isdigit()
 
 
 # graph6 packs the strict upper triangle column by column, six bits per
@@ -218,27 +223,32 @@ def _graph6_encode(g: Graph) -> str:
 
 
 def _parse_graph6(text: str) -> Graph:
-    payload = text.strip()
+    lines = [(lineno, line) for lineno, raw in enumerate(text.splitlines(), start=1) if (line := raw.strip())]
+    if not lines:
+        raise ParseError("empty graph6 input")
+    if len(lines) > 1:
+        raise ParseError("one graph per file", line=lines[1][0])
+    lineno, payload = lines[0]
     header = ">>graph6<<"
     if payload.startswith(header):
         payload = payload[len(header) :]
     if not payload:
-        raise ParseError("empty graph6 input")
+        raise ParseError("empty graph6 input", line=lineno)
     first = ord(payload[0]) - 63
     if first == 63:
-        raise ParseError("extended graph6 (n >= 63) is not supported")
+        raise ParseError("extended graph6 (n >= 63) is not supported", line=lineno)
     if not 0 <= first <= 62:
-        raise ParseError(f"bad graph6 size byte {payload[0]!r}")
+        raise ParseError(f"bad graph6 size byte {payload[0]!r}", line=lineno)
     n = first
     need = (n * (n - 1) // 2 + 5) // 6
     body = payload[1:]
     if len(body) != need:
-        raise ParseError(f"graph6 body has {len(body)} bytes, expected {need} for n={n}")
+        raise ParseError(f"graph6 body has {len(body)} bytes, expected {need} for n={n}", line=lineno)
     bits: list[int] = []
     for pos, ch in enumerate(body, start=2):
         value = ord(ch) - 63
         if not 0 <= value <= 63:
-            raise ParseError(f"graph6 byte {ch!r} at offset {pos} out of range")
+            raise ParseError(f"graph6 byte {ch!r} at offset {pos} out of range", line=lineno)
         bits.extend((value >> shift) & 1 for shift in range(5, -1, -1))
     edges = []
     k = 0
@@ -248,7 +258,7 @@ def _parse_graph6(text: str) -> Graph:
                 edges.append((i, j))
             k += 1
     if any(bits[k:]):
-        raise ParseError("graph6 padding bits must be zero")
+        raise ParseError("graph6 padding bits must be zero", line=lineno)
     return Graph.from_edges(n, edges)
 
 
@@ -305,9 +315,9 @@ def cycle_lengths(g: Graph, lengths: Iterable[int]) -> frozenset[int]:
     is bipartite.  This bounds K_{a,a}: its one block is bipartite, so no
     search for an odd length starts.  A block with as many edges as vertices
     is one cycle, whose length is read off with no search.  Any other block
-    is relabelled 0..b-1 and searched on its own bitmasks by
-    ``_iter_cycle_lengths``, and the search stops once every wanted length
-    has turned up.
+    is relabelled 0..b-1 and searched by ``_block_cycle_lengths`` one root
+    at a time, each on the masks of its own small ball, and the search stops
+    once every wanted length has turned up.
     """
     wanted = _checked_lengths(lengths)
     found: set[int] = set()
@@ -328,8 +338,7 @@ def cycle_lengths(g: Graph, lengths: Iterable[int]) -> frozenset[int]:
             continue
         members = sorted(block)
         local = {v: i for i, v in enumerate(members)}
-        sub = [mask_of(local[u] for u in adj[v] if u in local) for v in members]
-        found.update(_iter_cycle_lengths(sub, [bits.bit_count() for bits in sub], here))
+        found.update(_block_cycle_lengths([[local[u] for u in adj[v] if u in local] for v in members], here))
     return frozenset(found)
 
 
@@ -412,51 +421,112 @@ def _blocks(adj: Sequence[frozenset[int]], core: set[int]) -> Iterator[tuple[set
 def _iter_cycle_lengths(
     abits: Sequence[int], degree: list[int], lengths: Iterable[int]
 ) -> Iterator[int]:
-    """Yield each wanted length once, as a cycle of that length turns up.
+    """Yield each wanted length once, as a cycle of that length turns up: the
+    sampler's search, on the adjacency bitmasks of a whole small candidate.
 
     The graph is given by its adjacency bitmasks and its vertex degrees;
-    the search updates ``degree`` in place.
-
-    Each cycle is searched from its smallest vertex s, and three rules keep
-    the search small without changing its answer:
-
-    - the search from s stays inside the 2-core of G[{s} | higher vertices]
-      (vertices of degree < 2 removed until none is left): no cycle passes
-      through a removed vertex.  One peeling of g, then one more after each
-      root leaves, keeps this core up to date;
-    - a path of k edges from s extends to u only if u is within distance
-      min(top - k, top // 2) of s in that core, where top is the largest
-      length still wanted and k counts the new edge: the cycle must still
-      close within top edges, and each vertex of a cycle of length <= top is
-      at most top // 2 from s along it;
-    - the search stops once every wanted length has been found.
+    the search updates ``degree`` in place.  Each cycle is searched from its
+    smallest vertex s by ``_paths_from``, inside the 2-core of G[{s} |
+    higher vertices] (vertices of degree < 2 removed until none is left): no
+    cycle passes through a removed vertex.  One peeling of g, then one more
+    after each root leaves, keeps this core up to date.
     """
     wanted = _checked_lengths(lengths)
     n = len(abits)
     core = _peel(abits, degree, (1 << n) - 1, [v for v in range(n) if degree[v] < 2])
     while wanted and core.bit_count() >= min(wanted):
-        start = core & -core
-        s = start.bit_length() - 1
-        top = max(wanted)
-        ball = _balls(abits, s, core, top // 2)
-        stack = [(s, start, 0)]
-        while stack:
-            v, used, k = stack.pop()
-            if k >= 2 and abits[v] & start and k + 1 in wanted:
-                wanted.discard(k + 1)
-                yield k + 1
-                if not wanted:
-                    return
-                top = max(wanted)
-            radius = min(top - k - 1, top // 2)
-            if radius < 1:
-                continue
-            step = abits[v] & ball[radius] & ~used
-            while step:
-                low = step & -step
-                stack.append((low.bit_length() - 1, used | low, k + 1))
-                step ^= low
+        s = (core & -core).bit_length() - 1
+        yield from _paths_from(abits, s, _balls(abits, s, core, max(wanted) // 2), wanted)
         core = _peel(abits, degree, core, [s])
+
+
+def _block_cycle_lengths(nbrs: Sequence[list[int]], wanted: set[int]) -> Iterator[int]:
+    """``_iter_cycle_lengths`` on one block, given by its neighbour lists on
+    0..b-1, with no mask that spans the block; ``wanted`` is used up.
+
+    The core is a flag and a degree per vertex.  A block has minimum degree
+    2, so nothing is peeled before the first root, and each root s is
+    removed and the core peeled again as it leaves.  The search from s
+    reads only its ball of radius top // 2 in the core, top the longest
+    length wanted, so that ball alone is found by breadth-first search and
+    relabelled 0..k-1 in the order found: the vertices within distance r of
+    s are then the first ones, and its masks have k bits.  On a block of
+    bounded degree every ball is small, and the search takes linear time.
+    """
+    degree = [len(row) for row in nbrs]
+    live = [True] * len(nbrs)
+    left = len(nbrs)
+    for s in range(len(nbrs)):
+        if not wanted or left < min(wanted):
+            return
+        if not live[s]:
+            continue
+        index = {s: 0}
+        ball = [1]
+        frontier = [s]
+        for _ in range(max(wanted) // 2):
+            reached = []
+            for v in frontier:
+                for u in nbrs[v]:
+                    if live[u] and u not in index:
+                        index[u] = len(index)
+                        reached.append(u)
+            frontier = reached
+            ball.append((1 << len(index)) - 1)
+        abits = []
+        for v in index:
+            bits = 0
+            for u in nbrs[v]:
+                i = index.get(u)
+                if i is not None:
+                    bits |= 1 << i
+            abits.append(bits)
+        yield from _paths_from(abits, 0, ball, wanted)
+        doomed = [s]
+        while doomed:
+            v = doomed.pop()
+            live[v] = False
+            left -= 1
+            for u in nbrs[v]:
+                if live[u]:
+                    degree[u] -= 1
+                    if degree[u] == 1:
+                        doomed.append(u)
+
+
+def _paths_from(abits: Sequence[int], s: int, ball: list[int], wanted: set[int]) -> Iterator[int]:
+    """Yield each length of ``wanted`` that a cycle through s has, removing it
+    from ``wanted``; ``ball[r]`` holds the vertices within distance r of s in
+    the part of the graph searched, for r up to max(wanted) // 2.
+
+    Two rules keep the search small without changing its answer:
+
+    - a path of k edges from s extends to u only if u is within distance
+      min(top - k, top // 2) of s, where top is the largest length still
+      wanted and k counts the new edge: the cycle must still close within
+      top edges, and each vertex of a cycle of length <= top is at most
+      top // 2 from s along it;
+    - the search stops once every wanted length has been found.
+    """
+    start = 1 << s
+    top = max(wanted)
+    stack = [(s, start, 0)]
+    while stack:
+        v, used, k = stack.pop()
+        if k >= 2 and abits[v] & start and k + 1 in wanted:
+            wanted.discard(k + 1)
+            yield k + 1
+            if not wanted:
+                return
+            top = max(wanted)
+        radius = min(top - k - 1, top // 2)
+        if radius < 1:
+            continue
+        step = abits[v] & ball[radius] & ~used
+        while step:
+            low = step & -step
+            stack.append((low.bit_length() - 1, used | low, k + 1))
+            step ^= low
 
 
 def _peel(abits: Sequence[int], degree: list[int], core: int, doomed: list[int]) -> int:

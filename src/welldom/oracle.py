@@ -149,19 +149,22 @@ def _search(g: Graph, independent: bool) -> Iterator[tuple[int, int]]:
                 stack.append((chosen | 1 << u, dominated | nb[u], doubled, forbidden | branches))
 
 
-def _enumerate(g: Graph, independent: bool, budget: EnumerationBudget) -> tuple[SetFamily, SetFamily | None]:
-    """The family one search lists and, from a dominating search within the
-    independent gate, its independent members: the maximal independent sets."""
+def _enumerate(
+    g: Graph, independent: bool, budget: EnumerationBudget, split: bool = False
+) -> tuple[SetFamily, SetFamily | None]:
+    """The family one search lists and, when ``split`` asks for them from a
+    dominating search within the independent gate, its independent members:
+    the maximal independent sets."""
     kind = "independent" if independent else "dominating"
     max_vertices = budget.max_independent_vertices if independent else budget.max_dominating_vertices
     if g.n > max_vertices:
         raise BudgetExceededError(f"{g.n} vertices exceed the {kind}-set enumeration budget of {max_vertices}")
     max_sets = budget.max_sets
     masks: list[int] = []
-    ind = None if independent or g.n > budget.max_independent_vertices else []
+    ind = [] if split and g.n <= budget.max_independent_vertices else None
     for m, twice in _search(g, independent):
         masks.append(m)
-        if not m & twice and ind is not None:
+        if ind is not None and not m & twice:
             ind.append(m)
         if len(masks) > max_sets:
             raise BudgetExceededError(
@@ -183,7 +186,7 @@ def search_families(
     not list them, so no family is searched twice."""
     ind = None
     try:
-        dom, ind = _enumerate(g, False, budget)
+        dom, ind = _enumerate(g, False, budget, split=True)
     except BudgetExceededError as exc:
         dom = exc
     if ind is None:

@@ -392,10 +392,27 @@ class ComponentFacts:
 
     @cached_property
     def cycles(self) -> frozenset[int]:
-        """The lengths of CYCLE_LENGTHS that occur: none in a tree, which a
-        connected graph with n - 1 edges is."""
-        g = self.graph
-        return frozenset() if g.edge_count == g.n - 1 else cycle_lengths(g, CYCLE_LENGTHS)
+        """The lengths of CYCLE_LENGTHS that occur, searched by ``cycle_lengths``
+        unless the component is a tree or an ear cactus.
+
+        Its cycle rank is r = m - n + 1, and a tree has r = 0.  An ear e on
+        (a, b) lies on the triangle {e, a, b}.  If there are exactly r
+        distinct ear triangles and no two share an edge, the profile is {3}:
+        r edge-disjoint cycles span the cycle space, and a simple cycle that
+        is the sum of two or more edge-disjoint triangles would need a
+        vertex of degree 4, or would fall apart into pieces.  Two distinct
+        ear triangles can share only the edge between their ears' partners
+        (an ear has no third neighbour), so they are edge-disjoint iff no
+        two ears have the same partners.
+        """
+        g, partners = self.graph, self.ear_partners
+        rank = g.edge_count - g.n + 1
+        if not rank:
+            return frozenset()
+        triangles = {frozenset((e, a, b)) for e, (a, b) in partners.items()}
+        if len(triangles) == rank and len(set(partners.values())) == len(partners):
+            return frozenset({3})
+        return cycle_lengths(g, CYCLE_LENGTHS)
 
     @cached_property
     def simplicial(self) -> frozenset[int]:

@@ -20,7 +20,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import settings
 
-from welldom.graphs import Graph, is_isomorphic_small, iter_bits
+from welldom.graphs import Graph, components, is_isomorphic_small, iter_bits
 from welldom.structure import component_facts
 
 settings.register_profile("suite", deadline=None)
@@ -159,25 +159,44 @@ def brute_has_cycle(g: Graph, k: int) -> bool:
 
 
 def brute_cycle_lengths(g: Graph) -> frozenset[int]:
-    """The lengths of every simple cycle of g, found over all 2^n vertex sets.
+    """The lengths of every simple cycle of g, found over every vertex set
+    that a path spans.
 
     ``ends[S]`` holds the last vertices of the paths that start at the
     smallest vertex s of S and visit exactly S; S carries a cycle through all
-    of its vertices iff one of them is a neighbour of s and |S| >= 3.
+    of its vertices iff one of them is a neighbour of s and |S| >= 3.  The
+    sets are taken one size at a time, each from the sets one smaller, so
+    every path on S is listed before S is read.
     """
-    ends = [0] * (1 << g.n)
-    for s in range(g.n):
-        ends[1 << s] = 1 << s
     found = set()
-    for mask in range(1, 1 << g.n):
-        s = (mask & -mask).bit_length() - 1
-        for v in iter_bits(ends[mask]):
-            if mask.bit_count() >= 3 and s in g.adj[v]:
-                found.add(mask.bit_count())
-            for u in g.adj[v]:
-                if u > s and not mask >> u & 1:
-                    ends[mask | 1 << u] |= 1 << u
+    ends = {1 << s: 1 << s for s in range(g.n)}
+    while ends:
+        grown: dict[int, int] = {}
+        for mask, last in ends.items():
+            s = (mask & -mask).bit_length() - 1
+            for v in iter_bits(last):
+                if mask.bit_count() >= 3 and s in g.adj[v]:
+                    found.add(mask.bit_count())
+                for u in g.adj[v]:
+                    if u > s and not mask >> u & 1:
+                        grown[mask | 1 << u] = grown.get(mask | 1 << u, 0) | 1 << u
+        ends = grown
     return frozenset(found)
+
+
+def searched_components(g: Graph) -> int:
+    """The components of g whose cycle profile takes a search: those that are
+    neither trees nor ear cacti.  An ear cactus has as many distinct
+    triangles through a degree-two vertex as its cycle rank m - n + 1, and
+    no two of them share an edge."""
+    searched = 0
+    for comp in components(g):
+        rank = sum(len(g.adj[v]) for v in comp) // 2 - len(comp) + 1
+        triangles = {frozenset((v, *g.adj[v])) for v in comp
+                     if len(g.adj[v]) == 2 and g.has_edge(*g.adj[v])}
+        sides = [frozenset(side) for t in triangles for side in combinations(t, 2)]
+        searched += rank > 0 and not (len(triangles) == rank and len(set(sides)) == len(sides))
+    return searched
 
 
 def reference_set_masks(g: Graph, independent: bool):
@@ -287,6 +306,15 @@ def random_eared_tree(tree_n: int, ears: int, seed: int = 1) -> Graph:
     for i, (u, v) in enumerate(rng.sample(edges, ears)):
         edges += [(u, tree_n + i), (v, tree_n + i)]
     return Graph.from_edges(tree_n + ears, edges)
+
+
+def eared_cycle(length: int) -> Graph:
+    """The cycle C_length with an ear on every edge: ear length + i on the edge i, i + 1."""
+    edges = []
+    for i in range(length):
+        j = (i + 1) % length
+        edges += [(i, j), (i, length + i), (j, length + i)]
+    return Graph.from_edges(2 * length, edges)
 
 
 def _with_pendants(n: int, edges: list[tuple[int, int]], at: Iterable[int]) -> Graph:

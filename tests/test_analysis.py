@@ -38,7 +38,7 @@ from welldom.oracle import (
 from welldom.structure import CharacterizationOutcome, ComponentFacts
 from welldom.weightspace import SpecialForm, well_covered_weight_basis, well_dominated_weight_basis
 
-from conftest import count_calls
+from conftest import count_calls, searched_components
 
 ALL_CHECKS = (
     "domination_chain",
@@ -282,7 +282,8 @@ class TestAnalyzeReport:
             ("welldom.oracle", "weight_space_from_family"),
         ])
         analyze(fringe_gap_graph())
-        assert counts["cycle_lengths"] == 1  # one profile for the one component
+        # one search for the one component, which is neither a tree nor an ear cactus
+        assert counts["cycle_lengths"] == searched_components(fringe_gap_graph()) == 1
         assert counts["family_forced_ear_rows"] == 1
         assert counts["is_isomorphic_small"] <= 1
         # the oracle certifies both closed-form bases with no reduction of
@@ -303,7 +304,7 @@ class TestAnalyzeReport:
         g = Graph.from_edges(g.n + 1, g.edges() + [(9, g.n)])  # a pendant at the far vertex
         characterized_wcw_basis(g)
         characterized_wwd_basis(g)
-        assert counts["cycle_lengths"] == 1
+        assert counts["cycle_lengths"] == searched_components(g) == 1
         assert counts["_simplicial"] == 0
         assert counts["family_forced_ear_rows"] == 1  # only the dominating engine reads them
         assert counts["_canonical"] == 0  # a row forces the ear 0 to zero: the two bases differ, unreduced

@@ -10,13 +10,12 @@ from welldom.fixtures import (
     is_minimal_dominating,
     run_builtin_checks,
 )
-from welldom.graphs import components
 from welldom.linalg import nullspace
 from welldom.named_graphs import path_graph
 from welldom.oracle import enumerate_minimal_dominating_sets
 from welldom.structure import CharacterizationOutcome, ComponentFacts
 
-from conftest import count_calls, family_graphs, graphs
+from conftest import count_calls, family_graphs, graphs, searched_components
 
 
 def assert_rule_matches_oracle(g) -> None:
@@ -99,12 +98,10 @@ class TestFixtureValidation:
         for fixture in builtin_fixtures():
             counts.clear()
             assert check_fixture(fixture).ok
-            # one cycle profile per component with a cycle, taken while
-            # building its facts; a tree (m = n - 1) takes none
-            adj = fixture.graph.adj
-            with_cycles = sum(sum(len(adj[v]) for v in comp) // 2 >= len(comp)
-                              for comp in components(fixture.graph))
-            assert counts == Counter(component_facts=1, cycle_lengths=with_cycles), fixture.name
+            # one cycle search per component that is neither a tree nor an
+            # ear cactus, taken while building its facts; those two take none
+            searched = searched_components(fixture.graph)
+            assert counts == Counter(component_facts=1, cycle_lengths=searched), fixture.name
 
     def test_each_oracle_family_is_enumerated_once(self, monkeypatch):
         # by analyze, through one search that lists both families and no

@@ -69,6 +69,18 @@ class TestGraphBasics:
         assert type(g.adj) is tuple and all(type(row) is frozenset for row in g.adj)
         assert analyze(g).to_json_dict() == analyze(twin).to_json_dict()
 
+    @pytest.mark.parametrize("n, rows, message", [
+        (-1, (), "vertex count must be non-negative"),
+        (2, ({1},), "adjacency table has 1 rows for n=2"),
+        (2, ({2}, ()), "neighbor 2 of vertex 0 out of range"),
+        (1, ({0},), "loop at vertex 0"),
+        (2, ({1}, ()), "asymmetric edge 0-1"),
+    ])
+    def test_malformed_tables_are_refused(self, n, rows, message):
+        with pytest.raises(ValueError) as err:
+            Graph(n, rows)
+        assert str(err.value) == message
+
     def test_is_complete(self):
         assert is_complete(complete_graph(4))
         assert not is_complete(path_graph(3))
@@ -99,6 +111,36 @@ class TestEdgeListFormat:
         with pytest.raises(ParseError, match="exceeds the limit") as err:
             parse_graph(f"{MAX_EDGELIST_VERTICES + 1}\n")
         assert err.value.line == 1
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("3 4\n", 1, "expected a single vertex count"),
+        ("x\n", 1, "vertex count 'x' is not an integer"),
+        # int() takes these; only ASCII digits with at most a leading minus are integers here
+        ("1_1\n", 1, "vertex count '1_1' is not an integer"),
+        ("+3\n", 1, "vertex count '+3' is not an integer"),
+        ("\u0663\n", 1, "vertex count '\u0663' is not an integer"),
+        ("\uff13\n", 1, "vertex count '\uff13' is not an integer"),
+        ("--3\n", 1, "vertex count '--3' is not an integer"),
+        ("-\n", 1, "vertex count '-' is not an integer"),
+        ("-2\n", 1, "vertex count -2 is negative"),
+        ("3\n0 1 2\n", 2, "expected 'u v', got '0 1 2'"),
+        ("3\n0 x\n", 2, "non-integer endpoint in '0 x'"),
+        ("3\n0 1\n+1 2\n", 3, "non-integer endpoint in '+1 2'"),
+        ("3\n0 1_0\n", 2, "non-integer endpoint in '0 1_0'"),
+        ("3\n0 \u0661\n", 2, "non-integer endpoint in '0 \u0661'"),
+        ("3\n# 1 2\n\n0 3\n", 4, "edge (0, 3) out of range for n=3"),
+        ("3\n-1 2\n", 2, "edge (-1, 2) out of range for n=3"),
+        ("3\n1 1\n", 2, "loop at vertex 1"),
+        ("# nothing\n\n", None, "empty input: missing vertex count"),
+    ])
+    def test_each_error_names_its_line(self, text, line, message):
+        with pytest.raises(ParseError) as err:
+            parse_graph(text)
+        assert err.value.line == line
+        assert str(err.value) == (message if line is None else f"line {line}: {message}")
+
+    def test_leading_zeros_and_comments_after_numbers(self):
+        assert parse_graph("03\n00 2# x\n").edges() == [(0, 2)]
 
 
 class TestGraph6Format:
@@ -132,6 +174,23 @@ class TestGraph6Format:
         assert parse_graph("A_", "graph6").edge_count == 1
         with pytest.raises(ParseError):
             parse_graph("A`", "graph6")
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("\n \n", None, "empty graph6 input"),
+        (">>graph6<<\n", 1, "empty graph6 input"),
+        ("Dhc\nDhc\n", 2, "one graph per file"),
+        ("Dhc\n\n~\n", 3, "one graph per file"),
+        ("~?@", 1, "extended graph6 (n >= 63) is not supported"),
+        ("!", 1, "bad graph6 size byte '!'"),
+        ("\nDh\n", 2, "graph6 body has 1 bytes, expected 2 for n=5"),
+        ("Dh!", 1, "graph6 byte '!' at offset 3 out of range"),
+        ("A`", 1, "graph6 padding bits must be zero"),
+    ])
+    def test_each_error_names_its_line(self, text, line, message):
+        with pytest.raises(ParseError) as err:
+            parse_graph(text, "graph6")
+        assert err.value.line == line
+        assert str(err.value) == (message if line is None else f"line {line}: {message}")
 
 
 class TestDistances:

@@ -162,6 +162,12 @@ class TestOneSearch:
         )
         assert searched == [False, True]
 
+    def test_only_the_joint_search_keeps_independent_members(self):
+        # the dominating enumerator alone drops them, so it does not collect them
+        g = path_graph(8)
+        assert oracle._enumerate(g, False, oracle.DEFAULT_BUDGET)[1] is None
+        assert oracle._enumerate(g, False, oracle.DEFAULT_BUDGET, split=True)[1] == enumerate_maximal_independent_sets(g)
+
 
 class TestBudgets:
     def test_vertex_gate_for_independent_sets(self):

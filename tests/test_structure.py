@@ -51,6 +51,7 @@ from conftest import (
     brute_maximal_independent,
     count_calls,
     double_star,
+    eared_cycle,
     eared_trees,
     family_graphs,
     glued_graphs,
@@ -132,7 +133,10 @@ def confined_by_definition(g: Graph, v: int) -> frozenset[int]:
 
 # the tables read the fringe and the degrees first: ears and pendants, the
 # trees (no cycle search), a K3 component (every vertex an ear), and blocks
-# that are one cycle or not quite one
+# that are one cycle or not quite one; then the ear cacti, whose profile
+# takes no search (K3, a leaf edge with an ear: two ears on one triangle),
+# two ears on one edge (a 4-cycle, searched), and C_L with an ear on every
+# edge, one block with chords
 @given(st.one_of(gnp_graphs(max_n=11), glued_graphs(max_n=11), eared_trees(max_n=11)))
 @example(path_graph(9))
 @example(star_graph(5))
@@ -140,6 +144,19 @@ def confined_by_definition(g: Graph, v: int) -> frozenset[int]:
 @example(Graph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)] + [(0, 3)]))
 @example(Graph.from_edges(8, [(i, (i + 1) % 7) for i in range(7)] + [(0, 7), (1, 7)]))
 @example(complete_graph(6))
+@example(complete_graph(3))
+@example(Graph.from_edges(4, [(0, 1), (1, 2), (1, 3), (2, 3)]))
+@example(Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)]))
+@example(eared_cycle(3))
+@example(eared_cycle(4))
+@example(eared_cycle(5))
+@example(eared_cycle(6))
+@example(eared_cycle(7))
+@example(eared_cycle(8))
+@example(eared_cycle(9))
+@example(eared_cycle(10))
+@example(eared_cycle(11))
+@example(eared_cycle(12))
 def test_tables_match_their_definitions(g):
     simplicial = simplicial_by_definition(g)
     assert simplicial_vertices(g) == simplicial
@@ -153,6 +170,23 @@ def test_tables_match_their_definitions(g):
     assert lifted_simplicial == simplicial
     fringe = fringe_vertices(g)
     assert lifted_confined == {v: confined_by_definition(g, v) for v in range(g.n) if v not in fringe}
+
+
+def test_ear_cacti_take_no_cycle_search(monkeypatch):
+    counts = count_calls(monkeypatch, [("welldom.graphs", "cycle_lengths")])
+    two_ears_on_one_edge = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)])
+    for g, searches, cycles in [
+        (complete_graph(3), 0, {3}),
+        (Graph.from_edges(4, [(0, 1), (1, 2), (1, 3), (2, 3)]), 0, {3}),  # a leaf edge with an ear
+        (random_eared_tree(40, 12), 0, {3}),
+        (windmill(30), 0, {3}),
+        (two_ears_on_one_edge, 1, {3, 4}),
+        (eared_cycle(9), 1, {3}),  # rank L + 1 with L ear triangles
+    ]:
+        counts.clear()
+        (f,) = component_facts(g)
+        assert f.cycles == cycles
+        assert counts["cycle_lengths"] == searches
 
 
 class TestAnchoredFringe:

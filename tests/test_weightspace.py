@@ -39,7 +39,7 @@ from welldom.weightspace import (
     well_dominated_weight_basis,
 )
 
-from conftest import count_calls, eared_trees, family_graphs, random_eared_tree
+from conftest import count_calls, eared_cycle, eared_trees, family_graphs, random_eared_tree
 from family_oracle_check import oracle_mismatches
 
 
@@ -52,15 +52,6 @@ def windmill(k: int) -> Graph:
     return Graph.from_edges(
         2 * k + 1, [e for i in range(k) for e in ((0, 2 * i + 1), (0, 2 * i + 2), (2 * i + 1, 2 * i + 2))]
     )
-
-
-def eared_cycle(length: int) -> Graph:
-    """The cycle C_length with an ear on every edge: ear length + i on the edge i, i + 1."""
-    edges = []
-    for i in range(length):
-        j = (i + 1) % length
-        edges += [(i, j), (i, length + i), (j, length + i)]
-    return Graph.from_edges(2 * length, edges)
 
 
 class TestSpecialForms:
