@@ -82,8 +82,8 @@ def sample_cycle_free(
     """Rejection-sample a graph on n vertices avoiding the forbidden lengths.
 
     Each candidate draws one number per vertex pair, in the order of
-    ``combinations``, and is tested on its adjacency bitmasks; only the
-    accepted one becomes a ``Graph``.  When 4 is forbidden, a candidate with
+    ``combinations``, and is tested on its own bitmasks and neighbour
+    lists; only the accepted one becomes a ``Graph``.  When 4 is forbidden, a candidate with
     a 4-cycle, which is most rejected ones, is rejected by the cheap
     ``_has_four_cycle`` before the cycle search.  Raises a resource error
     when no acceptable sample shows up within ``SAMPLING_ATTEMPTS`` tries;
@@ -99,8 +99,11 @@ def sample_cycle_free(
             abits[j] |= 1 << i
         if four and _has_four_cycle(abits):
             continue
-        degree = [bits.bit_count() for bits in abits]
-        if next(_iter_cycle_lengths(abits, degree, forbidden_cycles), None) is None:
+        nbrs = [[] for _ in range(n)]
+        for i, j in edges:
+            nbrs[i].append(j)
+            nbrs[j].append(i)
+        if next(_iter_cycle_lengths(nbrs, set(forbidden_cycles)), None) is None:
             return Graph.from_edges(n, edges)
     raise BudgetExceededError(
         f"no sample free of cycle lengths {sorted(forbidden_cycles)} within "

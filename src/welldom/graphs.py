@@ -167,11 +167,10 @@ def _parse_edgelist(text: str) -> Graph:
         if not line:
             continue
         tokens = line.split()
-        plain = line.isascii()  # then isdigit() means 0-9; int() would also take "1_1", "+3" and other numerals
         if n is None:
             if len(tokens) != 1:
                 raise ParseError("expected a single vertex count", line=lineno)
-            if not (plain and _is_integer(tokens[0])):
+            if not _is_integer(tokens[0]):
                 raise ParseError(f"vertex count {tokens[0]!r} is not an integer", line=lineno)
             n = int(tokens[0])
             if n < 0:
@@ -182,7 +181,7 @@ def _parse_edgelist(text: str) -> Graph:
         if len(tokens) != 2:
             raise ParseError(f"expected 'u v', got {line!r}", line=lineno)
         a, b = tokens
-        if not (plain and _is_integer(a) and _is_integer(b)):
+        if not (_is_integer(a) and _is_integer(b)):
             raise ParseError(f"non-integer endpoint in {line!r}", line=lineno)
         u, v = int(a), int(b)
         if not (0 <= u < n and 0 <= v < n):
@@ -196,8 +195,9 @@ def _parse_edgelist(text: str) -> Graph:
 
 
 def _is_integer(token: str) -> bool:
-    """Digits, with at most a leading minus sign, in a token known to be ASCII."""
-    return token.isdigit() or token[:1] == "-" and token[1:].isdigit()
+    """ASCII digits, with at most a leading minus sign; ``int()`` would also
+    take "1_1", "+3" and other numerals."""
+    return token.isascii() and (token.isdigit() or token[:1] == "-" and token[1:].isdigit())
 
 
 # graph6 packs the strict upper triangle column by column, six bits per
@@ -315,7 +315,7 @@ def cycle_lengths(g: Graph, lengths: Iterable[int]) -> frozenset[int]:
     is bipartite.  This bounds K_{a,a}: its one block is bipartite, so no
     search for an odd length starts.  A block with as many edges as vertices
     is one cycle, whose length is read off with no search.  Any other block
-    is relabelled 0..b-1 and searched by ``_block_cycle_lengths`` one root
+    is relabelled 0..b-1 and searched by ``_iter_cycle_lengths`` one root
     at a time, each on the masks of its own small ball, and the search stops
     once every wanted length has turned up.
     """
@@ -338,7 +338,7 @@ def cycle_lengths(g: Graph, lengths: Iterable[int]) -> frozenset[int]:
             continue
         members = sorted(block)
         local = {v: i for i, v in enumerate(members)}
-        found.update(_block_cycle_lengths([[local[u] for u in adj[v] if u in local] for v in members], here))
+        found.update(_iter_cycle_lengths([[local[u] for u in adj[v] if u in local] for v in members], here))
     return frozenset(found)
 
 
@@ -418,45 +418,38 @@ def _blocks(adj: Sequence[frozenset[int]], core: set[int]) -> Iterator[tuple[set
                     yield block, bipartite
 
 
-def _iter_cycle_lengths(
-    abits: Sequence[int], degree: list[int], lengths: Iterable[int]
-) -> Iterator[int]:
-    """Yield each wanted length once, as a cycle of that length turns up: the
-    sampler's search, on the adjacency bitmasks of a whole small candidate.
+def _iter_cycle_lengths(nbrs: Sequence[Sequence[int]], wanted: set[int]) -> Iterator[int]:
+    """Yield each length of ``wanted`` at which the graph on 0..n-1 with the
+    neighbour lists ``nbrs`` has a cycle, once, as it turns up; ``wanted`` is
+    used up.
 
-    The graph is given by its adjacency bitmasks and its vertex degrees;
-    the search updates ``degree`` in place.  Each cycle is searched from its
-    smallest vertex s by ``_paths_from``, inside the 2-core of G[{s} |
-    higher vertices] (vertices of degree < 2 removed until none is left): no
-    cycle passes through a removed vertex.  One peeling of g, then one more
-    after each root leaves, keeps this core up to date.
-    """
-    wanted = _checked_lengths(lengths)
-    n = len(abits)
-    core = _peel(abits, degree, (1 << n) - 1, [v for v in range(n) if degree[v] < 2])
-    while wanted and core.bit_count() >= min(wanted):
-        s = (core & -core).bit_length() - 1
-        yield from _paths_from(abits, s, _balls(abits, s, core, max(wanted) // 2), wanted)
-        core = _peel(abits, degree, core, [s])
-
-
-def _block_cycle_lengths(nbrs: Sequence[list[int]], wanted: set[int]) -> Iterator[int]:
-    """``_iter_cycle_lengths`` on one block, given by its neighbour lists on
-    0..b-1, with no mask that spans the block; ``wanted`` is used up.
-
-    The core is a flag and a degree per vertex.  A block has minimum degree
-    2, so nothing is peeled before the first root, and each root s is
-    removed and the core peeled again as it leaves.  The search from s
-    reads only its ball of radius top // 2 in the core, top the longest
-    length wanted, so that ball alone is found by breadth-first search and
-    relabelled 0..k-1 in the order found: the vertices within distance r of
-    s are then the first ones, and its masks have k bits.  On a block of
-    bounded degree every ball is small, and the search takes linear time.
+    Each cycle is searched from its smallest vertex s, inside the 2-core of
+    G[{s} | higher vertices] (vertices of degree < 2 removed until none is
+    left): no cycle passes through a removed vertex.  The core is a flag and
+    a degree per vertex, peeled once before the first root (a block loses
+    nothing) and again as each root leaves.  The search from s reads only
+    its ball of radius top // 2 in the core, top the longest length wanted,
+    so that ball alone is found by breadth-first search and relabelled
+    0..k-1 in the order found, s first: the vertices within distance r of s
+    are then the first ones, and ``_paths_from`` searches masks of k bits.
+    On a graph of bounded degree every ball is small, and the search takes
+    linear time.  Both ``cycle_lengths``, on each block with a chord, and
+    the generator's sampler, on each whole candidate, run it.
     """
     degree = [len(row) for row in nbrs]
     live = [True] * len(nbrs)
     left = len(nbrs)
+    doomed = [v for v, d in enumerate(degree) if d < 2]
     for s in range(len(nbrs)):
+        while doomed:
+            v = doomed.pop()
+            live[v] = False
+            left -= 1
+            for u in nbrs[v]:
+                if live[u]:
+                    degree[u] -= 1
+                    if degree[u] == 1:
+                        doomed.append(u)
         if not wanted or left < min(wanted):
             return
         if not live[s]:
@@ -481,39 +474,30 @@ def _block_cycle_lengths(nbrs: Sequence[list[int]], wanted: set[int]) -> Iterato
                 if i is not None:
                     bits |= 1 << i
             abits.append(bits)
-        yield from _paths_from(abits, 0, ball, wanted)
-        doomed = [s]
-        while doomed:
-            v = doomed.pop()
-            live[v] = False
-            left -= 1
-            for u in nbrs[v]:
-                if live[u]:
-                    degree[u] -= 1
-                    if degree[u] == 1:
-                        doomed.append(u)
+        yield from _paths_from(abits, ball, wanted)
+        doomed.append(s)
 
 
-def _paths_from(abits: Sequence[int], s: int, ball: list[int], wanted: set[int]) -> Iterator[int]:
-    """Yield each length of ``wanted`` that a cycle through s has, removing it
-    from ``wanted``; ``ball[r]`` holds the vertices within distance r of s in
-    the part of the graph searched, for r up to max(wanted) // 2.
+def _paths_from(abits: Sequence[int], ball: list[int], wanted: set[int]) -> Iterator[int]:
+    """Yield each length of ``wanted`` that a cycle through vertex 0 has,
+    removing it from ``wanted``; ``ball[r]`` holds the vertices within
+    distance r of 0 in the part of the graph searched, for r up to
+    max(wanted) // 2.
 
     Two rules keep the search small without changing its answer:
 
-    - a path of k edges from s extends to u only if u is within distance
-      min(top - k, top // 2) of s, where top is the largest length still
+    - a path of k edges from 0 extends to u only if u is within distance
+      min(top - k, top // 2) of 0, where top is the largest length still
       wanted and k counts the new edge: the cycle must still close within
       top edges, and each vertex of a cycle of length <= top is at most
-      top // 2 from s along it;
+      top // 2 from 0 along it;
     - the search stops once every wanted length has been found.
     """
-    start = 1 << s
     top = max(wanted)
-    stack = [(s, start, 0)]
+    stack = [(0, 1, 0)]
     while stack:
         v, used, k = stack.pop()
-        if k >= 2 and abits[v] & start and k + 1 in wanted:
+        if k >= 2 and abits[v] & 1 and k + 1 in wanted:
             wanted.discard(k + 1)
             yield k + 1
             if not wanted:
@@ -527,33 +511,6 @@ def _paths_from(abits: Sequence[int], s: int, ball: list[int], wanted: set[int])
             low = step & -step
             stack.append((low.bit_length() - 1, used | low, k + 1))
             step ^= low
-
-
-def _peel(abits: Sequence[int], degree: list[int], core: int, doomed: list[int]) -> int:
-    """Remove ``doomed`` from the vertex mask ``core``, then every vertex whose
-    degree inside it drops below 2, until none is left.  ``degree`` is kept
-    up to date for the vertices that remain."""
-    while doomed:
-        v = doomed.pop()
-        core &= ~(1 << v)
-        for u in iter_bits(abits[v] & core):
-            degree[u] -= 1
-            if degree[u] == 1:
-                doomed.append(u)
-    return core
-
-
-def _balls(abits: Sequence[int], s: int, allowed: int, radius: int) -> list[int]:
-    """``ball[r]``: the vertices of G[allowed] within distance r of s, r <= radius."""
-    ball = [1 << s]
-    frontier = ball[0]
-    for _ in range(radius):
-        reached = 0
-        for v in iter_bits(frontier):
-            reached |= abits[v]
-        frontier = reached & allowed & ~ball[-1]
-        ball.append(ball[-1] | frontier)
-    return ball
 
 
 # -- isomorphism -------------------------------------------------------------------

@@ -84,7 +84,7 @@ class TestBuildingBlocks:
 
     @pytest.mark.parametrize("forbidden", [{3}, {4, 5}, {4, 5, 6}])
     def test_sampler_matches_a_graph_per_candidate(self, forbidden):
-        # the sampler's bitmask test accepts the same candidate, after the
+        # the sampler's own test accepts the same candidate, after the
         # same draws, as building a Graph for each and testing that; at
         # n = 3 it gives up on a triangle, after the same draws too
         forbidden = frozenset(forbidden)

@@ -142,6 +142,11 @@ class TestEdgeListFormat:
     def test_leading_zeros_and_comments_after_numbers(self):
         assert parse_graph("03\n00 2# x\n").edges() == [(0, 2)]
 
+    def test_any_whitespace_separates_numbers(self):
+        # only the numbers must be ASCII; str.split() separators such as
+        # the no-break and ideographic spaces are accepted
+        assert parse_graph("\u30003\n0\u00a01\n1\u30002\t\n").edges() == [(0, 1), (1, 2)]
+
 
 class TestGraph6Format:
     def test_known_encoding(self):
