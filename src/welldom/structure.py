@@ -96,19 +96,6 @@ class SimplicialPartition:
     centers: tuple[int, ...]
     cells: tuple[frozenset[int], ...]
 
-    def is_valid_for(self, g: Graph) -> bool:
-        simp = simplicial_vertices(g)
-        if any(c not in simp for c in self.centers):
-            return False
-        seen: set[int] = set()
-        for center, cell in zip(self.centers, self.cells):
-            if cell != g.adj[center] | {center}:
-                return False
-            if seen & cell:
-                return False
-            seen |= cell
-        return len(self.centers) == len(self.cells) and seen == set(range(g.n))
-
 
 def simplicial_partition(g: Graph) -> SimplicialPartition | None:
     """The partition of V into closed neighborhoods of simplicial vertices, or None.

@@ -3,16 +3,16 @@
 The oracles here deliberately avoid the package's clever enumeration code:
 they filter all 2^n subsets (or all k-permutations, or all paths, for
 cycles) so that the production algorithms are checked against something
-dumb and obviously correct.
+dumb and obviously correct.  The large shapes are those of the catalogue
+``shapes``, made ``Graph``s.
 """
 
 from __future__ import annotations
 
 import math
-import random
 import sys
 from collections import Counter
-from functools import cache
+from functools import cache, wraps
 from itertools import combinations, permutations
 from typing import Iterable
 
@@ -20,8 +20,9 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import settings
 
+import shapes
 from welldom.graphs import Graph, components, is_isomorphic_small, iter_bits
-from welldom.structure import component_facts
+from welldom.structure import SimplicialPartition, component_facts, simplicial_vertices
 
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
@@ -269,6 +270,20 @@ def reference_partition(g: Graph, simplicial: frozenset[int]):
     return tuple(chosen), tuple(frozenset(iter_bits(cells[x])) for x in chosen)
 
 
+def is_simplicial_partition(g: Graph, part: SimplicialPartition) -> bool:
+    """Whether ``part`` splits the vertices of g into the closed
+    neighbourhoods of its centers, each center simplicial in g."""
+    simp = simplicial_vertices(g)
+    if any(c not in simp for c in part.centers):
+        return False
+    seen: set[int] = set()
+    for center, cell in zip(part.centers, part.cells):
+        if cell != g.adj[center] | {center} or seen & cell:
+            return False
+        seen |= cell
+    return len(part.centers) == len(part.cells) and seen == set(range(g.n))
+
+
 def reference_forced_ear_rows(g: Graph, partners: dict[int, tuple[int, int]]):
     """``forced_ear_rows`` as it was computed on bitmasks, before the sets of
     ``g.adj``: B, F and each row are vertex masks.  The two must agree."""
@@ -297,54 +312,21 @@ def reference_forced_ear_rows(g: Graph, partners: dict[int, tuple[int, int]]):
     return tuple(sorted(rows))
 
 
-def random_eared_tree(tree_n: int, ears: int, seed: int = 1) -> Graph:
-    """A random recursive tree on ``tree_n`` vertices from ``random.Random(seed)``,
-    with one new vertex joined to both ends of each of ``ears`` distinct tree
-    edges.  Every cycle is a triangle."""
-    rng = random.Random(seed)
-    edges = [(rng.randrange(v), v) for v in range(1, tree_n)]
-    for i, (u, v) in enumerate(rng.sample(edges, ears)):
-        edges += [(u, tree_n + i), (v, tree_n + i)]
-    return Graph.from_edges(tree_n + ears, edges)
+def _graph_of(build):
+    """The builder of ``shapes`` with its ``(n, edges)`` made a ``Graph``."""
+    @wraps(build)
+    def graph(*args, **kwargs) -> Graph:
+        return Graph.from_edges(*build(*args, **kwargs))
+    return graph
 
 
-def eared_cycle(length: int) -> Graph:
-    """The cycle C_length with an ear on every edge: ear length + i on the edge i, i + 1."""
-    edges = []
-    for i in range(length):
-        j = (i + 1) % length
-        edges += [(i, j), (i, length + i), (j, length + i)]
-    return Graph.from_edges(2 * length, edges)
-
-
-def _with_pendants(n: int, edges: list[tuple[int, int]], at: Iterable[int]) -> Graph:
-    """The graph on 0..n-1 with ``edges``, and a new pendant at each vertex of ``at``."""
-    at = list(at)
-    return Graph.from_edges(n + len(at), edges + [(v, n + i) for i, v in enumerate(at)])
-
-
-def double_star(k: int, pendants: bool = False) -> Graph:
-    """Two adjacent hubs 0 and 1 with k leaves each (3..k+2 at 0, k+3..2k+2 at
-    1) and the ear 2 on their edge; with ``pendants``, a pendant at every
-    other leaf."""
-    edges = [(0, 1), (0, 2), (1, 2)] + [(0, 3 + i) for i in range(k)] + [(1, 3 + k + i) for i in range(k)]
-    return _with_pendants(2 * k + 3, edges, range(3, 2 * k + 3, 2) if pendants else ())
-
-
-def windmill(k: int, pendants: bool = False) -> Graph:
-    """The triangles 0, 2i + 1, 2i + 2 on the hub 0, for i < k; with
-    ``pendants``, a pendant at 2i + 1 for every other i."""
-    edges = [(u, v) for i in range(k) for u, v in ((0, 2 * i + 1), (0, 2 * i + 2), (2 * i + 1, 2 * i + 2))]
-    return _with_pendants(2 * k + 1, edges, range(1, 2 * k + 1, 4) if pendants else ())
-
-
-def hub_with_ears(k: int, pendants: bool = False) -> Graph:
-    """A hub 0 with the spokes 3i + 1, for i < k, each with the pendant 3i + 2
-    and the ear 3i + 3 on the hub-spoke edge; with ``pendants``, a second
-    pendant at every other spoke and one at the hub."""
-    edges = [(u, v) for i in range(k) for u, v in ((0, 3 * i + 1), (3 * i + 1, 3 * i + 2), (0, 3 * i + 3),
-                                                     (3 * i + 1, 3 * i + 3))]
-    return _with_pendants(3 * k + 1, edges, [0, *range(1, 3 * k + 1, 6)] if pendants else ())
+random_eared_tree = _graph_of(shapes.eared_tree)
+eared_cycle = _graph_of(shapes.eared_cycle)
+path_corona = _graph_of(shapes.path_corona)
+caterpillar = _graph_of(shapes.caterpillar)
+double_star = _graph_of(shapes.double_star)
+windmill = _graph_of(shapes.windmill)
+hub_with_ears = _graph_of(shapes.hub_with_ears)
 
 
 def distances_from(g: Graph, sources: Iterable[int]) -> list[int | float]:

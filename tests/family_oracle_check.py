@@ -24,7 +24,7 @@ from welldom.oracle import well_covered_weight_space_oracle, well_dominated_weig
 from conftest import family_graphs
 
 # the number of family graphs on n = 1, 2, ... vertices
-KNOWN_COUNTS = (1, 1, 2, 3, 7, 16, 42, 109, 321, 971, 3180, 11014)
+KNOWN_COUNTS = (1, 1, 2, 3, 7, 16, 42, 109, 321, 971, 3180, 11014, 40882)
 
 
 def oracle_mismatches(g: Graph) -> list[str]:

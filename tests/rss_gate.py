@@ -2,9 +2,13 @@
 """Run text ``analyze`` on one graph file and fail above 400 MiB peak RSS.
 
 The command runs under ``timeout SECONDS`` and must exit 0.  Prints the
-child's peak RSS; exits with a message when it is above the limit.
+child's peak RSS; exits with a message when it is above the limit.  The
+file may be ``/dev/stdin``, so a shape from the catalogue is piped in:
 
-    python3 tests/rss_gate.py 60 eared100k.txt
+    python3 tests/shapes.py eared_tree 80000 20000 | python3 tests/rss_gate.py 60 /dev/stdin
+
+Only the ``analyze`` child counts: the generator is the shell's process, not
+this script's.
 """
 
 import resource

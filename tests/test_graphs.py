@@ -198,6 +198,37 @@ class TestGraph6Format:
         assert str(err.value) == (message if line is None else f"line {line}: {message}")
 
 
+# the characters each format is made of
+ALPHABETS = {"edgelist": "0123456789-# \t\n\r\x0b\xa0", "graph6": [chr(c) for c in range(63, 127)] + ["\n", " "]}
+
+
+@st.composite
+def format_and_text(draw):
+    """A format, and any text, text of the format's characters, or a graph's
+    text in the format, with up to two short runs replaced."""
+    fmt = draw(st.sampled_from(sorted(ALPHABETS)))
+    text = draw(st.one_of(st.text(), st.text(ALPHABETS[fmt]), graphs(max_n=8).map(lambda g: serialize_graph(g, fmt))))
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.text(ALPHABETS[fmt], max_size=2)) + text[at + draw(st.integers(0, 2)):]
+    return fmt, text
+
+
+@given(format_and_text())
+@example(("edgelist", "3\n0 1\n1 2 # a path\n"))
+@example(("graph6", ">>graph6<<Dhc\n"))
+def test_any_text_parses_or_is_refused(fmt_text):
+    """Text in either format gives a Graph or a ParseError, and a Graph
+    serializes back to text that parses to the same graph."""
+    fmt, text = fmt_text
+    try:
+        g = parse_graph(text, fmt)
+    except ParseError:
+        return
+    assert isinstance(g, Graph)
+    assert parse_graph(serialize_graph(g, fmt), fmt) == g
+
+
 class TestDistances:
     def test_distances_from_single_source(self):
         g = path_graph(4)

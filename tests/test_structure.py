@@ -49,6 +49,7 @@ from welldom.weightspace import dimension_report
 from conftest import (
     brute_cycle_lengths,
     brute_maximal_independent,
+    caterpillar,
     count_calls,
     double_star,
     eared_cycle,
@@ -58,6 +59,8 @@ from conftest import (
     gnp_graphs,
     graphs,
     hub_with_ears,
+    is_simplicial_partition,
+    path_corona,
     random_eared_tree,
     reference_forced_ear_rows,
     reference_partition,
@@ -270,12 +273,6 @@ class TestIndependenceNumber:
             independence_number(Graph.from_edges(30, []))
 
 
-def caterpillar(k: int) -> Graph:
-    """The spine 0..k-1 with two pendants k + i and 2k + i at spine vertex i."""
-    spine = [(i, i + 1) for i in range(k - 1)]
-    return Graph.from_edges(3 * k, spine + [(i, k + i) for i in range(k)] + [(i, 2 * k + i) for i in range(k)])
-
-
 FAMILY = [g for level in family_graphs(10) for g in level]
 
 
@@ -313,7 +310,7 @@ class TestSimplicial:
     def test_partition_of_path4(self):
         part = simplicial_partition(path_graph(4))
         assert part is not None
-        assert part.is_valid_for(path_graph(4))
+        assert is_simplicial_partition(path_graph(4), part)
         assert sorted(part.centers) == [0, 3]
 
     def test_no_partition_for_cycle7(self):
@@ -325,13 +322,13 @@ class TestSimplicial:
     def test_partition_with_triangles(self):
         g = triangle_with_pendants(3)
         part = simplicial_partition(g)
-        assert part is not None and part.is_valid_for(g)
+        assert part is not None and is_simplicial_partition(g, part)
 
     @given(graphs(max_n=8))
     def test_partition_when_found_is_valid(self, g):
         part = simplicial_partition(g)
         if part is not None:
-            assert part.is_valid_for(g)
+            assert is_simplicial_partition(g, part)
 
     def test_partition_matches_search_on_family_graphs(self):
         for g in FAMILY:
@@ -368,13 +365,10 @@ class TestSimplicial:
             assert set(image.cells) == {frozenset(perm[v] for v in cell) for cell in part.cells}
 
     def test_partition_deeper_than_the_recursion_limit(self):
-        # the 1200-cell path corona
-        cells = 1200
-        edges = [(i, i + 1) for i in range(cells - 1)] + [(i, cells + i) for i in range(cells)]
-        g = Graph.from_edges(2 * cells, edges)
+        g = path_corona(1200)
         assert recognized_status(g).well_covered
         part = simplicial_partition(g)
-        assert part is not None and part.is_valid_for(g)
+        assert part is not None and is_simplicial_partition(g, part)
 
 
 class TestStructureSummary:

@@ -39,19 +39,21 @@ from welldom.weightspace import (
     well_dominated_weight_basis,
 )
 
-from conftest import count_calls, eared_cycle, eared_trees, family_graphs, random_eared_tree
+from conftest import (
+    count_calls,
+    eared_cycle,
+    eared_trees,
+    family_graphs,
+    is_simplicial_partition,
+    path_corona,
+    random_eared_tree,
+    windmill,
+)
 from family_oracle_check import oracle_mismatches
 
 
 def relabel(g: Graph, perm: list[int]) -> Graph:
     return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
-
-
-def windmill(k: int) -> Graph:
-    """k triangles sharing centre 0; triangle i has ears 2i+1 and 2i+2."""
-    return Graph.from_edges(
-        2 * k + 1, [e for i in range(k) for e in ((0, 2 * i + 1), (0, 2 * i + 2), (2 * i + 1, 2 * i + 2))]
-    )
 
 
 class TestSpecialForms:
@@ -91,7 +93,7 @@ class TestRecognition:
         g = path_graph(4)
         out = recognize_well_covered(g)
         assert out.holds and out.clause == "simplicial_partition"
-        assert out.partition is not None and out.partition.is_valid_for(g)
+        assert out.partition is not None and is_simplicial_partition(g, out.partition)
 
     def test_negative(self):
         out = recognize_well_covered(path_graph(5))
@@ -216,12 +218,6 @@ class TestPieceVectors:
         g = windmill(40)
         pieces = [{0: 1, 2 * i + 1: 1, 2 * i + 2: 1} for i in range(40)]
         assert characterized_wcw_basis(g).basis == row_space(pieces, g.n)
-
-
-def path_corona(cells: int) -> Graph:
-    """A path on ``cells`` vertices, each with one pendant."""
-    edges = [(i, i + 1) for i in range(cells - 1)] + [(i, cells + i) for i in range(cells)]
-    return Graph.from_edges(2 * cells, edges)
 
 
 class TestInvariantsAtScale:
