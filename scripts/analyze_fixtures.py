@@ -2,7 +2,8 @@
 """Print a full analysis report for every builtin fixture.
 
 Handy for eyeballing what the engines and the oracle say about the example
-corpus without writing any graph files:
+corpus without writing any graph files.  Each report is the text of
+`welldom analyze`, then the fringe tables and every check that did not pass:
 
     python3 scripts/analyze_fixtures.py
     python3 scripts/analyze_fixtures.py --only paw --only cycle7
@@ -11,6 +12,7 @@ corpus without writing any graph files:
 import argparse
 
 from welldom.analysis import analyze
+from welldom.cli import report_lines
 from welldom.fixtures import builtin_fixtures
 
 
@@ -30,31 +32,11 @@ def main() -> None:
 
     for fixture in fixtures:
         report = analyze(fixture.graph)
-        print(f"== {fixture.name} "
-              f"(n={report.vertex_count}, m={report.edge_count}) ".ljust(60, "="))
-        present = [str(k) for k, flag in report.cycles_present.items() if flag]
-        print(f"cycles 3..7 present: {', '.join(present) if present else 'none'}")
+        print(f"== {fixture.name} ".ljust(60, "="))
+        print("\n".join(report_lines(report)))
         s = report.structure
         print(f"fringe {sorted(s.fringe)}, anchored {sorted(s.anchored_fringe)}, "
               f"zero-forced {sorted(s.zero_forced_fringe)}")
-        rec = report.recognition
-        if rec.applicable:
-            print(f"well-covered {rec.well_covered}, well-dominated {rec.well_dominated} "
-                  f"({', '.join(rec.component_clauses)})")
-        else:
-            print(f"recognition skipped: {rec.reason}")
-        char = report.characterization
-        if char.applicable:
-            print(f"weight spaces: independent dim {char.wcw.dimension}, "
-                  f"dominating dim {char.wwd.dimension}")
-        else:
-            print(f"characterization skipped: {char.reason}")
-        orc = report.oracle
-        if orc.maximal_independent_count is not None:
-            print(f"oracle: {orc.maximal_independent_count} maximal independent, "
-                  f"{orc.minimal_dominating_count} minimal dominating, "
-                  f"chain {orc.domination} <= {orc.independent_domination} <= "
-                  f"{orc.independence} <= {orc.upper_domination}")
         for check in report.checks:
             if check.status != "pass":
                 print(f"  {check.status.upper()} {check.name}: {check.detail}")

@@ -15,6 +15,7 @@ a reason; they never raise.
 
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
@@ -37,7 +38,6 @@ from .structure import (
     CYCLE_LENGTHS,
     CharacterizationOutcome,
     ComponentFacts,
-    SimplicialPartition,
     StructureSummary,
     component_facts,
     family_facts,
@@ -95,29 +95,10 @@ def recognized_status(g: Graph) -> RecognitionSection:
 # -- report sections --------------------------------------------------------------
 
 
-def _expand_bases(value):
-    """A JSON tree with each SubspaceBasis in it replaced by its JSON form."""
-    if isinstance(value, SubspaceBasis):
-        return value.to_json_dict()
-    if isinstance(value, dict):
-        return {key: _expand_bases(item) for key, item in value.items()}
-    if isinstance(value, list):
-        return [_expand_bases(item) for item in value]
-    return value
-
-
 class _JsonSection:
     def json_tree(self) -> dict:
-        """The fields in order; tuples become lists, bases stay as they are."""
-        out = {}
-        for field in fields(self):
-            value = getattr(self, field.name)
-            out[field.name] = list(value) if isinstance(value, tuple) else value
-        return out
-
-    def to_json_dict(self) -> dict:
-        """``json_tree()`` with each basis in its JSON form."""
-        return _expand_bases(self.json_tree())
+        """The fields in order, as they are."""
+        return {field.name: getattr(self, field.name) for field in fields(self)}
 
 
 @dataclass(frozen=True)
@@ -192,14 +173,13 @@ class CheckResult(_JsonSection):
 
 
 @dataclass(frozen=True)
-class AnalysisReport(_JsonSection):
+class AnalysisReport:
     vertex_count: int
     edge_count: int
     connected: bool
     component_members: tuple[tuple[int, ...], ...]
     cycles_present: dict[int, bool]
     structure: StructureSummary
-    partition: SimplicialPartition | None
     recognition: RecognitionSection
     characterization: CharacterizationSection
     oracle: OracleSection
@@ -211,9 +191,9 @@ class AnalysisReport(_JsonSection):
 
     def json_tree(self) -> dict:
         """The schema-1 report with its bases left as SubspaceBasis values,
-        which the CLI writes row by row; ``to_json_dict`` expands them."""
+        which the CLI writes row by row."""
         s = self.structure
-        part = self.partition
+        part = s.partition
         return {
             "schema_version": 1,
             "graph": {
@@ -243,6 +223,11 @@ class AnalysisReport(_JsonSection):
             "checks": [c.json_tree() for c in self.checks],
         }
 
+    def to_json_dict(self) -> dict:
+        """``json_tree()`` read back through the stdlib encoder, with each basis
+        in its JSON form as the CLI's writer has it."""
+        return json.loads(json.dumps(self.json_tree(), default=SubspaceBasis.to_json_dict))
+
 
 # -- report assembly ---------------------------------------------------------------
 
@@ -255,16 +240,6 @@ def _oracle_section(
     skip_reasons = tuple([f"{label}: {f}" for label, f in zip(labels, families) if isinstance(f, BudgetExceededError)])
     ind, dom = [None if isinstance(f, BudgetExceededError) else f for f in families]
     return OracleSection.from_families(ind, dom, skip_reasons, (characterization.wcw, characterization.wwd))
-
-
-def _whole_partition(facts: Sequence[ComponentFacts]) -> SimplicialPartition | None:
-    """The components' simplicial partitions in whole-graph labels, if all have one."""
-    if any(f.partition is None for f in facts):
-        return None
-    return SimplicialPartition(
-        tuple([f.labels[c] for f in facts for c in f.partition.centers]),
-        tuple([frozenset(f.labels[v] for v in cell) for f in facts for cell in f.partition.cells]),
-    )
 
 
 DIMENSION_CHECKS = ("wwd_dimension_equals_anchored_fringe", "wcw_dimension_equals_fringe_independence")
@@ -332,7 +307,6 @@ def analyze(g: Graph, budget: EnumerationBudget = DEFAULT_BUDGET) -> AnalysisRep
         component_members=tuple([f.labels for f in facts]),
         cycles_present={k: any(k in f.cycles for f in facts) for k in CYCLE_LENGTHS},
         structure=structure,
-        partition=_whole_partition(facts),
         recognition=recognition,
         characterization=characterization,
         oracle=oracle,

@@ -14,8 +14,10 @@ import os
 import sys
 from functools import cache
 from json.encoder import encode_basestring_ascii
+from typing import Iterator
 
 from .analysis import (
+    AnalysisReport,
     OracleSection,
     analyze,
     characterized_wcw_basis,
@@ -139,39 +141,42 @@ def _print_json(value) -> None:
     write("\n")
 
 
+def report_lines(report: AnalysisReport) -> Iterator[str]:
+    """The lines of text `welldom analyze` prints for ``report``."""
+    yield f"vertices: {report.vertex_count}, edges: {report.edge_count}, connected: {report.connected}"
+    present = [str(k) for k, flag in report.cycles_present.items() if flag]
+    yield "cycle lengths present (3..7): " + (", ".join(present) if present else "none")
+    rec = report.recognition
+    if rec.applicable:
+        yield (f"well-covered: {rec.well_covered}, well-dominated: {rec.well_dominated} "
+               f"(clauses: {', '.join(rec.component_clauses)})")
+    else:
+        yield f"recognition not applicable: {rec.reason}"
+    char = report.characterization
+    if char.applicable:
+        yield f"weight spaces: independent dim {char.wcw.dimension}, dominating dim {char.wwd.dimension}"
+    else:
+        yield f"characterization not applicable: {char.reason}"
+    orc = report.oracle
+    if orc.independent_available and orc.dominating_available:
+        yield (f"oracle: {orc.maximal_independent_count} maximal independent, "
+               f"{orc.minimal_dominating_count} minimal dominating; "
+               f"domination chain {orc.domination} <= {orc.independent_domination} "
+               f"<= {orc.independence} <= {orc.upper_domination}")
+    for reason in orc.skip_reasons:
+        yield f"oracle skipped: {reason}"
+    passed = sum(1 for c in report.checks if c.status == "pass")
+    skipped = sum(1 for c in report.checks if c.status == "skip")
+    yield f"checks: {passed} passed, {len(report.failed_checks)} failed, {skipped} skipped"
+
+
 def _cmd_analyze(args: argparse.Namespace) -> int:
     g = _read_graph(args.file, args.format)
     report = analyze(g, resolve_budget())
     if args.json:
         _print_json(report.json_tree())
     else:
-        print(f"vertices: {report.vertex_count}, edges: {report.edge_count}, "
-              f"connected: {report.connected}")
-        present = [str(k) for k, flag in report.cycles_present.items() if flag]
-        print("cycle lengths present (3..7): " + (", ".join(present) if present else "none"))
-        rec = report.recognition
-        if rec.applicable:
-            print(f"well-covered: {rec.well_covered}, well-dominated: {rec.well_dominated} "
-                  f"(clauses: {', '.join(rec.component_clauses)})")
-        else:
-            print(f"recognition not applicable: {rec.reason}")
-        char = report.characterization
-        if char.applicable:
-            print(f"weight spaces: independent dim {char.wcw.dimension}, "
-                  f"dominating dim {char.wwd.dimension}")
-        else:
-            print(f"characterization not applicable: {char.reason}")
-        orc = report.oracle
-        if orc.independent_available and orc.dominating_available:
-            print(f"oracle: {orc.maximal_independent_count} maximal independent, "
-                  f"{orc.minimal_dominating_count} minimal dominating; "
-                  f"domination chain {orc.domination} <= {orc.independent_domination} "
-                  f"<= {orc.independence} <= {orc.upper_domination}")
-        for reason in orc.skip_reasons:
-            print(f"oracle skipped: {reason}")
-        passed = sum(1 for c in report.checks if c.status == "pass")
-        skipped = sum(1 for c in report.checks if c.status == "skip")
-        print(f"checks: {passed} passed, {len(report.failed_checks)} failed, {skipped} skipped")
+        print("\n".join(report_lines(report)))
     for check in report.failed_checks:
         print(f"check failed: {check.name}: {check.detail}", file=sys.stderr)
     return EXIT_CHECK_FAILED if report.failed_checks else EXIT_OK
@@ -373,4 +378,4 @@ if __name__ == "__main__":
     main()
 
 
-__all__ = ["build_parser", "cli_main", "main", "resolve_budget"]
+__all__ = ["build_parser", "cli_main", "main", "report_lines", "resolve_budget"]

@@ -608,6 +608,7 @@ class StructureSummary:
     confined: dict[int, frozenset[int]]  # keyed by the vertices outside the fringe
     ear_partners: dict[int, tuple[int, int]]
     simplicial: frozenset[int]
+    partition: SimplicialPartition | None  # None unless every component has one
 
     @property
     def zero_forced_fringe(self) -> frozenset[int]:
@@ -627,6 +628,10 @@ def summarize(facts: Sequence[ComponentFacts]) -> StructureSummary:
         ear_partners={f.labels[v]: (f.labels[a], f.labels[b])
                       for f in facts for v, (a, b) in f.ear_partners.items()},
         simplicial=frozenset().union(*(lift(f, f.simplicial) for f in facts)),
+        partition=None if any(f.partition is None for f in facts) else SimplicialPartition(
+            tuple([f.labels[c] for f in facts for c in f.partition.centers]),
+            tuple([lift(f, cell) for f in facts for cell in f.partition.cells]),
+        ),
     )
 
 

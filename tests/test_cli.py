@@ -1,6 +1,7 @@
 import contextlib
 import gc
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -27,7 +28,7 @@ from welldom.named_graphs import (
 from welldom.oracle import DEFAULT_BUDGET
 from welldom.structure import CharacterizationOutcome, ComponentFacts
 
-from conftest import count_calls, random_eared_tree
+from conftest import count_calls, graphs, random_eared_tree
 
 
 @pytest.fixture
@@ -325,6 +326,44 @@ def test_json_bytes_are_pinned(tmp_path, capsys, monkeypatch):
     run("fixtures", "--run", "--json")
     assert len(graphs) == 15 + 380
     assert digest.hexdigest() == "032a8a060ca198993a915b4cc5601db5f1f482cff780ab6711382763c719bb92"
+
+
+def test_text_bytes_are_pinned(tmp_path, capsys, monkeypatch):
+    """Every graph command's text stdout, stderr and exit code, byte for
+    byte, on the fixtures and the criterion-7 stream."""
+    monkeypatch.delenv("WELLDOM_BUDGET", raising=False)
+    cfg = GeneratorConfig(max_n=12, forbidden_cycles=frozenset({4, 5, 6}), seed=77, count=380)
+    graphs = [fixture.graph for fixture in builtin_fixtures()] + list(generate_family(cfg))
+    path = str(tmp_path / "graph.txt")
+    digest = hashlib.sha256()
+    for g in graphs:
+        Path(path).write_text(serialize_graph(g, "edgelist"))
+        for command in ("analyze", "wcw", "wwd", "oracle"):
+            code = cli_main([command, path])
+            captured = capsys.readouterr()
+            digest.update(f"{code}\n{captured.out}\0{captured.err}\0".encode())
+    assert len(graphs) == 15 + 380
+    assert digest.hexdigest() == "0797ee235120b1680cac4abcef759e55c5adf2e3c413fce10407513bbbfd7b53"
+
+
+@given(graphs(max_n=8))
+def test_graph_commands_exit_zero_or_refuse_the_family(tmp_path_factory, g):
+    """On any small graph, in either format and output form, analyze and
+    oracle succeed, and wcw and wwd succeed or say the graph is outside
+    their family; no check fails, no budget runs out, nothing is a fault."""
+    directory = tmp_path_factory.getbasetemp()
+    for fmt in ("edgelist", "graph6"):
+        path = directory / f"any.{fmt}"
+        path.write_text(serialize_graph(g, fmt))
+        for command in ("analyze", "wcw", "wwd", "oracle"):
+            for json_flag in ([], ["--json"]):
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = cli_main([command, str(path), "--format", fmt, *json_flag])
+                if command in ("wcw", "wwd") and code == 2:
+                    assert err.getvalue().startswith("error: not applicable"), (command, g.edges())
+                else:
+                    assert code == 0, (command, fmt, json_flag, g.edges(), err.getvalue())
 
 
 # text that json must escape, beside the rest of unicode

@@ -1,4 +1,5 @@
 import time
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -51,6 +52,7 @@ from conftest import (
     brute_maximal_independent,
     caterpillar,
     count_calls,
+    distances_from,
     double_star,
     eared_cycle,
     eared_trees,
@@ -227,6 +229,25 @@ class TestForcedEarRows:
             assert rows == family_forced_ear_rows(g, ear_partners(g)) == reference_forced_ear_rows(g, ear_partners(g))
             with_rows += bool(rows)
         assert with_rows > 100
+
+    def test_rows_are_an_ear_and_the_ears_across_it(self):
+        # in the family, a row holds an ear e on (a, b) and ears that each
+        # close an 8-cycle through a-b: one partner 3 from a, the other 3 from b
+        rows_seen = Counter()
+        for g in FAMILY:
+            partners = ear_partners(g)
+            for row in family_forced_ear_rows(g, partners):
+                rows_seen[len(row) > 1] += 1
+
+                def across(e: int) -> bool:
+                    da, db = (distances_from(g, [x]) for x in partners[e])
+                    return all(
+                        (da[p], db[q]) == (3, 3) or (da[q], db[p]) == (3, 3)
+                        for p, q in (partners[f] for f in row if f != e)
+                    )
+
+                assert any(across(e) for e in row), (g.edges(), row)
+        assert rows_seen[False] > 100 and rows_seen[True] >= 1
 
     @pytest.mark.parametrize("tree_n, ears, seed", [(12, 3, 0), (40, 10, 1), (160, 40, 2), (400, 100, 3),
                                                     (800, 200, 4), (1600, 400, 5)])
