@@ -223,35 +223,34 @@ def family_forced_ear_rows(g: Graph, partners: dict[int, tuple[int, int]]) -> tu
     outside B as outside B_x.  So (x, y) is a witness iff each side passes
     on its own: every vertex of B_x has a neighbour outside B_x.  The side's
     forced set F_x (a, and each such neighbour that is a vertex's only one)
-    depends on the directed edge (x, a) alone, and the row is e and every
-    ear whose partners both lie in {a, b} | F_x | F_y, over the distinct F_x
-    and the distinct F_y.  On other graphs the rows can differ: use
-    ``forced_ear_rows`` there.
+    depends on the directed edge (x, a) alone.  The sets F_x - {a} of
+    distinct x are disjoint, as a shared vertex would close a 4- or 6-cycle,
+    and the row of (x, y) is e and the ears on (p, q) with p in F_x - {a}
+    and q in F_y - {b}, on 8-cycles through a-b: an ear with a partner
+    anywhere else would close a 4- or 5-cycle.  So the rows of e are e and
+    the ears across each pair (x, y) that an ear crosses, and e alone if
+    fewer pairs are crossed than there are pairs of distinct forced sets:
+    one F_x per x with F_x larger than {a}, and {a} if some x gives it.  On
+    other graphs the rows can differ: use ``forced_ear_rows`` there.
 
-    Each side is computed once per directed edge.  Each vertex x keeps once
-    which neighbours have no neighbour outside N[x] and which have exactly
-    one, and the side of (x, a) only sets a and the common neighbour of x
-    and a apart; a neighbour of degree four or more has at least two outside
-    N[x], and its neighbours are never read.  A partner a with several ears
-    keeps a tally of the distinct F_x over all its neighbours, from which an
-    ear takes off its two excluded ones, b and e.  So a hub costs its degree
-    once, not once per ear or per witness pair.
+    Each vertex x keeps once which neighbours have no neighbour outside N[x]
+    and which have exactly one (one of degree four or more has two), and
+    F_x - {a} is the second read without the common neighbour of x and a.
+    Each partner keeps once the size of each side and which sides are {a}.
+    An ear takes off its two excluded ones and searches the ears across from
+    the partner whose sides hold fewer vertices, so a hub costs its degree
+    once, not once per ear or per pair of forced sets.
     """
     adj = g.adj
-    ear_on = {pair: e for e, pair in partners.items()}
     outside: dict[int, tuple[list[int], dict[int, int]]] = {}  # x -> (none outside N[x], z -> the one)
-    sides: dict[tuple[int, int], frozenset[int] | None] = {}  # (x, a) -> F_x, None if the side fails
-    tallies: dict[int, dict[frozenset[int], int]] = {}  # a -> F_x -> how many neighbours x give it
-    lone: dict[int, bool] = {}  # partner -> whether it has one ear
-    for a, b in partners.values():
-        lone[a] = a not in lone
-        lone[b] = b not in lone
+    records: dict[int, tuple[dict[int, int], set[int], int]] = {}  # a -> (x -> |F_x - {a}| > 0, x with F_x = {a}, sum)
+    ears_at: dict[int, list[tuple[int, int]]] = {}  # u -> (the other partner, ear)
+    for e, (a, b) in partners.items():
+        ears_at.setdefault(a, []).append((b, e))
+        ears_at.setdefault(b, []).append((a, e))
 
-    def side(x: int, a: int) -> frozenset[int] | None:
-        if (x, a) in sides:
-            return sides[x, a]
-        tables = outside.get(x)
-        if tables is None:
+    def tables(x: int) -> tuple[list[int], dict[int, int]]:
+        if x not in outside:
             closed = adj[x] | {x}
             none, one = [], {}
             for z in adj[x]:
@@ -261,50 +260,49 @@ def family_forced_ear_rows(g: Graph, partners: dict[int, tuple[int, int]]) -> tu
                         none.append(z)
                     elif len(out) == 1:
                         one[z] = next(iter(out))
-            tables = outside[x] = none, one
-        none, one = tables
-        # a is outside B_x, and the common neighbour of x and a sees a there:
-        # only these two are set apart, so any other with none outside fails the side
-        near = adj[a]
-        if len(none) > 2 or any(z != a and z not in near for z in none):
-            forced = None
-        else:
-            forced = frozenset([a, *(w for z, w in one.items() if z != a and z not in near)])
-        sides[x, a] = forced
-        return forced
+            outside[x] = none, one
+        return outside[x]
 
-    def distinct(a: int, b: int, e: int) -> Iterable[frozenset[int]]:
-        """The distinct F_x over the neighbours x of a other than b and e."""
-        if lone[a]:  # no other ear excludes b and e, so they need no side
-            found = {side(x, a) for x in adj[a] if x != b and x != e}
-            found.discard(None)
-            return found
-        if a not in tallies:
-            tally: dict[frozenset[int], int] = {}
+    def sides(a: int, ends: set[int]) -> tuple[int, int, dict[int, int]]:
+        """The number of distinct F_x over the x in N(a) - ends, their F_x - {a}'s total size, and ``full``."""
+        if a not in records:
+            # a is outside B_x, and the common neighbour of x and a sees a there: any other with
+            # none outside fails the side.  a itself is in the tables of x only if x is its ear or
+            # the ear's other partner, which that ear excludes
+            full, bare = {}, set()
             for x in adj[a]:
-                forced = side(x, a)
-                if forced is not None:
-                    tally[forced] = tally.get(forced, 0) + 1
-            tallies[a] = tally
-        excluded: dict[frozenset[int] | None, int] = {}
-        for x in (b, e):
-            forced = side(x, a)
-            excluded[forced] = excluded.get(forced, 0) + 1
-        return [forced for forced, count in tallies[a].items() if count > excluded.get(forced, 0)]
+                none, one = tables(x)
+                near = adj[x] & adj[a]
+                if near.issuperset(none):
+                    if size := len(one) - len(one.keys() & near):
+                        full[x] = size
+                    else:
+                        bare.add(x)
+            records[a] = full, bare, sum(full.values())
+        full, bare, total = records[a]
+        cut = full.keys() & ends
+        return len(full) - len(cut) + (len(bare) > len(bare & ends)), total - sum(map(full.get, cut)), full
 
     rows = set()
     for e, (a, b) in partners.items():
-        if len(adj[a]) > len(adj[b]):
-            a, b = b, a
-        if len(adj[a]) == 2:  # b and e are a's only neighbours: no x
+        if len(adj[a]) == 2 or len(adj[b]) == 2:  # b and e are all of a's neighbours: no x (or no y)
             continue
-        xs = distinct(a, b, e)
-        ys = distinct(b, a, e) if xs else ()
-        for fx in xs:
-            for fy in ys:
-                inside = fx | fy | {a, b}
-                rows.add(tuple(sorted(ear_on[p, q] for p in inside for q in adj[p] & inside
-                                      if p < q and (p, q) in ear_on)))
+        ends = {a, b, e}
+        (xs, size_a, full_a), (ys, size_b, full_b) = sides(a, ends), sides(b, ends)
+        if size_a > size_b:
+            a, b, full_a, full_b = b, a, full_b, full_a
+        across: dict[tuple[int, int], list[int]] = {}  # (x, y) -> e and the ears across
+        for x in full_a.keys() - ends:
+            # F_x - {a}: the one table of x without the common neighbour of x and a
+            for p in (p for z, p in tables(x)[1].items() if z not in adj[a]):
+                for q, f in ears_at.get(p, ()):
+                    # the y with q in F_y - {b}, through its neighbour w with q as its only one
+                    for y in (y for w in adj[q] if len(adj[w]) < 4 and w not in adj[b] for y in adj[w]
+                              if y in full_b and y not in ends and tables(y)[1].get(w) == q):
+                        across.setdefault((x, y), [e]).append(f)
+        rows.update(tuple(sorted(row)) for row in across.values())
+        if xs * ys > len(across):
+            rows.add((e,))
     return tuple(sorted(rows))
 
 

@@ -10,6 +10,7 @@ dumb and obviously correct.  The large shapes are those of the catalogue
 from __future__ import annotations
 
 import math
+import random
 import sys
 from collections import Counter
 from functools import cache, wraps
@@ -21,7 +22,7 @@ import pytest
 from hypothesis import settings
 
 import shapes
-from welldom.graphs import Graph, components, is_isomorphic_small, iter_bits
+from welldom.graphs import Graph, components, cycle_lengths, is_isomorphic_small, iter_bits
 from welldom.structure import SimplicialPartition, component_facts, simplicial_vertices
 
 settings.register_profile("suite", deadline=None)
@@ -327,6 +328,9 @@ caterpillar = _graph_of(shapes.caterpillar)
 double_star = _graph_of(shapes.double_star)
 windmill = _graph_of(shapes.windmill)
 hub_with_ears = _graph_of(shapes.hub_with_ears)
+hub_with_ear_groups = _graph_of(shapes.hub_with_ear_groups)
+hub_with_spoke_ears = _graph_of(shapes.hub_with_spoke_ears)
+hub_with_eared_triangles = _graph_of(shapes.hub_with_eared_triangles)
 
 
 def distances_from(g: Graph, sources: Iterable[int]) -> list[int | float]:
@@ -349,6 +353,33 @@ def distances_from(g: Graph, sources: Iterable[int]) -> list[int | float]:
                     nxt.append(u)
         frontier = nxt
     return dist
+
+
+def chained_eared_cycles(rng: random.Random) -> Graph:
+    """1-4 cycles of length 7-9, each joined to an earlier one by a bridge or
+    a shared vertex, with an ear on each cycle edge with probability 0.6 and
+    0-6 pendants.  Every cycle is a triangle or one of the 7-9 cycles, so the
+    graph has no 4-, 5- or 6-cycle (checked)."""
+    n, edges, ring_edges = 0, [], []
+    for i in range(rng.randint(1, 4)):
+        length = rng.randint(7, 9)
+        shared = i > 0 and rng.random() < 0.5
+        if i and not shared:
+            edges.append((rng.randrange(n), n))
+        ring = ([rng.randrange(n)] if shared else []) + list(range(n, n + length - shared))
+        n += length - shared
+        ring_edges += [(ring[j - 1], ring[j]) for j in range(length)]
+    edges += ring_edges
+    for u, v in ring_edges:
+        if rng.random() < 0.6:
+            edges += [(u, n), (v, n)]
+            n += 1
+    for _ in range(rng.randint(0, 6)):
+        edges.append((rng.randrange(n), n))
+        n += 1
+    g = Graph.from_edges(n, edges)
+    assert not cycle_lengths(g, (4, 5, 6)), edges
+    return g
 
 
 def _refined_colours(g: Graph) -> tuple[int, ...]:

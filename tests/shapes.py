@@ -95,9 +95,41 @@ def hub_with_ears(k: int, pendants: bool = False) -> Shape:
     return _with_pendants(3 * k + 1, edges, [0, *range(1, 3 * k + 1, 6)] if pendants else ())
 
 
+def hub_with_ear_groups(k: int, pendants: bool = False) -> Shape:
+    """A hub 0 with k spokes 0-x-z-w (x, z, w = 6i + 1, 6i + 2, 6i + 3) and k
+    groups 0-b, 0-e, b-e, b-p (b, e, p = 6i + 4, 6i + 5, 6i + 6): e is an ear
+    on the hub edge 0-b, and p a pendant at b.  With ``pendants``, a pendant
+    at every other z and one at the hub."""
+    edges = [edge for i in range(k) for x, z, w, b, e, p in [range(6 * i + 1, 6 * i + 7)]
+             for edge in ((0, x), (x, z), (z, w), (0, b), (0, e), (b, e), (b, p))]
+    return _with_pendants(6 * k + 1, edges, [0, *range(2, 6 * k + 1, 12)] if pendants else ())
+
+
+def hub_with_spoke_ears(k: int, pendants: bool = False) -> Shape:
+    """A hub 0 with k spokes 0-x-y (x, y = 6i + 1, 6i + 2) and k groups 0-s,
+    s-t, s-f, t-f, t-q (s, t, f, q = 6i + 3 .. 6i + 6): f is an ear on the
+    edge s-t off the hub, and q a pendant at t.  With ``pendants``, a pendant
+    at every other x and at every other s."""
+    edges = [edge for i in range(k) for x, y, s, t, f, q in [range(6 * i + 1, 6 * i + 7)]
+             for edge in ((0, x), (x, y), (0, s), (s, t), (s, f), (t, f), (t, q))]
+    return _with_pendants(6 * k + 1, edges, [v for i in range(0, k, 2) for v in (6 * i + 1, 6 * i + 3)]
+                          if pendants else ())
+
+
+def hub_with_eared_triangles(k: int, pendants: bool = False) -> Shape:
+    """A hub 0 with k triangles 0-a-c (a, c = 6i + 1, 6i + 2), each c with
+    the pendant 6i + 3, and k ears e on edges a-b off the hub (b, e = 6i + 4,
+    6i + 5), each b with the pendant 6i + 6.  With ``pendants``, a pendant
+    at every other a."""
+    edges = [edge for i in range(k) for a, c, r, b, e, p in [range(6 * i + 1, 6 * i + 7)]
+             for edge in ((0, a), (0, c), (a, c), (c, r), (a, b), (a, e), (b, e), (b, p))]
+    return _with_pendants(6 * k + 1, edges, range(1, 6 * k + 1, 12) if pendants else ())
+
+
 SHAPES = {build.__name__: build for build in (
     caterpillar, complete_bipartite, eared_tree, cycle, eared_cycle, path_corona,
-    double_star, windmill, hub_with_ears,
+    double_star, windmill, hub_with_ears, hub_with_ear_groups, hub_with_spoke_ears,
+    hub_with_eared_triangles,
 )}
 
 

@@ -13,8 +13,8 @@ import shapes
 WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
 
 # the sha256 of the edge list behind each CI call ``python tests/shapes.py NAME SIZE...``, as the
-# inline generators that the catalogue replaced wrote it; the inputs of the RSS gates have no
-# other pin
+# inline generators that the catalogue replaced wrote it (the two hubs with many distinct forced
+# sets came after them); the inputs of the RSS gates have no other pin
 CI_INPUTS = {
     ("caterpillar", 1000): "7f3953f745fae887f5326d3ad3a58cab921cebcb9ead6022db180161181a31bb",
     ("complete_bipartite", 40): "faa8fe81dc43eb3632267a394a96942d52a9e74ba972c649c8812e8b4f3b0525",
@@ -23,10 +23,14 @@ CI_INPUTS = {
     ("double_star", 49998): "12b5b92d7d14a1b48d1d8ee7a958246400891fd4e391ea80cfb83f0d618ed721",
     ("windmill", 49999): "cefb761f57d1ea1ad94d056517c05f76556e54628a776558a399df8659b9eafe",
     ("hub_with_ears", 33333): "4e0a87591155dabe09e3d8c05bf562eef2f7572f45e2570d3d56f996a7ca9d93",
+    ("hub_with_ear_groups", 16666): "7b0c538cb38cf640110f1a81593d6c61f43cb94dcb222a9f5463d30447a1280a",
+    ("hub_with_spoke_ears", 16666): "cd6388ccf55582ebcafe96220bd34ef01958ea6116b0a62fd945770b7dc12f88",
     ("cycle", 100000): "d9219fc50220115c3030e1654d6ae24e3a448ed216064ca36687aebeadad3855",
     ("path_corona", 50000): "73e5fc9bc31fc29b3ca2681813ae6f122463ec298ca088a4d91d7623c8442e5c",
     ("eared_cycle", 50000): "cd6303fdf79bcac76f43d6a8e937b44aa8e0dff51b86322e3e6cb0c31bd0593f",
     ("double_star", 1000): "a2bdfc20b2cd216ab5dc3d44f835fa124a9e050c782050fe984923afa41feaea",
+    ("hub_with_ear_groups", 1000): "a7d954889aaae2f40d45e0d241d98a632ea2d200f994c879f9fa7abb60b11221",
+    ("hub_with_spoke_ears", 1000): "09b918a4e2f1f905eb9eb91494440a9a6c783ab059b9c28ce98132faff87fcf7",
     ("eared_cycle", 10000): "7c775c3b7623f04935757d3010d057e013c5cd615a27233ab8763f8247372c1d",
     ("eared_tree", 3200, 800): "4ce3ab7e40669355276f216ff1251c1e0f60820ea0800f9fdd2f5f49b4e7291d",
     ("eared_cycle", 201): "0ed0fe666620e6643584f8d4245853f2ab36e09f779090343542eb0ddc7506aa",

@@ -1,3 +1,4 @@
+import random
 import time
 from collections import Counter
 from itertools import combinations
@@ -51,6 +52,7 @@ from conftest import (
     brute_cycle_lengths,
     brute_maximal_independent,
     caterpillar,
+    chained_eared_cycles,
     count_calls,
     distances_from,
     double_star,
@@ -60,7 +62,10 @@ from conftest import (
     glued_graphs,
     gnp_graphs,
     graphs,
+    hub_with_ear_groups,
+    hub_with_eared_triangles,
     hub_with_ears,
+    hub_with_spoke_ears,
     is_simplicial_partition,
     path_corona,
     random_eared_tree,
@@ -219,6 +224,19 @@ class TestAnchoredFringe:
         assert anchored_fringe_vertices(g) == anchored_by_definition(g)
 
 
+HUBS = [double_star, windmill, hub_with_ears, hub_with_ear_groups, hub_with_spoke_ears, hub_with_eared_triangles]
+
+
+class CountedRows(tuple):
+    """An adjacency table that counts the reads of its rows."""
+
+    reads = 0
+
+    def __getitem__(self, v):
+        self.reads += 1
+        return super().__getitem__(v)
+
+
 class TestForcedEarRows:
     # the rows built from the adjacency sets, over witness pairs and one
     # side at a time, against the rows on bitmasks
@@ -257,7 +275,19 @@ class TestForcedEarRows:
         assert rows == forced_ear_rows(g, ear_partners(g)) == reference_forced_ear_rows(g, ear_partners(g))
         assert rows or tree_n < 100
 
-    @pytest.mark.parametrize("shape", [double_star, windmill, hub_with_ears])
+    def test_match_bitmask_rows_on_chained_eared_cycles(self):
+        # the family graphs up to 10 vertices hold few rows with several ears;
+        # cycles of length 7-9 with ears on most edges hold many
+        rng = random.Random(34)
+        across = 0
+        for _ in range(400):
+            g = chained_eared_cycles(rng)
+            rows = family_forced_ear_rows(g, ear_partners(g))
+            assert rows == reference_forced_ear_rows(g, ear_partners(g)), g.edges()
+            across += sum(len(row) > 1 for row in rows)
+        assert across >= 1
+
+    @pytest.mark.parametrize("shape", HUBS)
     @pytest.mark.parametrize("pendants", [False, True])
     def test_match_bitmask_rows_around_hubs(self, shape, pendants):
         with_rows = 0
@@ -267,6 +297,20 @@ class TestForcedEarRows:
             assert rows == reference_forced_ear_rows(g, ear_partners(g))
             with_rows += bool(rows)
         assert with_rows >= 3 or shape is windmill and not pendants
+
+    @pytest.mark.parametrize("shape", HUBS)
+    def test_hub_rows_take_linear_adjacency_reads(self, shape):
+        # the reads of adjacency rows, at k and at 2k: a hub costs its degree
+        # once, not once per ear or per pair of forced sets
+        reads = []
+        for k in (200, 400):
+            g = shape(k)
+            partners = ear_partners(g)
+            adj = CountedRows(g.adj)
+            object.__setattr__(g, "adj", adj)
+            family_forced_ear_rows(g, partners)
+            reads.append(adj.reads)
+        assert 0 < reads[1] <= 2.5 * reads[0]
 
     def test_component_with_a_4_cycle_keeps_the_witness_pair_loop(self, monkeypatch):
         # the ears 3 and 4 on the edge 0-1 close the 4-cycle 0-3-1-4, and
